@@ -277,21 +277,24 @@ def _radius_ladder(grid, n_levels=12):
     return diam * 2.0 ** (-np.arange(n_levels, dtype=float))
 
 
-def maximal_function(grid, a, n_levels=12, chunk=256):
+def maximal_function(grid, a, n_levels=12, chunk=256, at=None):
     """Centred quasiball maximal function over a dyadic radius ladder.
 
     Ma(z) = sup over radii of the sigma-average of |a| over B(z, r); the
     degenerate radius (the node itself) is always included, so Ma >= |a|.
+    ``at`` lists the node indices to evaluate at (default: every node); the
+    result has one value per listed node, each computed as in the full run.
     """
     a = np.abs(np.asarray(a, dtype=float))
     if a.shape != (grid.size,):
         raise ValueError("field must be per-node")
+    idx = np.arange(grid.size) if at is None else np.asarray(at)
     radii = _radius_ladder(grid, n_levels)
     aw = a * grid.w_sigma
-    out = a.copy()
-    for start in range(0, grid.size, chunk):
-        sl = slice(start, min(start + chunk, grid.size))
-        d = grid_qdist(grid, grid.nodes[sl])         # (C, N)
+    out = a[idx]
+    for start in range(0, idx.size, chunk):
+        sl = slice(start, min(start + chunk, idx.size))
+        d = grid_qdist(grid, grid.nodes[idx[sl]])    # (C, N)
         for r in radii:
             mask = d < r
             num = mask @ aw

@@ -144,7 +144,6 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
             np.asarray(domain.hess_mixed(z)))[0])
         r_max_glob = np.sqrt(4.0 * eta * hi_cut / max(lam_levi, 1e-9))
 
-    pts, rhos, wts = [], [], []
     # internal rays lose height along the tangent (curvature), so their
     # s-ladder must start above eps/(2|g|); external heights only grow
     if kind == "internal":
@@ -155,6 +154,9 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
     edges = top * 2.0 ** (-np.arange(n_levels + n_extra + 1, dtype=float))
     s_cap = (hi_cut * 1.1 if kind == "external"
              else top * 1.05)
+    # gather the (s, b, angle) rays of every height cell, each with its cell
+    # weight, so membership probing and bisection run once per region
+    ray_s, ray_b, ray_w = [], [], []
     for m in range(n_levels + n_extra):
         hi, lo = edges[m], edges[m + 1]
         if lo >= hi_cut and kind == "external":
@@ -176,88 +178,76 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
                 b_cell = 1.25 * eta * rho_reach / max(gn, 1e-9)
             b_mid = (np.arange(n_b) + 0.5) * (2.0 * b_cell) / n_b - b_cell
             w_b = 2.0 * b_cell / n_b
-            S, B, TH = np.meshgrid([s_mid], b_mid, th, indexing="ij")
-            Sf, Bf, THf = S.ravel(), B.ravel(), TH.ravel()
-            inside = _ray_membership(domain, kind, z, u, nu, Sf, Bf, THf,
-                                     eta, lo_cut, hi_cut, sign)
-            at0 = inside(np.full(Sf.size, 1e-12))
-            at_max = inside(np.full(Sf.size, r_max_glob))
-            # member interval [r_lo, r_hi] along each ray (monotone exits)
-            r_hi_arr = np.where(at0 | at_max, r_max_glob, 0.0)
-            r_lo_arr = np.zeros(Sf.size)
-            # rays member at 0: single exit crossing in (0, r_max)
-            m0 = at0 & ~at_max
-            if np.any(m0):
-                sub = _bisect_edge(
-                    lambda r, idx=np.nonzero(m0)[0]: inside(
-                        _scatter(r, idx, Sf.size, 1e-12))[idx],
-                    np.full(m0.sum(), 1e-12), np.full(m0.sum(), r_max_glob),
-                    np.full(m0.sum(), True))
-                r_hi_arr[m0] = sub
-            # rays not member at 0 (height floor or b-window): entry then exit
-            m1 = ~at0
-            if np.any(m1):
-                idx = np.nonzero(m1)[0]
-                # probe for any member radius on a coarse ladder
-                probes = r_max_glob * (np.arange(1, 8) / 8.0)
-                found = np.zeros(idx.size, dtype=bool)
-                r_member = np.zeros(idx.size)
-                for pr_r in probes:
-                    okp = inside(_scatter(
-                        np.full(idx.size, pr_r), idx, Sf.size, 1e-12))[idx]
-                    newly = okp & ~found
-                    r_member[newly] = pr_r
-                    found |= newly
-                if np.any(found):
-                    ii = idx[found]
-                    rm = r_member[found]
-                    lo_edge = _bisect_edge(
-                        lambda r, ii=ii: inside(
-                            _scatter(r, ii, Sf.size, 1e-12))[ii],
-                        rm, np.full(ii.size, 1e-12),
-                        np.full(ii.size, True))
-                    hi_edge = _bisect_edge(
-                        lambda r, ii=ii: inside(
-                            _scatter(r, ii, Sf.size, 1e-12))[ii],
-                        rm, np.full(ii.size, r_max_glob),
-                        np.full(ii.size, True))
-                    r_lo_arr[ii] = lo_edge
-                    r_hi_arr[ii] = hi_edge
-            live = r_hi_arr > r_lo_arr + 1e-14
-            if not np.any(live):
-                continue
-            rl, rh = r_lo_arr[live], r_hi_arr[live]
-            sl, bl, thl = Sf[live], Bf[live], THf[live]
-            # Gauss-Legendre in the radius on the exact member interval
-            rg = 0.5 * (rh - rl)[:, None] * xg[None, :] + \
-                0.5 * (rh + rl)[:, None]
-            wgr = 0.5 * (rh - rl)[:, None] * wg[None, :] * rg
-            a = rg * np.exp(1j * thl)[:, None]
-            tau = (z[None, None, :] + a[..., None] * u[None, None, :]
-                   + (sign * sl + 1j * bl)[:, None, None] * nu[None, None, :])
-            w = (w_s * w_b * (2.0 * np.pi / n_th)) * wgr
-            tau = tau.reshape(-1, domain.n)
-            r_tau = np.asarray(domain.rho(tau))
-            pts.append(tau)
-            rhos.append(r_tau)
-            wts.append(w.ravel())
-    if not pts:
+            ray_s.append(np.full(n_b * n_th, s_mid))
+            ray_b.append(np.repeat(b_mid, n_th))
+            ray_w.append(np.full(n_b * n_th, w_s * w_b))
+    Sf, Bf = np.concatenate(ray_s), np.concatenate(ray_b)
+    Wf = np.concatenate(ray_w)
+    THf = np.tile(th, Sf.size // n_th)
+
+    def inside_on(idx):
+        """Membership along the rays ``idx`` as a function of the radius."""
+        return _ray_membership(domain, kind, z, u, nu, Sf[idx], Bf[idx],
+                               THf[idx], eta, lo_cut, hi_cut, sign)
+
+    inside = inside_on(slice(None))
+    at0 = inside(np.full(Sf.size, 1e-12))
+    at_max = inside(np.full(Sf.size, r_max_glob))
+    # member interval [r_lo, r_hi] along each ray (monotone exits)
+    r_hi_arr = np.where(at0 | at_max, r_max_glob, 0.0)
+    r_lo_arr = np.zeros(Sf.size)
+    # rays member at 0: single exit crossing in (0, r_max)
+    m0 = np.nonzero(at0 & ~at_max)[0]
+    if m0.size:
+        r_hi_arr[m0] = _bisect_edge(
+            inside_on(m0), np.full(m0.size, 1e-12),
+            np.full(m0.size, r_max_glob), np.full(m0.size, True))
+    # rays not member at 0 (height floor or b-window): entry then exit
+    idx = np.nonzero(~at0)[0]
+    if idx.size:
+        inside_m1 = inside_on(idx)
+        # probe for any member radius on a coarse ladder
+        probes = r_max_glob * (np.arange(1, 8) / 8.0)
+        found = np.zeros(idx.size, dtype=bool)
+        r_member = np.zeros(idx.size)
+        for pr_r in probes:
+            okp = inside_m1(np.full(idx.size, pr_r))
+            newly = okp & ~found
+            r_member[newly] = pr_r
+            found |= newly
+        if np.any(found):
+            ii = idx[found]
+            rm = r_member[found]
+            inside_ii = inside_on(ii)
+            r_lo_arr[ii] = _bisect_edge(inside_ii, rm,
+                                        np.full(ii.size, 1e-12),
+                                        np.full(ii.size, True))
+            r_hi_arr[ii] = _bisect_edge(inside_ii, rm,
+                                        np.full(ii.size, r_max_glob),
+                                        np.full(ii.size, True))
+    live = r_hi_arr > r_lo_arr + 1e-14
+    if not np.any(live):
         raise ValueError(
             f"empty {kind} region at eta={eta}, eps={eps}; resolution too "
             "coarse or band too thin")
+    rl, rh = r_lo_arr[live], r_hi_arr[live]
+    sl, bl, thl = Sf[live], Bf[live], THf[live]
+    # Gauss-Legendre in the radius on the exact member interval
+    rg = 0.5 * (rh - rl)[:, None] * xg[None, :] + \
+        0.5 * (rh + rl)[:, None]
+    wgr = 0.5 * (rh - rl)[:, None] * wg[None, :] * rg
+    a = rg * np.exp(1j * thl)[:, None]
+    tau = (z[None, None, :] + a[..., None] * u[None, None, :]
+           + (sign * sl + 1j * bl)[:, None, None] * nu[None, None, :])
+    w = (Wf[live] * (2.0 * np.pi / n_th))[:, None] * wgr
+    tau = tau.reshape(-1, domain.n)
     return RegionSample(kind=kind, center=z, eta=float(eta), eps=eps,
-                        points=np.concatenate(pts),
-                        rho=np.concatenate(rhos),
-                        weights=np.concatenate(wts),
+                        points=tau,
+                        rho=np.asarray(domain.rho(tau)),
+                        weights=w.ravel(),
                         meta={"resolution": (n_levels, per_level, n_gauss,
                                              n_th, n_b),
                               "rho_min": lo_cut, "rho_max": hi_cut})
-
-
-def _scatter(vals, idx, size, fill):
-    out = np.full(size, fill)
-    out[idx] = vals
-    return out
 
 
 def region_integrate(sample, F, weight="mu", l=None):
@@ -330,6 +320,10 @@ def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
     n + l (nonsingular: the region point is exterior); the outer integral
     runs over the external region with the nu_l weight.  ``rho_min`` floors
     the region heights at a scale the boundary grid can resolve.
+
+    ``g_field`` is one per-node field (the result is a float) or a stack
+    ``(F, N)`` of them (the result is an array of F floats); the region and
+    each kernel chunk are built once and contracted with every field.
     """
     if rho_min is None:
         rho_min = max(grid.quasi_spacing * 0.75,
@@ -337,16 +331,23 @@ def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
     sample = sample_region(domain, center, "external", eta, eps, resolution,
                            rho_min=rho_min)
     n = domain.n
-    gw = np.asarray(g_field) * grid.w_S
-    phi = np.empty(sample.size, dtype=complex)
+    g = np.asarray(g_field)
+    gw = np.atleast_2d(g) * grid.w_S
+    phi = np.empty((gw.shape[0], sample.size), dtype=complex)
     for start in range(0, sample.size, chunk):
         sl = slice(start, min(start + chunk, sample.size))
         tau = sample.points[sl]
         gt = np.asarray(domain.grad(tau))
         den = pairing(gt, tau)[:, None] - gt @ grid.nodes.T
-        phi[sl] = (den ** (-(n + l))) @ gw
-    val2 = region_integrate(sample, np.abs(phi) ** 2, weight="nu_l", l=l)
-    return float(np.sqrt(max(val2, 0.0)))
+        kern = den ** (-(n + l))
+        # one matrix-vector product per field: a single matrix product
+        # rounds differently and would change reported values
+        for j in range(gw.shape[0]):
+            phi[j, sl] = kern @ gw[j]
+    vals = [float(np.sqrt(max(region_integrate(sample, np.abs(ph) ** 2,
+                                               weight="nu_l", l=l), 0.0)))
+            for ph in phi]
+    return vals[0] if g.ndim == 1 else np.array(vals)
 
 
 def check_area_inequality(domain, g_family, l, p, grid, centers,
@@ -356,17 +357,20 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     Members are per-node fields on ``grid``; the report carries the ratio
     list, its max/min, and a pass flag (bounded envelope, no monotone
     blow-up across the family order, which is assumed scale-ordered).
+    Each center's region is sampled once for the whole family.
     """
     if len(g_family) < 2:
         raise ValueError("need at least two family members")
+    fam = np.stack(g_family)
+    nums = [0.0] * len(fam)
+    for i in range(centers.size):
+        il = area_Il(domain, fam, l, centers.nodes[i], grid, eta, eps,
+                     resolution, rho_min)
+        for j in range(len(fam)):
+            nums[j] += centers.w_sigma[i] * float(il[j]) ** p
     ratios = []
-    for g_field in g_family:
-        num = 0.0
-        for i in range(centers.size):
-            il = area_Il(domain, g_field, l, centers.nodes[i], grid, eta,
-                         eps, resolution, rho_min)
-            num += centers.w_sigma[i] * il ** p
-        den = float(np.sum(np.abs(np.asarray(g_field)) ** p * grid.w_sigma))
+    for num, g_field in zip(nums, fam):
+        den = float(np.sum(np.abs(g_field) ** p * grid.w_sigma))
         ratios.append(num / den if den > 0 else np.inf)
     ratios = np.array(ratios)
     spread = float(ratios.max() / max(ratios.min(), 1e-300))

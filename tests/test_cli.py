@@ -116,6 +116,17 @@ class TestOtherCommands:
         rep = json.loads((tmp_path / "a" / "report.json").read_text())
         assert rep["spread"] <= 50
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_area_passes_at_seed(self, tmp_path, seed):
+        # uniformly random centers missed the spike at these seeds
+        cfg = tmp_path / "area.cfg"
+        cfg.write_text(BASE_CFG.replace("seed = 3", f"seed = {seed}")
+                       .format(out=tmp_path / "out"))
+        rc = cli.main(["area", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc == cli.EXIT_OK
+        rep = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert rep["spread"] <= 50 and not rep["monotone_blowup"]
+
     def test_console_entry_point(self, cfg_file, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "hsconvex.cli", "validate",

@@ -141,6 +141,19 @@ class TestMaximalFunction:
         assert np.allclose(m2, 3.0 * ma, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_at_matches_full_rows(self, request, name):
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 1500, kind="random",
+                                           seed=2)
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(grid.size) * np.abs(grid.nodes[:, 0]) ** 3
+        idx = rng.choice(grid.size, 48, replace=False)
+        full = homtype.maximal_function(grid, a)
+        part = homtype.maximal_function(grid, a, at=idx)
+        assert part.tobytes() == full[idx].tobytes()
+
+
 class TestStratifiedCenters:
     def test_weights_cover_surface(self, ball, ball_grid_mc):
         cs = homtype.stratified_centers(ball_grid_mc, seed=0)

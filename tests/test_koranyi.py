@@ -56,6 +56,60 @@ class TestSampler:
         with pytest.raises(ValueError, match="eta"):
             koranyi.sample_region(ball, E1, "external", eta=0.9, eps=0.1)
 
+    @pytest.mark.parametrize("name,coef", [("ball", (1.0, 1.0)),
+                                           ("ellipsoid", (2.0, 1.0))])
+    def test_crossing_radii_match_quadric_closed_form(self, request, name,
+                                                      coef):
+        # on a quadric rho = sum c_j |w_j|^2 - 1, rho along the tangential
+        # ray tau = p + r e^(i theta) u is quadratic in r, so every defining
+        # inequality is a quadratic one and each member interval's endpoints
+        # are roots of quadratics; the sampler's bisection must find them
+        # to its bracket resolution (30 halvings of [0, r_max])
+        domain = request.getfixturevalue(name)
+        c = np.array(coef)
+        grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
+                                           seed=1)
+        xg, _ = np.polynomial.legendre.leggauss(4)
+        for z, band in ((grid.nodes[0], {}), (grid.nodes[5], {}),
+                        (grid.nodes[17], {"rho_min": 0.0125,
+                                          "rho_max": 0.05})):
+            s = koranyi.sample_region(domain, z, "external", eta=0.25,
+                                      eps=0.1, **band)
+            bp = dom.boundary_point_data(domain, z)
+            u, nu = bp.ct_frame[0], bp.normal
+            d = s.points.reshape(-1, 4, domain.n) - z
+            a = d @ np.conj(u)
+            t = d[:, 0] @ np.conj(nu)
+            r = np.abs(a)
+            half = (r[:, -1] - r[:, 0]) / (xg[-1] - xg[0])
+            got = np.stack([r.mean(axis=1) - half, r.mean(axis=1) + half], 1)
+            eta, lo, hi = s.eta, s.meta["rho_min"], s.meta["rho_max"]
+            r_max = np.sqrt(eta * hi) * 1.000001
+            for k in range(t.size):
+                v = np.exp(1j * np.angle(a[k, 0])) * u
+                p = z + t[k] * nu
+                al = np.sum(c * np.abs(v) ** 2)
+                be = 2.0 * np.real(np.sum(c * np.conj(p) * v))
+                ga = np.sum(c * np.abs(p) ** 2) - 1.0
+                # lo < rho < hi, r^2 < eta rho, |b| < eta rho as q(r) > 0
+                quads = [(al, be, ga - lo), (-al, -be, hi - ga),
+                         (eta * al - 1.0, eta * be, eta * ga),
+                         (eta * al, eta * be, eta * ga - abs(t[k].imag))]
+                cuts = [0.0, r_max]
+                for qa, qb, qc in quads:
+                    disc = qb * qb - 4.0 * qa * qc
+                    if disc > 0:
+                        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+                        cuts += [x for x in (q / qa, qc / q) if 0 < x < r_max]
+                cuts = np.sort(cuts)
+                mids = 0.5 * (cuts[1:] + cuts[:-1])
+                ok = np.all([qa * mids ** 2 + qb * mids + qc > 0
+                             for qa, qb, qc in quads], axis=0)
+                seg = np.nonzero(ok)[0]
+                assert seg.size and np.all(np.diff(seg) == 1)
+                want = (cuts[seg[0]], cuts[seg[-1] + 1])
+                assert np.all(np.abs(got[k] - want) <= 1e-9 * r_max)
+
     def test_model_region_inclusion_sweep(self, ball, ext_sample):
         # normal-form coordinates at e1: w_n = <grad, z - e1>; the model
         # region has |w'|^2 < c eta Re(w_n), |Im w_n| < c eta Re(w_n)
@@ -190,6 +244,10 @@ class TestAreaIl:
         v2 = koranyi.area_Il(ball, 2.0 * g, 1, E1, ball_grid_small,
                              eta=0.25, eps=0.1, resolution=(8, 1, 4, 4, 4))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+        both = koranyi.area_Il(ball, np.stack([g, 2.0 * g]), 1, E1,
+                               ball_grid_small, eta=0.25, eps=0.1,
+                               resolution=(8, 1, 4, 4, 4))
+        assert both.tolist() == [v1, v2]
 
     def test_constant_profile_resolution_stable(self, ball,
                                                 ball_grid_small):
@@ -242,6 +300,17 @@ class TestAreaInequality:
             eps=0.1, resolution=(8, 1, 4, 4, 4))
         assert out["spread"] <= 50.0
         assert not out["monotone_blowup"]
+        # oracle: one region and kernel per center for the whole family
+        # equals the per-member loop of single-field area_Il calls exactly
+        for g, ratio in zip(fam, out["ratios"]):
+            num = 0.0
+            for i in range(centers.size):
+                il = koranyi.area_Il(ball, g, 1, centers.nodes[i],
+                                     ball_grid_small, eta=0.25, eps=0.1,
+                                     resolution=(8, 1, 4, 4, 4))
+                num += centers.w_sigma[i] * il ** 2.0
+            den = float(np.sum(np.abs(g) ** 2.0 * ball_grid_small.w_sigma))
+            assert num / den == ratio
 
     def test_needs_two_members(self, ball, ball_grid_small):
         centers = homtype.build_boundary_grid(ball, 0.0, 4, kind="random",

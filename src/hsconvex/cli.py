@@ -94,13 +94,15 @@ class Reporter:
     def __init__(self, out_dir):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self._events = []
+        self._log = self.out / "events.jsonl"
+        self._log.write_text("")        # a run's log never shows older runs
+        self._steps = 0
 
     def event(self, **kv):
-        self._events.append({"step": len(self._events), **kv})
-        with open(self.out / "events.jsonl", "w") as fh:
-            for e in self._events:
-                fh.write(json.dumps(e, sort_keys=True) + "\n")
+        with open(self._log, "a") as fh:
+            fh.write(json.dumps({"step": self._steps, **kv},
+                                sort_keys=True) + "\n")
+        self._steps += 1
 
     def write_json(self, name, payload):
         with open(self.out / name, "w") as fh:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .domain import radial_level
 from .forms import HoloFunction, multi_indices
+from .sphere import radial_graph_jacobian
 
 __all__ = [
     "CorpusEntry",
@@ -191,12 +192,7 @@ def _graded_level_integral(domain, h, t, n_coarse=64,
     pts = rr[..., None] * dirs
 
     g = np.asarray(domain.grad(pts))
-    grad_re = 2.0 * np.conj(g)
-    slope = np.real(np.sum(grad_re * np.conj(dirs), axis=-1))
-    tang = grad_re - slope[..., None] * dirs
-    gsr = rr[..., None] * (-tang) / slope[..., None]
-    gs2 = np.real(np.sum(gsr * np.conj(gsr), axis=-1))
-    jac = rr ** 2 * np.sqrt(rr ** 2 + gs2) * np.cos(A) * np.sin(A)
+    jac = radial_graph_jacobian(rr, dirs, g) * np.cos(A) * np.sin(A)
 
     vals = np.abs(h(pts[..., 0], np.abs(pts[..., 1]))) * jac
     ia = np.trapezoid(vals, alph, axis=0)

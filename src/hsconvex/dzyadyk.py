@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import pairing
-from .sphere import random_angular_mesh, surface_nodes
-from .domain import radial_level, random_unit_directions
+from .domain import pairing, radial_level, random_unit_directions
 
 __all__ = [
     "Lune",
@@ -35,7 +33,6 @@ __all__ = [
     "lune_of",
     "lune_radius",
     "build_T",
-    "build_T_blend",
     "build_Kglob",
     "validate_Kglob",
     "T_QUANT_STEP",
@@ -134,13 +131,14 @@ class CauchyApproximant:
         return self.coeffs / self.scale ** m
 
 
-def _lune_boundary_mesh(lune, j, n_arc=200, n_chord=160, n_inner=80):
+def _lune_boundary_mesh(lune, j):
     """Mesh of the boundary of (lune minus the 1/j-disk about 1).
 
     Pieces: the bigger arc of |lambda| = R, the chord with geometric grading
     toward 1 (excluding |1-lambda| < 1/j), and the inner circular arc
     |1-lambda| = 1/j inside the lune.
     """
+    n_arc, n_chord, n_inner = 200, 160, 80
     R, t = lune.R, lune.t
     cut = 1.0 / j
     phis = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
@@ -271,121 +269,9 @@ def _certify(approx, lune, c1=None, mesh_size=0, cond=0.0, flagged=False):
             "t": float(approx.t), "r": float(approx.r)}
 
 
-def build_T_blend(j, t, lune, c=0.6):
-    """Geometric-series blend, a quick smoke-test approximant.
-
-    phi is a quadratic with phi(1) = 1 mapping the lune (approximately) into
-    the unit disk; T = (1 - phi^m)/(1 - lambda) with 2m - 1 <= j.  Returns a
-    plain callable plus its measured certificate; rate constants are far worse
-    than the least-squares fit, which is the point of keeping it around.
-    """
-    m = max(1, (j + 1) // 2)
-    rot = np.exp(-1j * t)
-
-    def phi(lam):
-        zeta = (np.asarray(lam, dtype=complex) - 1.0) * rot
-        w = 1j * c * zeta
-        return 1.0 + w + 0.5 * w * w
-
-    def T(lam):
-        lam = np.asarray(lam, dtype=complex)
-        num = 1.0 - phi(lam) ** m
-        den = 1.0 - lam
-        out = np.where(np.abs(den) < 1e-12, float(m) + 0j, num / den)
-        return out
-
-    mesh = _lune_boundary_mesh(lune, j)
-    err = np.abs(T(mesh) - 1.0 / (1.0 - mesh))
-    r = 1.0
-    c1 = float((err * j ** r * np.abs(1.0 - mesh) ** (1.0 + r)).max())
-    phimax = float(np.abs(phi(mesh)).max())
-    return T, {"C1": c1, "r": r, "phi_max": phimax, "m": m}
-
-
 # ---------------------------------------------------------------------------
 # the assembled kernel approximant
 # ---------------------------------------------------------------------------
-
-def _quantize_t(t, step=T_QUANT_STEP):
-    return float(np.round(t / step) * step)
-
-
-def build_T_band(j, t, delta, lune=None, R=1.05, n_lawson=60, r_band=2.0):
-    """Distance-weighted fit away from a fixed cut neighborhood of 1.
-
-    For source points at height rho the pairing with domain points stays at
-    least a fixed multiple of rho away from 1 (the shell comparison
-    estimate), so the kernel restricted to one dyadic height band only needs
-    accuracy on the lune minus a disk of radius ``delta`` about 1.  The fit
-    keeps the distance weight |1 - lambda|^(1+r) (without the degree factor):
-    low degrees then stay uniformly bounded while high degrees converge
-    geometrically on the fixed subregion.  The certificate records the
-    weighted sup ``eta`` with |err| <= eta |1 - lambda|^-(1+r) on the band.
-    """
-    if lune is None:
-        lune = Lune(t=float(t), R=float(R))
-    delta = float(min(max(delta, 1e-8), 1.5))
-    jd = max(1.0, 1.0 / delta)
-    mesh = _lune_boundary_mesh(lune, jd, n_arc=300, n_chord=200, n_inner=90)
-    target = 1.0 / (1.0 - mesh)
-    w = np.abs(1.0 - mesh) ** (1.0 + r_band)
-    scale = lune.R
-    V = np.vander(mesh / scale, int(j) + 1, increasing=True)
-    lw = np.ones(mesh.size)
-    best = None
-    stall = 0
-    for _ in range(max(1, n_lawson)):
-        W = w * lw
-        coef, *_ = np.linalg.lstsq(V * W[:, None], target * W, rcond=None)
-        err = np.abs(V @ coef - target) * w
-        e = float(err.max())
-        if best is None or e < best[0] * (1.0 - 1e-6):
-            best = (e, coef)
-            stall = 0
-        else:
-            stall += 1
-            if stall > 15:
-                break
-        lw = lw * np.maximum(err / max(err.max(), 1e-300), 1e-12)
-        lw /= max(lw.max(), 1e-300)
-    e, coef = best
-    approx = CauchyApproximant(j=int(j), t=float(lune.t), r=float(r_band),
-                               coeffs=coef, scale=scale)
-    approx.cert = {"eta": e, "delta": delta, "mesh_size": int(mesh.size),
-                   "j": int(j), "t": float(lune.t), "band": True,
-                   "r_band": r_band}
-    return approx
-
-
-_QM_LOWER_CACHE = {}
-
-
-def qm_lower_constant(domain, eps=None, n=4000, seed=9):
-    """Sampled lower bound of d(xi, z) / (rho(xi) |c(xi)|) over shell pairs.
-
-    This is the measured constant of the shell comparison estimate in the
-    normalized pairing variable: for xi at height rho, lambda(xi, z) stays at
-    least this multiple of rho away from 1.
-    """
-    key = domain.key()
-    if key in _QM_LOWER_CACHE:
-        return _QM_LOWER_CACHE[key]
-    eps = domain.eps_shell if eps is None else float(eps)
-    rng = np.random.default_rng(seed)
-    dirs = random_unit_directions(rng, n, domain.n)
-    ts = eps * rng.uniform(1e-3, 1.0, n) ** 2
-    rr = radial_level(domain, dirs, ts)
-    xi = rr[:, None] * dirs
-    g = np.asarray(domain.grad(xi))
-    c = pairing(g, xi)
-    zdirs = random_unit_directions(rng, n, domain.n)
-    rz = radial_level(domain, zdirs, 0.0)
-    z = rz[:, None] * zdirs
-    d = np.abs(pairing(g, xi - z))
-    val = float((d / (ts * np.abs(c))).min())
-    _QM_LOWER_CACHE[key] = val
-    return val
-
 
 @dataclass
 class KernelApproximant:
@@ -394,12 +280,6 @@ class KernelApproximant:
     As a polynomial in z the degree is at most jn, with jn >= k > (j-1)n.
     Approximants are cached per quantized chord angle (the coefficients vary
     continuously in t, so nearby angles share one fit).
-
-    With ``band_edges`` set (descending heights), source points pick a
-    band-adapted uniform fit by their height rho(xi): the pairing stays a
-    fixed multiple of rho away from the singular point, so each band's fit
-    converges geometrically on its subregion.  The result is still a
-    polynomial of degree <= jn in z (the selector depends on xi only).
     """
 
     domain: object
@@ -408,8 +288,6 @@ class KernelApproximant:
     R: float
     j: int = 0
     moment_exact: object = None
-    band_edges: object = None        # descending rho edges, or None
-    band_delta: float = 0.5
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -420,25 +298,11 @@ class KernelApproximant:
     def t_of(self, c_pair):
         return 0.5 * np.pi - np.angle(c_pair)
 
-    def band_of(self, rho):
-        """Band index per height; deepest band catches everything below."""
-        edges = self.band_edges
-        idx = np.searchsorted(-np.asarray(edges), -np.asarray(rho),
-                              side="right")
-        return np.clip(idx - 1, 0, len(edges) - 1)
-
-    def approximant_for(self, tq, band=None):
-        key = (self.j, round(tq / T_QUANT_STEP), band)
+    def approximant_for(self, tq):
+        key = (self.j, round(tq / T_QUANT_STEP))
         if key not in self.cache:
-            lune = Lune(t=tq, R=self.R)
-            if band is None:
-                self.cache[key] = build_T(self.j, tq, self.r, lune,
-                                          moment_exact=self.moment_exact)
-            else:
-                lo = self.band_edges[min(band + 1, len(self.band_edges) - 1)] \
-                    if band + 1 < len(self.band_edges) else 0.5 * self.band_edges[-1]
-                delta = self.band_delta * lo
-                self.cache[key] = build_T_band(self.j, tq, delta, lune)
+            self.cache[key] = build_T(self.j, tq, self.r, Lune(t=tq, R=self.R),
+                                      moment_exact=self.moment_exact)
         return self.cache[key]
 
     def eval(self, xi, z, grad_xi=None):
@@ -454,47 +318,29 @@ class KernelApproximant:
         lam = (g @ zz.T) / c[:, None]
         out = np.empty_like(lam)
         n = self.domain.n
-        if self.band_edges is None:
-            bands = np.full(xi.shape[0], -1)
-        else:
-            bands = self.band_of(np.asarray(self.domain.rho(xi)))
         for q in np.unique(tq):
-            for b in np.unique(bands):
-                sel = (tq == q) & (bands == b)
-                if not np.any(sel):
-                    continue
-                T = self.approximant_for(q * T_QUANT_STEP,
-                                         None if b < 0 else int(b))
-                out[sel] = T(lam[sel]) ** n / (c[sel, None] ** n)
+            sel = tq == q
+            T = self.approximant_for(q * T_QUANT_STEP)
+            out[sel] = T(lam[sel]) ** n / (c[sel, None] ** n)
         return out[:, 0] if single else out
 
     def certificates(self):
         return {k: v.cert for k, v in self.cache.items()}
 
 
-def build_Kglob(domain, k, r=2.0, R=None, eps=None, moment_exact=None,
-                banded=False, n_bands=12):
+def build_Kglob(domain, k, r=2.0, R=None, eps=None, moment_exact=None):
     """Kernel approximant of degree k with rate parameter r.
 
     ``moment_exact="half"`` pins half the Taylor coefficients (the pipeline
     projector default); an integer pins that many orders; None fits freely.
-    ``banded=True`` switches to per-height-band uniform fits (the projector
-    construction for continuation densities).
     """
     if R is None:
         R = lune_radius(domain, eps)
     j = int(math.ceil(k / domain.n))
     if moment_exact == "half":
         moment_exact = j // 2
-    band_edges = None
-    band_delta = 0.5
-    if banded:
-        eps_b = domain.eps_shell if eps is None else float(eps)
-        band_edges = eps_b * 2.0 ** (-np.arange(n_bands, dtype=float))
-        band_delta = 0.8 * qm_lower_constant(domain, eps_b)
     return KernelApproximant(domain=domain, k=int(k), r=float(r), R=float(R),
-                             moment_exact=moment_exact,
-                             band_edges=band_edges, band_delta=band_delta)
+                             moment_exact=moment_exact)
 
 
 def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exterior
 from .domain import pairing
-from .homtype import BoundaryGrid, build_boundary_grid
+from .homtype import BoundaryGrid
 from .sphere import angular_mesh, surface_nodes
 
 __all__ = [

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import pairing
-from .dzyadyk import KernelApproximant, T_QUANT_STEP, build_Kglob
+from .dzyadyk import T_QUANT_STEP, build_Kglob
 from .forms import HoloFunction, ShellGrid, pair_dbar_with_leray
 from .homtype import BoundaryGrid, maximal_function
 from . import koranyi
@@ -154,20 +154,25 @@ def taylor_sections(coeff_fn, degrees, n=2):
 # polynomial assembly from the kernel approximant
 # ---------------------------------------------------------------------------
 
-def _group_assemble(domain, kglob, nodes, g, weights_values):
+def _assemble(domain, kglob, c, g, w, harm=None):
     """Coefficients of sum_i w_i K_k(xi_i, z), grouped by quantized angle.
 
-    ``weights_values`` combines quadrature weights with the paired data (the
-    boundary values times Leray weights, or the volume density times volume
-    weights with the orientation sign).  Coefficient of z^beta is
+    ``c`` and ``g`` are the self-pairings and gradients (one row per node) of
+    the source points; ``w`` combines quadrature weights with the paired data
+    (the boundary values times Leray weights, or the volume density times
+    volume weights with the orientation sign).  Coefficient of z^beta is
     D_m binom(m, beta) sum_i w_i g_i^beta / c_i^(n+m) with m = |beta| and D
     the lambda-coefficients of T^n.
+
+    On the pole-graded meshes the nodes are the phi_2 = 0 column and ``harm``
+    (N, cap+1) holds the phase harmonics of the data over each node's
+    phi_2-rotation orbit: the orbit sum of the z^beta moment is the column
+    moment times harm[:, beta_2], and beta_2 stops at cap.
     """
     n = domain.n
-    c = pairing(g, nodes)
-    t = kglob.t_of(c)
-    tq = np.round(t / T_QUANT_STEP).astype(int)
+    tq = np.round(kglob.t_of(c) / T_QUANT_STEP).astype(int)
     deg = kglob.j * n
+    top2 = deg if harm is None else harm.shape[1] - 1
     coeffs = {}
     for q in np.unique(tq):
         sel = tq == q
@@ -176,21 +181,24 @@ def _group_assemble(domain, kglob, nodes, g, weights_values):
         D = lam_c
         for _ in range(n - 1):
             D = np.convolve(D, lam_c)
-        gs, cs, ws = g[sel], c[sel], weights_values[sel]
+        gs, cs = g[sel], c[sel]
         # powers of the gradient components and of 1/c
         p1 = np.ones((deg + 1, gs.shape[0]), dtype=complex)
-        p2 = np.ones((deg + 1, gs.shape[0]), dtype=complex)
+        p2 = np.ones((top2 + 1, gs.shape[0]), dtype=complex)
         for m in range(1, deg + 1):
             p1[m] = p1[m - 1] * gs[:, 0]
+        for m in range(1, top2 + 1):
             p2[m] = p2[m - 1] * gs[:, 1]
-        base = ws / cs ** n
+        base = w[sel] / cs ** n
+        hs = None if harm is None else harm[sel]
         for m in range(min(deg, D.size - 1) + 1):
             if D[m] == 0:
                 continue
             wm = base / cs ** m
-            for b1 in range(m + 1):
-                b2 = m - b1
-                mom = np.sum(wm * p1[b1] * p2[b2])
+            for b2 in range(min(m, top2) + 1):
+                b1 = m - b2
+                term = wm * p1[b1] * p2[b2]
+                mom = np.sum(term if hs is None else term * hs[:, b2])
                 key = (b1, b2)
                 coeffs[key] = coeffs.get(key, 0.0) + \
                     D[m] * _binom(m, b1) * mom
@@ -201,122 +209,23 @@ def _binom(m, k):
     return float(math.comb(m, k))
 
 
-def project_seq_reduced(domain, cont, k_list, r, eps=None, n_bands=10,
-                        nodes_per_band=2, n_phi2=12, harm_cap=3,
-                        moment_exact="half", tol=1e-7):
-    """Polynomial sequence from a continuation on a pole-graded shell.
-
-    The catalog domains are invariant under rotating the second coordinate's
-    phase, and the corpus continuations concentrate their dbar-defect along
-    the z_1 = 1 ray with only a few phase harmonics in that rotation; the
-    moment integrals then reduce exactly to two-angle integrals on a mesh
-    graded toward the singular direction (a uniform mesh cannot resolve the
-    defect scale by scale).  Harmonic sparsity is verified numerically and a
-    ValueError asks for the generic path when it fails.
-    """
-    from .sphere import graded_angular_mesh, surface_nodes
-
-    eps = cont.support_height if eps is None else float(eps)
-    alpha_floor = max(1e-3, 0.25 * np.sqrt(eps * 2.0 ** (-n_bands)))
-    phi_floor = max(1e-5, 0.25 * eps * 2.0 ** (-n_bands))
-    deg_hint = domain.n * int(np.ceil(2 ** max(k_list) / domain.n))
-    mesh = graded_angular_mesh(n_phi2=n_phi2, alpha_floor=alpha_floor,
-                               phi_floor=phi_floor, deg_hint=deg_hint)
-    n2 = mesh.size // n_phi2
-
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes_per_band))
-    levels, wts = [], []
-    for m in range(1, n_bands + 1):
-        lo, hi = eps * 2.0 ** (-m), eps * 2.0 ** (-m + 1)
-        levels.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
-        wts.append(0.5 * (hi - lo) * wg)
-    levels = np.concatenate(levels)
-    wts = np.concatenate(wts)
-
-    fw = []          # per level: fft over phi2 of dens * w_mu, (n2, n_phi2)
-    g1s, G2s, cs = [], [], []
-    worst_harm = 0.0
-    for t, wt in zip(levels, wts):
-        nodes, w_sigma, g = surface_nodes(domain, mesh, t)
-        w_mu = wt * w_sigma / (2.0 * np.linalg.norm(g, axis=-1))
-        dbar = cont.dbar_eval(nodes)
-        dens = pair_dbar_with_leray(domain, dbar, nodes)
-        F = np.fft.fft((dens * w_mu).reshape(n2, n_phi2), axis=1)
-        mag = np.abs(F)
-        hi_bins = mag[:, harm_cap + 1: n_phi2 - harm_cap]
-        worst_harm = max(worst_harm,
-                         float(hi_bins.max() / max(mag.max(), 1e-300)))
-        fw.append(F)
-        q0 = slice(0, None, n_phi2)
-        g0 = g[q0]
-        g1s.append(g0[:, 0])
-        G2s.append(g0[:, 1])        # phi2 = 0 column carries the modulus
-        cs.append(pairing(g0, nodes[q0]))
-    if worst_harm > tol:
-        raise ValueError(
-            f"density has phase harmonics beyond {harm_cap} "
-            f"(relative size {worst_harm:.1e}); use the generic projector")
-
-    g1s = np.array(g1s)                       # (L, n2)
-    G2s = np.array(G2s)
-    cs = np.array(cs)
-    FW = np.stack([F[:, : harm_cap + 1] for F in fw])   # (L, n2, cap+1)
-    t_ang = 0.5 * np.pi - np.angle(cs)
-    tq = np.round(t_ang / T_QUANT_STEP).astype(int)
-
-    out = []
-    for k in k_list:
-        kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
-                            moment_exact=moment_exact, banded=True)
-        bands = np.broadcast_to(kglob.band_of(levels)[:, None], tq.shape)
-        deg = kglob.j * domain.n
-        coeffs = {}
-        for q in np.unique(tq):
-            for b in np.unique(bands):
-                sel = (tq == q) & (bands == b)
-                if not np.any(sel):
-                    continue
-                T = kglob.approximant_for(q * T_QUANT_STEP, int(b))
-                lam_c = T.lambda_coeffs()
-                D = lam_c
-                for _ in range(domain.n - 1):
-                    D = np.convolve(D, lam_c)
-                csel = cs[sel]
-                g1sel = g1s[sel]
-                G2sel = G2s[sel]
-                FWsel = FW[sel]                # (M, cap+1)
-                p1 = np.ones((deg + 1,) + csel.shape, dtype=complex)
-                for mm in range(1, deg + 1):
-                    p1[mm] = p1[mm - 1] * g1sel
-                base = -1.0 / csel ** domain.n   # reconstruction orientation
-                G2pow = np.ones((harm_cap + 1,) + csel.shape, dtype=complex)
-                for b2 in range(1, harm_cap + 1):
-                    G2pow[b2] = G2pow[b2 - 1] * G2sel
-                for mm in range(min(deg, D.size - 1) + 1):
-                    if D[mm] == 0:
-                        continue
-                    wm = base / csel ** mm
-                    for b2 in range(min(mm, harm_cap) + 1):
-                        b1 = mm - b2
-                        mom = np.sum(wm * p1[b1] * G2pow[b2] * FWsel[:, b2])
-                        key = (b1, b2)
-                        coeffs[key] = coeffs.get(key, 0.0) + \
-                            D[mm] * _binom(mm, b1) * mom
-        out.append(PolynomialCn(coeffs, n=domain.n))
-    return out
-
-
 def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
                            moment_exact="half", tol=1e-7, t_off_scale=1.0):
     """Offset-surface projections on pole-graded meshes, one level per k.
 
-    Same phase-harmonic reduction as :func:`project_seq_reduced`; the offset
-    t_off = 2^-k eps shrinks with the degree, and the mesh grading follows
-    the offset scale so the near-singular boundary profile is resolved.
-    Boundary-singular corpus functions are admitted: the integral is
-    absolutely convergent and the slit correction inside the offset surface
-    is O(t_off^(1+s)), below the approximation budget.
+    The catalog domains are invariant under rotating the second coordinate's
+    phase, and the boundary-singular corpus data have only a few phase
+    harmonics in that rotation; the moment integrals then reduce exactly to
+    two-angle integrals on a mesh graded toward the singular direction (a
+    uniform mesh cannot resolve the profile scale by scale).  Harmonic
+    sparsity is verified numerically and a ValueError asks for the generic
+    path when it fails.  The offset t_off = 2^-k eps shrinks with the degree,
+    and the mesh grading follows the offset scale.  Boundary-singular corpus
+    functions are admitted: the integral is absolutely convergent and the
+    slit correction inside the offset surface is O(t_off^(1+s)), below the
+    approximation budget.
     """
+    from .exterior import grid_leray_density
     from .sphere import graded_angular_mesh, surface_nodes
 
     eps = domain.eps_shell if eps is None else float(eps)
@@ -331,7 +240,6 @@ def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
                                    phi_floor=phi_floor, deg_hint=deg_hint)
         n2 = mesh.size // n_phi2
         nodes, w_sigma, g = surface_nodes(domain, mesh, t_off)
-        from .exterior import grid_leray_density
         dens = grid_leray_density(domain, nodes, g)
         vals = np.asarray(f(nodes))
         F = np.fft.fft((vals * dens * w_sigma).reshape(n2, n_phi2), axis=1)
@@ -342,41 +250,10 @@ def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
                              f"{harm_cap}; use the generic projector")
         q0 = slice(0, None, n_phi2)
         g0 = g[q0]
-        cs = pairing(g0, nodes[q0])
-        g1s, G2s = g0[:, 0], g0[:, 1]
-        FW = F[:, : harm_cap + 1]
-        tq = np.round((0.5 * np.pi - np.angle(cs)) / T_QUANT_STEP).astype(int)
-
         kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
                             moment_exact=moment_exact)
-        deg = kglob.j * domain.n
-        coeffs = {}
-        for qv in np.unique(tq):
-            sel = tq == qv
-            T = kglob.approximant_for(qv * T_QUANT_STEP)
-            lam_c = T.lambda_coeffs()
-            D = lam_c
-            for _ in range(domain.n - 1):
-                D = np.convolve(D, lam_c)
-            csel, g1sel, G2sel, FWsel = cs[sel], g1s[sel], G2s[sel], FW[sel]
-            p1 = np.ones((deg + 1,) + csel.shape, dtype=complex)
-            for mm in range(1, deg + 1):
-                p1[mm] = p1[mm - 1] * g1sel
-            base = 1.0 / csel ** domain.n
-            G2pow = np.ones((harm_cap + 1,) + csel.shape, dtype=complex)
-            for b2 in range(1, harm_cap + 1):
-                G2pow[b2] = G2pow[b2 - 1] * G2sel
-            for mm in range(min(deg, D.size - 1) + 1):
-                if D[mm] == 0:
-                    continue
-                wm = base / csel ** mm
-                for b2 in range(min(mm, harm_cap) + 1):
-                    b1 = mm - b2
-                    mom = np.sum(wm * p1[b1] * G2pow[b2] * FWsel[:, b2])
-                    key = (b1, b2)
-                    coeffs[key] = coeffs.get(key, 0.0) + \
-                        D[mm] * _binom(mm, b1) * mom
-        out.append(PolynomialCn(coeffs, n=domain.n))
+        out.append(_assemble(domain, kglob, pairing(g0, nodes[q0]), g0,
+                             np.ones(n2), harm=F[:, : harm_cap + 1]))
     return out
 
 
@@ -415,8 +292,8 @@ def project_direct(domain, f, k, t_off=None, r=None, resolution=None,
         resolution = projection_resolution(2 ** k)
     grid = build_boundary_grid(domain, t_off, resolution)
     vals = np.asarray(f(grid.nodes))
-    return _group_assemble(domain, kglob, grid.nodes, grid.grad,
-                           vals * grid.w_S)
+    return _assemble(domain, kglob, pairing(grid.grad, grid.nodes),
+                     grid.grad, vals * grid.w_S)
 
 
 def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None,
@@ -434,7 +311,7 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None,
     pts, g, w_mu, _ = shell.flat()
     dbar = cont.dbar_eval(pts)
     dens = pair_dbar_with_leray(domain, dbar, pts)
-    return _group_assemble(domain, kglob, pts, g, -dens * w_mu)
+    return _assemble(domain, kglob, pairing(g, pts), g, -dens * w_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +389,7 @@ class SmoothnessReport:
 
 
 def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
-             grid=None, resolution=3000, shell=None, m_jet=4,
+             grid=None, m_jet=4,
              proj_resolution=None, floor=1e-9, r=None):
     """Build the dyadic sequence, error fields, slope and verdicts for f.
 

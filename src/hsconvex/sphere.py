@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import pairing, radial_level
+from .domain import radial_level
 
-__all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes"]
+__all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
+           "radial_graph_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -139,24 +140,29 @@ def random_angular_mesh(n, seed=0):
     return AngularMesh(dirs=dirs, weights=w, resolution=(int(n),))
 
 
-def surface_nodes(domain, mesh, t=0.0):
-    """Nodes and surface-measure weights of the level set rho = t.
+def radial_graph_jacobian(r, dirs, g):
+    """Surface Jacobian of the radial graph F(theta) = R(theta) theta, n = 2.
 
-    For the radial graph F(theta) = R(theta) theta the pulled-back measure is
-    R^(2n-2) sqrt(R^2 + |grad_S R|^2) d(theta); the spherical gradient of R
-    follows from implicit differentiation of rho(R theta) = t.
+    The pulled-back measure is R^(2n-2) sqrt(R^2 + |grad_S R|^2) d(theta);
+    the spherical gradient of R follows from implicit differentiation of
+    rho(R theta) = t, with ``g`` the holomorphic gradient at R theta.  ``r``
+    has the shape of ``dirs`` without its last axis.
     """
+    grad_re = 2.0 * np.conj(g)                       # real gradient in C^2
+    slope = np.real(np.sum(grad_re * np.conj(dirs), axis=-1))   # d rho / dr
+    tang = grad_re - slope[..., None] * dirs         # tangential part on S^3
+    grad_s_r = r[..., None] * (-tang) / slope[..., None]
+    gs2 = np.real(np.sum(grad_s_r * np.conj(grad_s_r), axis=-1))
+    return r ** 2 * np.sqrt(r ** 2 + gs2)
+
+
+def surface_nodes(domain, mesh, t=0.0):
+    """Nodes and surface-measure weights of the level set rho = t."""
     if domain.n != 2:
         raise NotImplementedError("surface meshes are implemented for n = 2")
     dirs = mesh.dirs
     r = radial_level(domain, dirs, t)
     nodes = r[:, None] * dirs
     g = np.asarray(domain.grad(nodes))
-    grad_re = 2.0 * np.conj(g)                       # real gradient as C^2 vector
-    slope = np.real(np.sum(grad_re * np.conj(dirs), axis=-1))   # d rho / dr
-    tang = grad_re - slope[:, None] * dirs           # tangential part on S^3
-    grad_s_r = r[:, None] * (-tang) / slope[:, None]
-    gs2 = np.real(np.sum(grad_s_r * np.conj(grad_s_r), axis=-1))
-    jac = r ** 2 * np.sqrt(r ** 2 + gs2)
-    w_sigma = mesh.weights * jac
+    w_sigma = mesh.weights * radial_graph_jacobian(r, dirs, g)
     return nodes, w_sigma, g

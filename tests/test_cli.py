@@ -94,6 +94,22 @@ class TestDiagnose:
             (tmp_path / "r2" / "ek_table.csv").read_bytes()
 
 
+class TestEventLog:
+    def test_one_line_per_event_and_stale_log_cleared(self, cfg_file,
+                                                       tmp_path):
+        out = tmp_path / "e"
+        assert cli.main(["kernel", str(cfg_file), "--out", str(out)]) == \
+            cli.EXIT_OK
+        log = out / "events.jsonl"
+        assert log.read_text().splitlines() == [
+            json.dumps({"command": "kernel", "k": k, "step": i})
+            for i, k in enumerate((8, 16, 32, 64))]
+        # a run that logs nothing leaves an empty log, not the previous one
+        assert cli.main(["diagnose", str(cfg_file), "nope",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert log.read_text() == ""
+
+
 class TestOtherCommands:
     def test_kernel_trend(self, cfg_file, tmp_path):
         rc = cli.main(["kernel", str(cfg_file),

@@ -83,14 +83,6 @@ class TestBuildT:
         lc = T.lambda_coeffs()
         assert np.allclose(lc[:5], 1.0, atol=1e-12)
 
-    def test_blend_smoke(self):
-        lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
-        T, cert = dzyadyk.build_T_blend(8, np.pi / 2, lune)
-        assert np.isfinite(cert["C1"])
-        assert cert["phi_max"] <= 1.1   # measured, not assumed
-        lam = np.array([0.0, 0.3 + 0.1j])
-        assert np.all(np.isfinite(T(lam)))
-
 
 class TestKglob:
     def test_center_value(self, ball):
@@ -150,23 +142,3 @@ class TestKglob:
             sups.append(np.abs(kern - approx).max())
         for a, b in zip(sups, sups[1:]):
             assert b <= 1.2 * a
-
-    def test_banded_eval_consistency(self, ball, rng):
-        kg = dzyadyk.build_Kglob(ball, 8, r=2.0, banded=True)
-        dirs = dom.random_unit_directions(rng, 40, 2)
-        ts = 0.1 * rng.uniform(0.01, 1, 40)
-        rr = dom.radial_level(ball, dirs, ts)
-        xi = rr[:, None] * dirs
-        z = 0.6 * dom.random_unit_directions(rng, 5, 2)
-        vals = kg.eval(xi, z)
-        assert np.all(np.isfinite(vals))
-        # still a degree-8 polynomial per xi: check via 1-d restriction
-        xi0 = xi[0]
-        tline = np.linspace(0, 1, 9)
-        pts = tline[:, None] * z[0][None, :]
-        line_vals = kg.eval(xi0, pts)[0]
-        V = np.polynomial.polynomial.polyvander(tline, 8)
-        coef = np.linalg.lstsq(V, line_vals, rcond=None)[0]
-        recon = V @ coef
-        assert np.abs(recon - line_vals).max() <= 1e-8 * \
-            max(1.0, np.abs(line_vals).max())

@@ -66,6 +66,43 @@ class TestProjectDirect:
             pl.project_direct(ball, f, 3)
 
 
+class TestHarmonicAssembly:
+    """Oracle for the phase-harmonic branch of the moment assembler.
+
+    The catalog domains are invariant under z2 -> e^(i theta) z2, so the
+    moments over all nodes of a pole-graded surface equal the moments over
+    its phi_2 = 0 column weighted by the FFT of the data along each orbit.
+    """
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_matches_generic_branch(self, name, request):
+        from hsconvex.dzyadyk import build_Kglob
+        from hsconvex.exterior import grid_leray_density
+        from hsconvex.sphere import graded_angular_mesh, surface_nodes
+
+        domain = request.getfixturevalue(name)
+        k, n_phi2 = 3, 12
+        t_off = 2.0 ** (-k) * domain.eps_shell
+        mesh = graded_angular_mesh(n_phi2=n_phi2,
+                                   alpha_floor=max(5e-4, 0.2 * t_off ** 0.5),
+                                   phi_floor=max(5e-6, 0.2 * t_off),
+                                   deg_hint=2 ** k)
+        nodes, w_sigma, g = surface_nodes(domain, mesh, t_off)
+        dens = grid_leray_density(domain, nodes, g)
+        kglob = build_Kglob(domain, 2 ** k, r=6.0, moment_exact="half")
+        col = slice(0, None, n_phi2)
+        for f in (corpus.monomial((2, 1)), corpus.power_function(1.5)):
+            w = np.asarray(f(nodes)) * dens * w_sigma
+            generic = pl._assemble(domain, kglob, dom.pairing(g, nodes), g, w)
+            harm = np.fft.fft(w.reshape(-1, n_phi2), axis=1)[:, :4]
+            reduced = pl._assemble(domain, kglob,
+                                   dom.pairing(g[col], nodes[col]), g[col],
+                                   np.ones(harm.shape[0]), harm=harm)
+            diff = generic - reduced
+            scale = max(abs(v) for v in generic.coeffs.values())
+            assert max(abs(v) for v in diff.coeffs.values()) <= 1e-13 * scale
+
+
 class TestProjectViaContinuation:
     def test_zero_defect_zero_polynomial(self, ball):
         contz = cn.Continuation(

@@ -200,13 +200,13 @@ def cmd_validate(cfg, rep):
 
 
 def cmd_diagnose(cfg, rep, fname):
+    dom = cfg.make_domain()
     entries = {e.f.label: e for e in
-               corpus_mod.build_corpus(cfg.make_domain(), with_labels=False)}
+               corpus_mod.build_corpus(dom, with_labels=False)}
     if fname not in entries:
         print(f"unknown function {fname!r}; corpus: {sorted(entries)}",
               file=sys.stderr)
         return EXIT_USAGE
-    dom = cfg.make_domain()
     entry = entries[fname]
     rep.event(command="diagnose", function=fname)
     try:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import pairing, project_boundary
+from .domain import pairing, symmetric_point, symmetric_point_dbar
 from .forms import ShellGrid, pair_dbar_with_leray
 from . import koranyi
 
@@ -76,9 +76,11 @@ class Continuation:
 
 
 def _dbar_reflection(domain, z, h=1e-5):
-    """dbar components of the reflection map z* by central differences.
+    """Test oracle: dbar of the reflection map z* by central differences.
 
-    Returns an array D with D[..., j, k] = d(z*_k)/d(zbar_j).
+    Eight extra projections per point; the continuation itself uses the
+    closed form of :func:`hsconvex.domain.symmetric_point_dbar`.  Returns an
+    array D with D[..., j, k] = d(z*_k)/d(zbar_j).
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     n = domain.n
@@ -88,15 +90,12 @@ def _dbar_reflection(domain, z, h=1e-5):
         ex[j] = h
         ey = np.zeros(n, complex)
         ey[j] = 1j * h
-        sx = (_reflect(domain, z + ex) - _reflect(domain, z - ex)) / (2 * h)
-        sy = (_reflect(domain, z + ey) - _reflect(domain, z - ey)) / (2 * h)
+        sx = (symmetric_point(domain, z + ex)
+              - symmetric_point(domain, z - ex)) / (2 * h)
+        sy = (symmetric_point(domain, z + ey)
+              - symmetric_point(domain, z - ey)) / (2 * h)
         out[..., j, :] = 0.5 * (sx + 1j * sy)
     return out
-
-
-def _reflect(domain, z):
-    pr = project_boundary(domain, np.atleast_2d(z), 0.0)
-    return 2.0 * pr - np.atleast_2d(z)
 
 
 def _jet_indices(n, order):
@@ -112,12 +111,14 @@ def _factorial_alpha(alpha):
     return out
 
 
-def extend_by_symmetry(domain, f, m, eps=None, fd_step=1e-5):
+def extend_by_symmetry(domain, f, m, eps=None):
     """Jet-of-order-(m-1) continuation evaluated at the reflected point.
 
     Requires derivative data of f up to order m.  The dbar field uses the
     telescoped closed form (only |alpha| = m - 1 jet terms survive against
-    the dbar of the reflection) plus the cutoff ramp term.
+    the dbar of the reflection, which comes in closed form from the
+    projection's KKT system) plus the cutoff ramp term; each collar point is
+    projected once.
     """
     eps = domain.eps_shell if eps is None else float(eps)
     if f.deriv is None:
@@ -129,9 +130,7 @@ def extend_by_symmetry(domain, f, m, eps=None, fd_step=1e-5):
     jets = _jet_indices(n, m - 1)
     top = [a for a in _jet_indices(n, m - 1) if sum(a) == m - 1]
 
-    def f0(z):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
-        zs = _reflect(domain, z)
+    def f0(z, zs):
         dz = z - zs
         out = np.zeros(z.shape[:-1], dtype=complex)
         for alpha in jets:
@@ -147,7 +146,9 @@ def extend_by_symmetry(domain, f, m, eps=None, fd_step=1e-5):
         vals = np.zeros(zz.shape[:-1], dtype=complex)
         inside = rho < eps
         if np.any(inside):
-            vals[inside] = f0(zz[inside]) * chi(rho[inside])
+            zi = zz[inside]
+            vals[inside] = f0(zi, symmetric_point(domain, zi)) * \
+                chi(rho[inside])
         return vals[0] if single else vals
 
     def dbar_eval(z):
@@ -158,9 +159,8 @@ def extend_by_symmetry(domain, f, m, eps=None, fd_step=1e-5):
         if not np.any(live):
             return out
         zl = zz[live]
-        zs = _reflect(domain, zl)
+        zs, dstar = symmetric_point_dbar(domain, zl)   # dstar: (M, j, k)
         dz = zl - zs
-        dstar = _dbar_reflection(domain, zl, h=fd_step)   # (M, j, k)
         chival = chi(rho[live])
         # telescoped jet term: sum_k dbar_j z*_k sum_{|a|=m-1} f^(a+e_k)(z*)
         # (z - z*)^a / a!
@@ -175,7 +175,7 @@ def extend_by_symmetry(domain, f, m, eps=None, fd_step=1e-5):
                     dstar[:, :, k]
         # cutoff ramp: f0 * chi'(rho) * dbar rho
         g = np.asarray(domain.grad(zl))
-        ramp = (f0(zl) * chi.deriv(rho[live]))[:, None] * np.conj(g)
+        ramp = (f0(zl, zs) * chi.deriv(rho[live]))[:, None] * np.conj(g)
         out[live] = jet_term * chival[:, None] + ramp
         return out
 

@@ -394,11 +394,11 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     """Build the dyadic sequence, error fields, slope and verdicts for f.
 
     Entire functions project directly from an offset surface; functions that
-    are only holomorphic up to the boundary go through the symmetry
-    continuation.  The slope is fitted on levels above the numerical floor;
-    polynomial-exact levels read as floor values and are excluded.
+    are only holomorphic up to the boundary go through the offset projection
+    on pole-graded meshes (:func:`project_direct_reduced`).  The slope is
+    fitted on levels above the numerical floor; polynomial-exact levels read
+    as floor values and are excluded.
     """
-    from .continuation import extend_by_symmetry
     from .homtype import build_boundary_grid
     from .sphere import graded_angular_mesh
 
@@ -410,7 +410,6 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     k_list = sorted(int(k) for k in k_range)
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
-    cont = None
     deg_max = 2 ** max(k_list)
     if proj_resolution is None:
         proj_resolution = projection_resolution(deg_max)

@@ -84,6 +84,50 @@ class TestSymmetryContinuation:
             cn.extend_by_symmetry(ball, f, m=2)
 
 
+class TestSymmetryBeyondBall:
+    @pytest.mark.parametrize("name", ["ellipsoid", "perturbed_ball"])
+    def test_pac_reconstruction_criterion_6_shape(self, name):
+        # criterion 6 (points, monomials, shells, limits) on the domains
+        # whose projection is the Newton iteration, not a closed form
+        d = dom.from_catalog(name)
+        rng = np.random.default_rng(3)
+        zs = 0.55 * dom.random_unit_directions(rng, 12, 2) * \
+            rng.uniform(0.1, 1.0, (12, 1))
+        shell_fine = forms.build_shell_grid(d, 0.1, 6000, n_bands=8,
+                                            nodes_per_band=3)
+        assert shell_fine.size >= 1e5
+        worst = 0.0
+        for f in (corpus.monomial((0, 0)), corpus.monomial((1, 0)),
+                  corpus.monomial((2, 1))):
+            cont = cn.extend_by_symmetry(d, f, m=3, eps=0.1)
+            worst = max(worst,
+                        cn.verify_pac(cont, shell_fine, zs, f)["max_rel_err"])
+        shell_coarse = forms.build_shell_grid(d, 0.1, 3000, n_bands=8,
+                                              nodes_per_band=2)
+        e_coarse = cn.verify_pac(cont, shell_coarse, zs, f)["max_rel_err"]
+        e_fine = cn.verify_pac(cont, shell_fine, zs, f)["max_rel_err"]
+        assert worst <= 1e-2
+        assert e_coarse / max(e_fine, 1e-300) >= 1.4
+
+    def test_one_projection_per_collar_node(self, ellipsoid, monkeypatch):
+        shell = forms.build_shell_grid(ellipsoid, 0.1, 3000, n_bands=8,
+                                       nodes_per_band=2)
+        live = int(np.sum(ellipsoid.rho(shell.flat()[0]) < 0.1))
+        rows = []
+        orig = dom.project_boundary
+
+        def counting(domain, z, *args, **kwargs):
+            rows.append(np.atleast_2d(z).shape[0])
+            return orig(domain, z, *args, **kwargs)
+
+        monkeypatch.setattr(dom, "project_boundary", counting)
+        monkeypatch.setattr(cn, "project_boundary", counting, raising=False)
+        f = corpus.monomial((2, 1))
+        cont = cn.extend_by_symmetry(ellipsoid, f, m=3, eps=0.1)
+        cn.verify_pac(cont, shell, np.array([[0.3, 0.2]], complex), f)
+        assert live > 0 and 0 < sum(rows) <= live
+
+
 class TestGlobalContinuation:
     def test_constant_sequence_dbar_vanishes_inside(self, ball, rng):
         p = PolynomialCn({(0, 0): 1.0})

@@ -1,7 +1,45 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hsconvex import continuation as cn
 from hsconvex import domain as dom
+
+CATALOG = ("ball", "ellipsoid", "perturbed_ball")
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(name):
+    return dom.from_catalog(name)
+
+
+# a direction in R^4 and a level in the two-sided collar |rho| < eps_shell
+_direction = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+_level = st.floats(-0.1, 0.1)
+
+
+def _collar_point(domain, v, t):
+    d = dom.as_complex(np.asarray(v) / np.linalg.norm(v))[None]
+    return dom.radial_level(domain, d, t)[:, None] * d
+
+
+def _fd_dz(domain, z, h=1e-5):
+    """A[..., j, k] = d(z*_k)/dz_j of the reflection by central differences."""
+    n = domain.n
+    out = np.empty(z.shape[:-1] + (n, n), dtype=complex)
+    for j in range(n):
+        ex = np.zeros(n, complex)
+        ex[j] = h
+        sx = (dom.symmetric_point(domain, z + ex)
+              - dom.symmetric_point(domain, z - ex)) / (2 * h)
+        sy = (dom.symmetric_point(domain, z + 1j * ex)
+              - dom.symmetric_point(domain, z - 1j * ex)) / (2 * h)
+        out[..., j, :] = 0.5 * (sx - 1j * sy)
+    return out
 
 
 def fd_gradient(domain, z, h=1e-6):
@@ -125,6 +163,71 @@ class TestSymmetricPoint:
         zs = dom.symmetric_point(ball, pts)
         ratio = np.abs(ball.rho(zs)) / np.abs(ball.rho(pts))
         assert np.all(ratio >= 0.5) and np.all(ratio <= 2.0)
+
+
+class TestReflectionDerivative:
+    """symmetric_point_dbar: the KKT closed form of d(z*)/d(zbar)."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @given(v=_direction, t=_level)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_fd_oracle(self, name, v, t):
+        d = _catalog(name)
+        z = _collar_point(d, v, t)
+        zs, D = dom.symmetric_point_dbar(d, z)
+        assert np.array_equal(zs, dom.symmetric_point(d, z))
+        assert np.abs(D - cn._dbar_reflection(d, z)).max() <= 1e-6
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @given(v=_direction, t=_level)
+    @settings(max_examples=20, deadline=None)
+    def test_projection_is_idempotent(self, name, v, t):
+        d = _catalog(name)
+        xi = dom.project_boundary(d, _collar_point(d, v, t))
+        assert np.abs(dom.project_boundary(d, xi) - xi).max() <= 1e-9
+        xs, D = dom.symmetric_point_dbar(d, xi)
+        assert np.abs(xs - xi).max() <= 1e-9
+        # on the boundary lam = 0 and dxi is the tangent projector, so
+        # d(z*_k)/d(zbar_j) = -nu_j nu_k with nu the unit normal
+        nu = dom.boundary_point_data(d, xi[0]).normal
+        assert np.abs(D[0] + np.outer(nu, nu)).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @given(v=_direction, t=_level)
+    @settings(max_examples=20, deadline=None)
+    def test_reflection_is_an_involution(self, name, v, t):
+        d = _catalog(name)
+        z = _collar_point(d, v, t)
+        zs, D = dom.symmetric_point_dbar(d, z)
+        zss, Ds = dom.symmetric_point_dbar(d, zs)
+        assert np.abs(dom.project_boundary(d, zs)
+                      - dom.project_boundary(d, z)).max() <= 1e-9
+        assert np.abs(zss - z).max() <= 1e-9
+        # z** = z has zero dbar: D(z) A(z*) + conj(A(z)) D(z*) = 0 with
+        # A = d(z*)/dz by central differences
+        res = D[0] @ _fd_dz(d, zs)[0] + np.conj(_fd_dz(d, z)[0]) @ Ds[0]
+        assert np.abs(res).max() <= 1e-5
+
+    @given(v=_direction, r=st.floats(0.2, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_ball_closed_form(self, v, r):
+        # z* = z (2/|z| - 1), so d(z*_k)/d(zbar_j) = -z_j z_k / |z|^3; past
+        # |z| = 2 (lam >= 1/2) the Gershgorin certificate fails and the
+        # eigenvalue check accepts the point
+        z = r * dom.as_complex(np.asarray(v) / np.linalg.norm(v))[None]
+        _, D = dom.symmetric_point_dbar(_catalog("ball"), z)
+        assert np.abs(D[0] + np.outer(z[0], z[0]) / r ** 3).max() <= 1e-12
+
+    def test_outside_reach_raises(self, ellipsoid, ball):
+        # from (0, 0.4) the projection stops at the critical point (0, 1),
+        # past the focal point of the z1 directions (1 + 4 lam < 0 there)
+        with pytest.raises(dom.ProjectionError,
+                           match=r"z=\[0\. +\+0\.j 0\.4\+0\.j\]"):
+            dom.symmetric_point_dbar(ellipsoid,
+                                     np.array([[0.0, 0.4]], complex))
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(dom.ProjectionError, match="non-finite"):
+            dom.symmetric_point_dbar(ball, np.zeros((1, 2), complex))
 
 
 class TestNormalForm:

@@ -18,7 +18,6 @@ from .domain import (
     domain_eval,
     project_boundary,
     symmetric_point,
-    normalize_at,
 )
 from .homtype import (
     BoundaryGrid,
@@ -35,10 +34,7 @@ from .forms import (
     build_shell_grid,
     clf_kernel,
     clf_reproduce,
-    leray_density,
     pair_dbar_with_leray,
-    hardy_norm,
-    sobolev_norm,
 )
 from .dzyadyk import Lune, lune_of, build_T, build_Kglob, validate_Kglob
 from .koranyi import (
@@ -62,7 +58,6 @@ from .pipeline import (
     SmoothnessReport,
     project_direct,
     project_via_continuation,
-    smoothness_sum,
     diagnose,
     ab_fields,
     check_bk_lemma,
@@ -74,15 +69,14 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainSpec", "BoundaryPointData", "ball", "ellipsoid", "perturbed_ball",
     "from_catalog", "domain_eval", "project_boundary", "symmetric_point",
-    "normalize_at", "BoundaryGrid", "build_boundary_grid", "qdist",
-    "quasiball", "check_homogeneous", "qm_exterior_check",
-    "maximal_function", "HoloFunction", "ShellGrid", "build_shell_grid",
-    "clf_kernel", "clf_reproduce", "leray_density", "pair_dbar_with_leray",
-    "hardy_norm", "sobolev_norm", "Lune", "lune_of", "build_T", "build_Kglob",
-    "validate_Kglob", "RegionSample", "sample_region", "region_integrate",
-    "area_internal", "area_Il", "check_area_inequality", "Continuation",
-    "Cutoff", "extend_by_symmetry", "extend_by_global", "verify_pac",
-    "sobolev_functional", "PolynomialCn", "SmoothnessReport",
-    "project_direct", "project_via_continuation", "smoothness_sum",
-    "diagnose", "ab_fields", "check_bk_lemma", "build_corpus", "CorpusEntry",
+    "BoundaryGrid", "build_boundary_grid", "qdist", "quasiball",
+    "check_homogeneous", "qm_exterior_check", "maximal_function",
+    "HoloFunction", "ShellGrid", "build_shell_grid", "clf_kernel",
+    "clf_reproduce", "pair_dbar_with_leray", "Lune", "lune_of", "build_T",
+    "build_Kglob", "validate_Kglob", "RegionSample", "sample_region",
+    "region_integrate", "area_internal", "area_Il", "check_area_inequality",
+    "Continuation", "Cutoff", "extend_by_symmetry", "extend_by_global",
+    "verify_pac", "sobolev_functional", "PolynomialCn", "SmoothnessReport",
+    "project_direct", "project_via_continuation", "diagnose", "ab_fields",
+    "check_bk_lemma", "build_corpus", "CorpusEntry",
 ]

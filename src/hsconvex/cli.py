@@ -26,7 +26,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import domain as domain_mod
-from . import dzyadyk, forms, homtype, io as io_mod, koranyi, pipeline
+from . import dzyadyk, forms, homtype, koranyi, pipeline
 from .continuation import extend_by_symmetry, verify_pac
 
 EXIT_OK = 0
@@ -71,7 +71,6 @@ class RunConfig:
             self.seed = int(par.get("seed", 0))
             out = parser["output"] if parser.has_section("output") else {}
             self.output_dir = Path(out.get("dir", "hsconvex_out"))
-            self.cache_dir = out.get("cache_dir", "")
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
         if self.eps <= 0:
@@ -152,13 +151,7 @@ def cmd_validate(cfg, rep):
             record("domain_convexity", False, witness=str(exc))
             dom = None
         if dom is not None:
-            if cfg.cache_dir:
-                grid = io_mod.cached_boundary_grid(dom, 0.0,
-                                                   cfg.boundary_nodes,
-                                                   cfg.cache_dir)
-            else:
-                grid = homtype.build_boundary_grid(dom, 0.0,
-                                                   cfg.boundary_nodes)
+            grid = homtype.build_boundary_grid(dom, 0.0, cfg.boundary_nodes)
             record("grid_weights_positive",
                    bool(np.all(grid.w_sigma > 0) and np.all(grid.w_S > 0)))
             coarse = homtype.build_boundary_grid(dom, 0.0,

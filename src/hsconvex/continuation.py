@@ -63,16 +63,13 @@ class Continuation:
     """Evaluator of the extension and its dbar-components on the collar."""
 
     kind: str                      # "symmetry" | "global"
-    f_eval: Callable               # points (..., n) -> values
+    # points (..., n) -> values; test oracle for dbar_eval by finite
+    # differences (the reconstruction only needs dbar_eval)
+    f_eval: Callable
     dbar_eval: Callable            # points (M, n) -> (M, n) components
     support_height: float
     domain: object
     meta: dict = field(default_factory=dict)
-
-    def lambda_field(self, z):
-        """Scaled difference field of the global construction (else None)."""
-        fn = self.meta.get("lambda")
-        return None if fn is None else fn(np.asarray(z, dtype=complex))
 
 
 def _dbar_reflection(domain, z, h=1e-5):
@@ -205,11 +202,10 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             k = np.ceil(-np.log2(np.maximum(rho, 1e-300))).astype(int)
         return k
 
-    def f0_and_lambda(z, rho):
+    def blend(z, rho):
         z = np.atleast_2d(z)
         k = shell_index(rho)
         out = np.zeros(z.shape[:-1], dtype=complex)
-        lam = np.zeros(z.shape[:-1], dtype=float)
         deep = k > K - 1
         if np.any(deep):
             out[deep] = p_seq[-1](z[deep])
@@ -220,11 +216,10 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             cur = p_seq[kk - 1](z[sel])
             nxt = p_seq[kk](z[sel])
             out[sel] = cur + chi_blend(2.0 ** kk * rho[sel]) * (nxt - cur)
-            lam[sel] = np.abs(nxt - cur) / rho[sel]
         shallow = k < 1
         if np.any(shallow):
             out[shallow] = p_seq[0](z[shallow])
-        return out, lam
+        return out
 
     def f_eval(z):
         z = np.asarray(z, dtype=complex)
@@ -234,8 +229,7 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
         vals = np.zeros(zz.shape[:-1], dtype=complex)
         live = rho < eps
         if np.any(live):
-            f0, _ = f0_and_lambda(zz[live], rho[live])
-            vals[live] = f0 * chi_out(rho[live])
+            vals[live] = blend(zz[live], rho[live]) * chi_out(rho[live])
         return vals[0] if single else vals
 
     def dbar_eval(z):
@@ -248,7 +242,7 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
         zl, rl = zz[live], rho[live]
         g = np.conj(np.asarray(domain.grad(zl)))     # dbar rho components
         k = shell_index(rl)
-        f0, _ = f0_and_lambda(zl, rl)
+        f0 = blend(zl, rl)
         term = np.zeros(zl.shape[0], dtype=complex)
         for kk in range(max(1, int(k.min())), K):
             sel = k == kk
@@ -261,19 +255,8 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             + (f0 * chi_out.deriv(rl))[:, None] * g
         return out
 
-    def lam_field(z):
-        zz = np.atleast_2d(np.asarray(z, dtype=complex))
-        rho = np.asarray(domain.rho(zz))
-        lam = np.zeros(zz.shape[:-1])
-        live = rho > 0
-        _, lam_live = f0_and_lambda(zz[live], rho[live])
-        lam[live] = lam_live
-        return lam
-
     return Continuation(kind="global", f_eval=f_eval, dbar_eval=dbar_eval,
-                        support_height=eps, domain=domain,
-                        meta={"K": K, "lambda": lam_field,
-                              "chi_lipschitz": 1.875 / 0.5})
+                        support_height=eps, domain=domain, meta={"K": K})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A domain is given by a defining function rho (negative inside, zero on the
 boundary) together with its holomorphic gradient and the two complex Hessian
 blocks.  Level sets ``rho = t`` for small ``|t|`` form a family of nearby
-strongly convex surfaces; all geometric operations (nearest-point projection,
-reflection across the boundary, local normal form) live on this shell.
+strongly convex surfaces; the geometric operations (nearest-point projection
+and reflection across the boundary) live on this shell.
 
 All callables are vectorized over a leading batch axis: points are complex
 arrays of shape ``(..., n)``.
@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "DomainSpec",
     "BoundaryPointData",
-    "NormalForm",
     "DomainValidationError",
     "ProjectionError",
     "ball",
@@ -32,7 +31,6 @@ __all__ = [
     "project_boundary",
     "symmetric_point",
     "symmetric_point_dbar",
-    "normalize_at",
     "boundary_point_data",
     "radial_level",
     "random_shell_points",
@@ -111,7 +109,11 @@ class DomainSpec:
     exact_project: Optional[Callable] = None
 
     def key(self):
-        """Stable identity used for grid caching."""
+        """Stable identity: name, dimension, parameters and shell width.
+
+        The benchmark's tracer (``perfbench/spans.py``) keys region samples
+        with it.
+        """
         return (self.name, self.n, tuple(float(p) for p in self.params),
                 float(self.eps_shell))
 
@@ -131,19 +133,6 @@ class BoundaryPointData:
     normal: np.ndarray
     tangent_frame: np.ndarray   # (2n-1, n) complex rows
     ct_frame: np.ndarray        # (n-1, n) complex rows
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Holomorphic change of coordinates flattening rho at a boundary point.
-
-    The map  w = Phi (z - xi) + ((z - xi)^T B (z - xi)) e_n  turns rho into
-    2 Re(w_n) + conj(w)^T A' w + O(|w|^3) with A' positive definite.
-    """
-
-    phi: np.ndarray
-    b: np.ndarray
-    hermitian_form: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +196,7 @@ def ellipsoid(c1=2.0, c2=1.0, eps_shell=0.1, validate=True):
 def perturbed_ball(beta=0.1, eps_shell=0.1, validate=True):
     """Perturbed quadric, rho(z) = |z|^2 + beta Re(z_1^2) - 1.
 
-    Strongly convex for |beta| < 1; the holomorphic Hessian block is nonzero,
-    which exercises the quadratic term of the normal form.
+    Strongly convex for |beta| < 1; the holomorphic Hessian block is nonzero.
     """
 
     def rho(z):
@@ -437,32 +425,24 @@ def random_shell_points(domain, rng, m, t_range):
 # nearest-point projection onto a level surface
 # ---------------------------------------------------------------------------
 
-def project_boundary(domain, z, t=0.0, tol=1e-11, max_iter=100,
-                     with_frames=True):
-    """Nearest point on the level surface rho = t.
+def project_boundary(domain, z, t=0.0, tol=1e-11, max_iter=100):
+    """Nearest points on the level surface rho = t of a batch z, shape (M, n).
 
     Damped Newton on the KKT system (rho(xi) = t, z - xi parallel to the real
-    gradient), vectorized over a batch of points.  Points that fail to
-    converge fall back to a projected-gradient descent along the surface; if
-    that also fails a :class:`ProjectionError` carries the last iterate.
-
-    Returns a :class:`BoundaryPointData` for a single input point, or the
-    batch array of projected points (with_frames is ignored for batches).
+    gradient), vectorized over the batch.  Points that fail to converge fall
+    back to a projected-gradient descent along the surface; if that also
+    fails a :class:`ProjectionError` carries the last iterate.  A critical
+    point of the distance that is not the nearest point (past the focal set,
+    see :func:`_bordered_kkt`) also raises :class:`ProjectionError`.
     """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-
+    pts = np.asarray(z, dtype=complex)
+    if pts.ndim != 2:
+        raise ValueError("project_boundary takes a batch of points (M, n)")
     if domain.exact_project is not None:
         xi = np.asarray(domain.exact_project(pts, t), dtype=complex)
     else:
         xi = _project_newton(domain, pts, t, tol, max_iter)
-
-    if single:
-        xi0 = xi[0]
-        if not with_frames:
-            return xi0
-        return boundary_point_data(domain, xi0, t)
+    _bordered_kkt(domain, pts, xi)
     return xi
 
 
@@ -591,7 +571,12 @@ def _complex_tangent_basis(g):
 
 
 def symmetric_point(domain, z, t=0.0):
-    """Reflection across the level surface: z* = 2 pr(z) - z."""
+    """Reflection across the level surface: z* = 2 pr(z) - z.
+
+    Test oracle for the z* of :func:`symmetric_point_dbar`, and the
+    reflection behind ``Continuation.f_eval`` and the finite-difference
+    ``continuation._dbar_reflection``.
+    """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     pts = np.atleast_2d(z)
@@ -600,34 +585,21 @@ def symmetric_point(domain, z, t=0.0):
     return out[0] if single else out
 
 
-def symmetric_point_dbar(domain, z):
-    """Reflection across the boundary with its dbar, one projection a point.
+def _bordered_kkt(domain, pts, xi):
+    """The projection's bordered KKT matrix at xi, certified inside the reach.
 
-    Differentiating the projection's KKT system xi + lam grad(rho)(xi) = z,
-    rho(xi) = 0 (real gradient and Hessian H in x1, y1, ..., xn, yn) gives
-    the bordered system
-
-        [[I + lam H, grad rho], [grad rho^T, 0]] [dxi; dlam] = [dz; 0],
-
-    solved once per point for the 2n real unit directions dz, with
-    lam = <z - xi, grad rho> / |grad rho|^2 at the converged xi.  As z* =
-    2 xi - z and z is holomorphic, d(z*_k)/d(zbar_j) = dxi_k/dx_j +
-    i dxi_k/dy_j.
-
-    The nearest-point map is smooth inside the reach (Federer, Curvature
-    measures, 1959), where I + lam H is positive definite on the tangent
-    space, i.e. the bordered matrix has exactly one negative eigenvalue.
-    Gershgorin (|lam| times the largest absolute row sum of H below 1)
-    certifies this for the collar; the eigenvalues decide the remaining
-    points.  A point with a singular or non-finite bordered matrix, or past
-    a focal point, raises :class:`ProjectionError`.
-
-    Returns ``(z*, D)`` of shapes (M, n) and (M, n, n) with
-    ``D[m, j, k] = d(z*_k)/d(zbar_j)`` at point m.
+    With the real gradient g and Hessian H at xi (coordinates x1, y1, ...,
+    xn, yn) and lam = <z - xi, g> / |g|^2, the matrix is
+    [[I + lam H, g], [g^T, 0]].  The nearest-point map is smooth inside the
+    reach (Federer, Curvature measures, 1959), where I + lam H is positive
+    definite on the tangent space, i.e. the bordered matrix has exactly one
+    negative eigenvalue.  Gershgorin (|lam| times the largest absolute row
+    sum of H below 1) certifies this for the collar; the eigenvalues decide
+    the remaining points.  A point with a singular or non-finite matrix, or
+    past a focal point (where xi is a critical point of the distance but not
+    the nearest point), raises :class:`ProjectionError` naming the point.
     """
-    pts = np.atleast_2d(np.asarray(z, dtype=complex))
     m, n = pts.shape
-    xi = project_boundary(domain, pts, 0.0)
     g = as_real(real_gradient(domain, xi))
     lam = np.sum(as_real(pts - xi) * g, axis=-1) / np.sum(g * g, axis=-1)
     hess = real_hessian(domain, xi)
@@ -645,56 +617,31 @@ def symmetric_point_dbar(domain, z):
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ProjectionError(
-            f"reflection derivative undefined at z={pts[i]}: the bordered "
-            f"KKT matrix is singular, non-finite or the point lies outside "
-            f"the reach (lam={lam[i]:.3g})", last_iterate=xi[i])
+            f"projection undefined at z={pts[i]}: the bordered KKT matrix "
+            f"is singular, non-finite or the point lies past the reach "
+            f"(lam={lam[i]:.3g})", last_iterate=xi[i])
+    return kkt
+
+
+def symmetric_point_dbar(domain, z):
+    """Reflection across the boundary with its dbar, one projection a point.
+
+    Differentiating the projection's KKT system xi + lam grad(rho)(xi) = z,
+    rho(xi) = 0 gives the bordered system of :func:`_bordered_kkt`,
+
+        [[I + lam H, grad rho], [grad rho^T, 0]] [dxi; dlam] = [dz; 0],
+
+    solved once per point for the 2n real unit directions dz.  As z* =
+    2 xi - z and z is holomorphic, d(z*_k)/d(zbar_j) = dxi_k/dx_j +
+    i dxi_k/dy_j.  Points past the reach raise :class:`ProjectionError`.
+
+    Returns ``(z*, D)`` of shapes (M, n) and (M, n, n) with
+    ``D[m, j, k] = d(z*_k)/d(zbar_j)`` at point m.
+    """
+    pts = np.atleast_2d(np.asarray(z, dtype=complex))
+    n = pts.shape[1]
+    xi = project_boundary(domain, pts, 0.0)
+    kkt = _bordered_kkt(domain, pts, xi)
     rhs = np.eye(2 * n + 1, 2 * n)
     dxi = as_complex(np.swapaxes(np.linalg.solve(kkt, rhs)[:, :2 * n], 1, 2))
     return 2.0 * xi - pts, dxi[:, 0::2] + 1j * dxi[:, 1::2]
-
-
-# ---------------------------------------------------------------------------
-# normal form at a boundary point
-# ---------------------------------------------------------------------------
-
-def normalize_at(domain, xi):
-    """Holomorphic coordinates flattening the surface at xi.
-
-    The linear part sends the complex tangent directions to the first n-1
-    coordinates and the pairing with the gradient to w_n; the quadratic part
-    absorbs the holomorphic-holomorphic second order terms of rho into w_n.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    g = np.asarray(domain.grad(xi))
-    if np.linalg.norm(g) < 1e-12:
-        raise ProjectionError(f"degenerate gradient at xi={xi}; cannot normalize")
-    ct = _complex_tangent_basis(g)
-    n = domain.n
-    phi = np.empty((n, n), dtype=complex)
-    for i, u in enumerate(ct):
-        phi[i] = np.conj(u)          # row i: w_i = <z - xi, u>_Hermitian
-    phi[n - 1] = g                   # w_n = <grad, z - xi>
-    b = 0.5 * np.asarray(domain.hess_holo(xi))
-    psi = np.linalg.inv(phi)
-    a = np.asarray(domain.hess_mixed(xi))
-    aprime = np.conj(psi).T @ a @ psi
-    aprime = 0.5 * (aprime + np.conj(aprime).T)
-    return NormalForm(phi=phi, b=b, hermitian_form=aprime)
-
-
-def normal_form_pushforward(domain, xi, nf, w, iters=3):
-    """Invert the normal-form map: points z with phi(xi, z) = w.
-
-    The map is linear plus a quadratic correction in the last coordinate, so
-    a short fixed-point iteration inverts it for small w.
-    """
-    w = np.asarray(w, dtype=complex)
-    psi = np.linalg.inv(nf.phi)
-    n = domain.n
-    h = w @ psi.T
-    for _ in range(iters):
-        q = np.einsum("...i,ij,...j->...", h, nf.b, h)
-        w_corr = w.copy()
-        w_corr[..., n - 1] = w[..., n - 1] - q
-        h = w_corr @ psi.T
-    return xi + h

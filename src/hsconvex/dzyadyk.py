@@ -86,7 +86,11 @@ def lune_radius(domain, eps=None, n_xi=400, n_z=400, seed=3, margin=1.05):
 
 
 def lune_of(domain, xi, R=None, eps=None):
-    """The lune containing lambda(xi, .) for a shell point xi."""
+    """The lune containing lambda(xi, .) for a shell point xi.
+
+    Test oracle for the lune geometry that ``KernelApproximant`` fits on:
+    the chord angle of ``t_of`` and the radius of :func:`lune_radius`.
+    """
     xi = np.asarray(xi, dtype=complex)
     g = np.asarray(domain.grad(xi))
     c = complex(pairing(g, xi))
@@ -162,8 +166,7 @@ def _lune_boundary_mesh(lune, j):
     return np.concatenate([arc, chord, inner])
 
 
-def build_T(j, t, r, lune=None, R=1.05, n_lawson=80, cond_limit=1e12,
-            moment_exact=None):
+def build_T(j, t, r, lune=None, R=1.05, moment_exact=None):
     """Weighted least-squares realization of the Dzyadyk approximant.
 
     The fit minimizes the residual against 1/(1 - lambda) times the target
@@ -196,6 +199,7 @@ def build_T(j, t, r, lune=None, R=1.05, n_lawson=80, cond_limit=1e12,
         fixed = head
     free_lo = q + 1
 
+    cond_limit = 1e12    # degree reduction past this weighted condition number
     flagged = False
     while True:
         V = np.vander(mesh / scale, deg + 1, increasing=True)[:, free_lo:]
@@ -215,7 +219,7 @@ def build_T(j, t, r, lune=None, R=1.05, n_lawson=80, cond_limit=1e12,
         lw = np.ones(mesh.size)
         best = None
         stall = 0
-        for _ in range(max(1, n_lawson)):
+        for _ in range(80):
             W = w * lw
             coef_free, *_ = np.linalg.lstsq(V * W[:, None],
                                             resid_target * W, rcond=None)
@@ -248,14 +252,10 @@ def build_T(j, t, r, lune=None, R=1.05, n_lawson=80, cond_limit=1e12,
     return approx
 
 
-def _certify(approx, lune, c1=None, mesh_size=0, cond=0.0, flagged=False):
+def _certify(approx, lune, c1, mesh_size, cond, flagged):
+    """Certificate dict: the fit's C1 and the measured near bound C2."""
     j = approx.j
     cut = 1.0 / j
-    if c1 is None:
-        mesh = _lune_boundary_mesh(lune, j)
-        err = np.abs(approx(mesh) - 1.0 / (1.0 - mesh))
-        c1 = float((err * j ** approx.r
-                    * np.abs(1.0 - mesh) ** (1.0 + approx.r)).max())
     thetas = approx.t + np.pi * (np.arange(120) + 0.5) / 120
     near = 1.0 + cut * np.exp(1j * thetas)
     near = near[lune.contains(near)]
@@ -305,24 +305,24 @@ class KernelApproximant:
                                       moment_exact=self.moment_exact)
         return self.cache[key]
 
-    def eval(self, xi, z, grad_xi=None):
-        """Evaluate at shell points xi (M, n) against z (n,) or (Z, n)."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=complex))
-        g = np.asarray(self.domain.grad(xi)) if grad_xi is None else grad_xi
+    def groups(self, c):
+        """(mask, fit) per quantized chord angle of the self-pairings c.
+
+        The masks partition the nodes; angles come in ascending order.
+        """
+        tq = np.round(self.t_of(c) / T_QUANT_STEP).astype(int)
+        for q in np.unique(tq):
+            yield tq == q, self.approximant_for(q * T_QUANT_STEP)
+
+    def eval_pairs(self, xi, g, z):
+        """K_k(xi_i, z_i) on matched pairs, with g_i the gradient at xi_i."""
         c = pairing(g, xi)
-        t = self.t_of(c)
-        tq = np.round(t / T_QUANT_STEP).astype(int)
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        zz = np.atleast_2d(z)
-        lam = (g @ zz.T) / c[:, None]
+        lam = pairing(g, z) / c
         out = np.empty_like(lam)
         n = self.domain.n
-        for q in np.unique(tq):
-            sel = tq == q
-            T = self.approximant_for(q * T_QUANT_STEP)
-            out[sel] = T(lam[sel]) ** n / (c[sel, None] ** n)
-        return out[:, 0] if single else out
+        for sel, T in self.groups(c):
+            out[sel] = T(lam[sel]) ** n / c[sel] ** n
+        return out
 
     def certificates(self):
         return {k: v.cert for k, v in self.cache.items()}
@@ -384,7 +384,7 @@ def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,
     d = np.abs(pairing(g_rep, xi_rep - zs))
     kern = clf_kernel(domain, xi_rep, zs, grad_xi=g_rep)
     if exact is None:
-        approx = _eval_pairs(kglob, xi_rep, g_rep, zs)
+        approx = kglob.eval_pairs(xi_rep, g_rep, zs)
     else:
         approx = exact(xi_rep, zs)
 
@@ -400,16 +400,3 @@ def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,
         report["C_near"] = float(np.abs(approx[near]).max() / k ** n)
     return report
 
-
-def _eval_pairs(kglob, xi, g, z):
-    """kglob evaluated on matched pairs (xi_i, z_i)."""
-    c = pairing(g, xi)
-    t = kglob.t_of(c)
-    tq = np.round(t / T_QUANT_STEP).astype(int)
-    lam = pairing(g, z) / c
-    out = np.empty_like(lam)
-    for q in np.unique(tq):
-        sel = tq == q
-        T = kglob.approximant_for(q * T_QUANT_STEP)
-        out[sel] = T(lam[sel]) ** kglob.domain.n / c[sel] ** kglob.domain.n
-    return out

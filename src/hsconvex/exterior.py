@@ -8,6 +8,11 @@ dz_{j+1}; index j >= n means dzbar_{j-n+1}.
 Real tangent vectors are written in complex notation: the vector
 (a_1, b_1, ..., a_n, b_n) of R^{2n} is the complex n-vector (a_1 + i b_1, ...),
 on which dz_j evaluates to the j-th component and dzbar_j to its conjugate.
+
+Test oracle for the Leray-Levy measure: the density is computed from its
+definition (the Leray form on oriented frames), which tests check against a
+brute-force alternating sum and the ball's closed form 1/(2 pi^2); the live
+:func:`grid_leray_density` and :func:`volume_density` run through it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = [
     "wedge",
     "evaluate",
     "leray_form",
-    "leray_density",
+    "grid_leray_density",
     "volume_density",
 ]
 
@@ -155,22 +160,6 @@ def leray_form(g, a):
         form = wedge(form, dd)
     scale = (2.0 * np.pi * 1j) ** (-n)
     return form.map_coeffs(lambda c: scale * c)
-
-
-def leray_density(domain, point_data):
-    """Density dS/d(sigma) at a boundary point: the Leray form on the frame.
-
-    The tangent frame is ordered outward-normal-first positive, which makes
-    the density real and positive; this is the orientation for which the
-    reproducing integral of the constant 1 equals 1.
-    """
-    from .domain import domain_eval
-    _, g, a, _ = domain_eval(domain, point_data.xi)
-    if np.linalg.norm(g) < 1e-12:
-        raise ValueError(f"degenerate gradient at {point_data.xi}; cannot frame")
-    form = leray_form(g, a)
-    val = evaluate(form, point_data.tangent_frame[None, :, :])[0]
-    return float(np.real(val))
 
 
 def grid_leray_density(domain, nodes, g):

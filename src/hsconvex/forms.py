@@ -1,10 +1,9 @@
-"""The reproducing integral and the norms built on level-surface quadrature.
+"""The reproducing integral on level-surface quadrature, and shell grids.
 
 The kernel K(xi, z) = <d rho(xi), xi - z>^(-n) paired with the Leray-Levy
-measure reproduces holomorphic functions from their boundary values.  Hardy
-norms take a sup of L^p level norms over an inner geometric ladder; the
-Hardy-Sobolev norm adds all holomorphic derivatives up to the given order
-(the order-zero term appears twice, following the definition literally).
+measure reproduces holomorphic functions from their boundary values.  (The
+Hardy-Sobolev level-norm trends behind the corpus labels live in
+:func:`hsconvex.corpus.classify_norm`.)
 
 Shell grids discretize the outer collar between the boundary and rho = eps
 with dyadic bands in the level and Gauss-Legendre nodes inside each band, so
@@ -32,14 +31,9 @@ __all__ = [
     "build_shell_grid",
     "clf_kernel",
     "clf_reproduce",
-    "leray_density",
     "pair_dbar_with_leray",
-    "hardy_norm",
-    "sobolev_norm",
     "multi_indices",
 ]
-
-leray_density = exterior.leray_density
 
 
 class SingularKernelError(ZeroDivisionError):
@@ -187,6 +181,7 @@ class ShellGrid:
 
     @property
     def volume(self):
+        """Test oracle for the w_mu weights: the collar's Lebesgue volume."""
         return float(self.w_mu.sum())
 
 
@@ -220,88 +215,3 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
                      nodes=np.array(all_nodes), grad=np.array(all_grad),
                      w_sigma=np.array(all_wsig), w_mu=np.array(all_wmu),
                      resolution=mesh.resolution + (n_bands, nodes_per_band))
-
-
-# ---------------------------------------------------------------------------
-# Hardy and Hardy-Sobolev norms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HardyNorm:
-    value: float
-    levels: tuple
-    level_values: tuple
-    trend: str          # "converging" | "diverging" | "flat"
-
-    def __float__(self):
-        return self.value
-
-
-def hardy_norm(domain, f, p, t_levels=None, resolution=3000, n_levels=6):
-    """sup over inner levels of the L^p norm on rho = t.
-
-    The sup is discretized on the geometric ladder t = -eps 2^-m and reported
-    as the maximum together with a trend flag comparing the innermost levels.
-    """
-    if not p > 1:
-        raise ValueError("p must exceed 1")
-    if t_levels is None:
-        t_levels = [-domain.eps_shell * 2.0 ** (-m) for m in range(n_levels)]
-    t_levels = sorted(float(t) for t in t_levels)   # most negative first
-    if any(t >= 0 or t < -domain.eps_shell for t in t_levels):
-        raise ValueError("levels must lie in (-eps, 0)")
-    mesh = angular_mesh(resolution)
-    vals = []
-    for t in t_levels:
-        nodes, w_sigma, _ = surface_nodes(domain, mesh, t)
-        fv = np.asarray(f(nodes))
-        if not np.all(np.isfinite(fv)):
-            vals.append(np.inf)
-            continue
-        vals.append(float(np.sum(np.abs(fv) ** p * w_sigma) ** (1.0 / p)))
-    vals_arr = np.array(vals)
-    value = float(vals_arr.max())
-    trend = "flat"
-    if np.all(np.isfinite(vals_arr)) and len(vals_arr) >= 3:
-        r = vals_arr[-1] / max(vals_arr[-2], 1e-300)
-        r2 = vals_arr[-2] / max(vals_arr[-3], 1e-300)
-        if max(r, r2) <= 1.05:
-            trend = "converging"
-        elif min(r, r2) >= 1.25:
-            trend = "diverging"
-    elif not np.all(np.isfinite(vals_arr)):
-        trend = "diverging"
-    return HardyNorm(value=value, levels=tuple(t_levels),
-                     level_values=tuple(vals), trend=trend)
-
-
-@dataclass(frozen=True)
-class SobolevNorm:
-    value: float
-    terms: dict
-    trend: str
-
-    def __float__(self):
-        return self.value
-
-
-def sobolev_norm(domain, f, p, l, t_levels=None, resolution=3000,
-                 n_levels=6):
-    """Hardy-Sobolev norm: hardy(f) + sum over |alpha| <= l of hardy(d^alpha f)."""
-    if f.deriv is None and l > 0:
-        raise ValueError("derivatives unavailable; cannot form Sobolev norm")
-    terms = {}
-    base = hardy_norm(domain, f, p, t_levels, resolution, n_levels)
-    total = base.value
-    worst = base.trend
-    for alpha in multi_indices(domain.n, l):
-        if sum(alpha) == 0:
-            term = base
-        else:
-            df = lambda z, a=alpha: f.d(a, z)
-            term = hardy_norm(domain, df, p, t_levels, resolution, n_levels)
-        terms[alpha] = term
-        total += term.value
-        if term.trend == "diverging":
-            worst = "diverging"
-    return SobolevNorm(value=float(total), terms=terms, trend=worst)

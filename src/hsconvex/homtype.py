@@ -305,7 +305,10 @@ def maximal_function(grid, a, n_levels=12, chunk=256, at=None):
 
 
 def maximal_function_brute(grid, a, chunk=64):
-    """Exact discrete sup over all radii (oracle for the dyadic ladder)."""
+    """Exact discrete sup over all radii.
+
+    Test oracle for the dyadic radius ladder of :func:`maximal_function`.
+    """
     a = np.abs(np.asarray(a, dtype=float))
     aw = a * grid.w_sigma
     out = np.empty(grid.size)

@@ -54,13 +54,9 @@ DEFAULT_ETA = 0.25
 
 
 def _resolution_tuple(resolution):
-    """(n_levels, per_level, n_r, n_theta, n_b) from a tuple or scale factor."""
+    """(n_levels, per_level, n_r, n_theta, n_b); (12, 3, 8, 8, 8) for None."""
     if resolution is None:
         return (12, 3, 8, 8, 8)
-    if np.isscalar(resolution):
-        s = float(resolution)
-        return (12, max(2, round(3 * s)), max(4, round(8 * s)),
-                max(6, round(8 * s)), max(4, round(8 * s)))
     return tuple(int(v) for v in resolution)
 
 
@@ -253,7 +249,8 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
 def region_integrate(sample, F, weight="mu", l=None):
     """Weighted region integral of F (callable on points, or a value array).
 
-    ``weight``: "mu" integrates against Lebesgue volume; "nu" divides by
+    ``weight``: "mu" integrates against Lebesgue volume (the test oracle for
+    the region measure, against midpoint boxes); "nu" divides by
     |rho|^(n-1); "nu_l" divides by |rho|^(n-2l+1) (the operative exponent of
     the external area functional, see the module notes on the sign of the
     exponent in the appendix).
@@ -276,7 +273,11 @@ def region_integrate(sample, F, weight="mu", l=None):
 
 
 def region_volume_profile(sample, thresholds):
-    """Volumes of the region truncated below each height threshold."""
+    """Volumes of the region truncated below each height threshold.
+
+    Test oracle for the height ladder of :func:`sample_region`: the volume
+    below height s scales like s^(n+1).
+    """
     return np.array([sample.weights[np.abs(sample.rho) < s].sum()
                      for s in thresholds])
 

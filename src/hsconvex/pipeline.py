@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .domain import pairing
-from .dzyadyk import T_QUANT_STEP, build_Kglob
-from .forms import HoloFunction, ShellGrid, pair_dbar_with_leray
+from .dzyadyk import build_Kglob
+from .forms import ShellGrid, pair_dbar_with_leray
 from .homtype import BoundaryGrid, maximal_function
 from . import koranyi
 
@@ -37,7 +37,6 @@ __all__ = [
     "SmoothnessReport",
     "project_direct",
     "project_via_continuation",
-    "smoothness_sum",
     "smoothness_trajectory",
     "verdict_from_trajectory",
     "diagnose",
@@ -57,12 +56,6 @@ class PolynomialCn:
     def __post_init__(self):
         self.coeffs = {tuple(int(i) for i in k): complex(v)
                        for k, v in self.coeffs.items() if v != 0}
-
-    @property
-    def degree(self):
-        if not self.coeffs:
-            return 0
-        return max(sum(a) for a in self.coeffs)
 
     def _dense(self):
         d1 = max((a[0] for a in self.coeffs), default=0)
@@ -91,49 +84,12 @@ class PolynomialCn:
         return out
 
     def naive_eval(self, z):
-        """Plain monomial sum, the oracle for the Horner scheme."""
+        """Plain monomial sum.  Test oracle for the Horner scheme."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape[:-1], dtype=complex)
         for a, v in self.coeffs.items():
             out = out + v * z[..., 0] ** a[0] * z[..., 1] ** a[1]
         return out
-
-    def __sub__(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
-        return PolynomialCn({k: self.coeffs.get(k, 0.0)
-                             - other.coeffs.get(k, 0.0) for k in keys},
-                            n=self.n)
-
-    def __add__(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
-        return PolynomialCn({k: self.coeffs.get(k, 0.0)
-                             + other.coeffs.get(k, 0.0) for k in keys},
-                            n=self.n)
-
-    def scale(self, c):
-        return PolynomialCn({k: c * v for k, v in self.coeffs.items()},
-                            n=self.n)
-
-    def as_holo(self, label="poly"):
-        def deriv(alpha, z):
-            p = self
-            for j, a in enumerate(alpha):
-                for _ in range(a):
-                    p = _d_poly(p, j)
-            return p(z)
-        return HoloFunction(eval=self.__call__, deriv=deriv,
-                            validity=np.inf, label=label)
-
-
-def _d_poly(p, j):
-    out = {}
-    for a, v in p.coeffs.items():
-        if a[j] == 0:
-            continue
-        b = list(a)
-        b[j] -= 1
-        out[tuple(b)] = out.get(tuple(b), 0.0) + v * a[j]
-    return PolynomialCn(out, n=p.n)
 
 
 def taylor_sections(coeff_fn, degrees, n=2):
@@ -170,13 +126,10 @@ def _assemble(domain, kglob, c, g, w, harm=None):
     moment times harm[:, beta_2], and beta_2 stops at cap.
     """
     n = domain.n
-    tq = np.round(kglob.t_of(c) / T_QUANT_STEP).astype(int)
     deg = kglob.j * n
     top2 = deg if harm is None else harm.shape[1] - 1
     coeffs = {}
-    for q in np.unique(tq):
-        sel = tq == q
-        T = kglob.approximant_for(q * T_QUANT_STEP)
+    for sel, T in kglob.groups(c):
         lam_c = T.lambda_coeffs()
         D = lam_c
         for _ in range(n - 1):
@@ -209,8 +162,13 @@ def _binom(m, k):
     return float(math.comb(m, k))
 
 
-def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
-                           moment_exact="half", tol=1e-7, t_off_scale=1.0):
+# phase harmonics kept by the reduced projector, and the relative size of
+# the dropped ones above which it refuses the data
+_HARM_CAP = 3
+_HARM_TOL = 1e-7
+
+
+def project_direct_reduced(domain, f, k_list, r, eps=None):
     """Offset-surface projections on pole-graded meshes, one level per k.
 
     The catalog domains are invariant under rotating the second coordinate's
@@ -231,7 +189,7 @@ def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
     eps = domain.eps_shell if eps is None else float(eps)
     out = []
     for k in k_list:
-        t_off = t_off_scale * 2.0 ** (-k) * eps
+        t_off = 2.0 ** (-k) * eps
         alpha_floor = max(5e-4, 0.2 * np.sqrt(t_off))
         phi_floor = max(5e-6, 0.2 * t_off)
         n_phi2 = 12
@@ -244,16 +202,16 @@ def project_direct_reduced(domain, f, k_list, r, eps=None, harm_cap=3,
         vals = np.asarray(f(nodes))
         F = np.fft.fft((vals * dens * w_sigma).reshape(n2, n_phi2), axis=1)
         mag = np.abs(F)
-        hi_bins = mag[:, harm_cap + 1: n_phi2 - harm_cap]
-        if hi_bins.max() > tol * max(mag.max(), 1e-300):
+        hi_bins = mag[:, _HARM_CAP + 1: n_phi2 - _HARM_CAP]
+        if hi_bins.max() > _HARM_TOL * max(mag.max(), 1e-300):
             raise ValueError("boundary data has phase harmonics beyond "
-                             f"{harm_cap}; use the generic projector")
+                             f"{_HARM_CAP}; use the generic projector")
         q0 = slice(0, None, n_phi2)
         g0 = g[q0]
         kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
-                            moment_exact=moment_exact)
+                            moment_exact="half")
         out.append(_assemble(domain, kglob, pairing(g0, nodes[q0]), g0,
-                             np.ones(n2), harm=F[:, : harm_cap + 1]))
+                             np.ones(n2), harm=F[:, : _HARM_CAP + 1]))
     return out
 
 
@@ -268,8 +226,7 @@ def projection_resolution(degree):
     return (max(8, (int(degree) + 14) // 2), nphi, nphi)
 
 
-def project_direct(domain, f, k, t_off=None, r=None, resolution=None,
-                   kglob=None):
+def project_direct(domain, f, k, r=None, resolution=None, kglob=None):
     """Degree-2^k polynomial from boundary values on an offset level surface.
 
     P(z) = integral over rho = t_off of f(xi) K_k(xi, z) dS(xi); requires f
@@ -278,8 +235,7 @@ def project_direct(domain, f, k, t_off=None, r=None, resolution=None,
     from .homtype import build_boundary_grid
 
     eps = domain.eps_shell
-    if t_off is None:
-        t_off = min(2.0 ** (-k) * eps, eps)
+    t_off = min(2.0 ** (-k) * eps, eps)
     if not f.validity > t_off:
         raise ValueError(
             f"{f.label!r} is not holomorphic across the offset surface "
@@ -302,7 +258,8 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None,
 
     P(z) = reconstruction integral with the kernel replaced by its
     polynomial approximant; carries the same orientation sign as the
-    reconstruction.
+    reconstruction.  Test oracle for :func:`project_direct` (the two
+    constructions of the dual polynomial agree within their budgets).
     """
     if kglob is None:
         r = 2.0 if r is None else float(r)
@@ -329,12 +286,6 @@ def smoothness_trajectory(grid: BoundaryGrid, e_fields, l, p):
         acc = acc + np.abs(e_fields[k]) ** 2 * 4.0 ** (l * k)
         out.append(float(np.sum(acc ** (p / 2.0) * grid.w_sigma)))
     return ks, np.array(out)
-
-
-def smoothness_sum(grid: BoundaryGrid, e_fields, l, p):
-    """The finite-K partial sum of the characterization integral."""
-    _, traj = smoothness_trajectory(grid, e_fields, l, p)
-    return float(traj[-1])
 
 
 def verdict_from_trajectory(traj, tail=3):
@@ -389,8 +340,7 @@ class SmoothnessReport:
 
 
 def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
-             grid=None, m_jet=4,
-             proj_resolution=None, floor=1e-9, r=None):
+             m_jet=4, r=None):
     """Build the dyadic sequence, error fields, slope and verdicts for f.
 
     Entire functions project directly from an offset surface; functions that
@@ -402,17 +352,14 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     from .homtype import build_boundary_grid
     from .sphere import graded_angular_mesh
 
-    if grid is None:
-        # evaluation grid graded toward the corpus singular direction, so
-        # the error fields resolve the singular zone scale by scale
-        mesh = graded_angular_mesh(n_phi2=12)
-        grid = build_boundary_grid(domain, 0.0, mesh=mesh)
+    # evaluation grid graded toward the corpus singular direction, so the
+    # error fields resolve the singular zone scale by scale
+    mesh = graded_angular_mesh(n_phi2=12)
+    grid = build_boundary_grid(domain, 0.0, mesh=mesh)
     k_list = sorted(int(k) for k in k_range)
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
-    deg_max = 2 ** max(k_list)
-    if proj_resolution is None:
-        proj_resolution = projection_resolution(deg_max)
+    proj_resolution = projection_resolution(2 ** max(k_list))
     f_vals = np.asarray(f(grid.nodes))
     fields, sups, lps = {}, {}, {}
     if method == "offset":
@@ -433,6 +380,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
         sups[k] = float(e.max())
         lps[k] = float(np.sum(e ** p * grid.w_sigma) ** (1.0 / p))
 
+    floor = 1e-9        # sup errors at or below it sit on the quadrature floor
     usable = [k for k in k_list if sups[k] > floor]
     if sups[k_list[-1]] <= floor or len(usable) < 2:
         # eventually-exact approximation: the error field sits on the
@@ -485,12 +433,9 @@ def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
             lo, hi = 2.0 ** (-k), 2.0 ** (-k + 1)
             if lo >= eps:
                 continue
-            try:
-                sample = koranyi.sample_region(
-                    domain, z, "external", eta, eps, resolution,
-                    rho_min=lo, rho_max=min(hi, eps))
-            except ValueError:
-                continue
+            sample = koranyi.sample_region(
+                domain, z, "external", eta, eps, resolution,
+                rho_min=lo, rho_max=min(hi, eps))
             dbar = cont.dbar_eval(sample.points)
             mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
             val = koranyi.region_integrate(

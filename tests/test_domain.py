@@ -42,6 +42,12 @@ def _fd_dz(domain, z, h=1e-5):
     return out
 
 
+def _point_data(domain, z):
+    """Frames at the projection of one point."""
+    xi = dom.project_boundary(domain, z[None])[0]
+    return dom.boundary_point_data(domain, xi)
+
+
 def fd_gradient(domain, z, h=1e-6):
     n = domain.n
     out = np.zeros(n, dtype=complex)
@@ -99,16 +105,16 @@ class TestEval:
 
 class TestProjection:
     def test_ball_outside(self, ball):
-        bp = dom.project_boundary(ball, np.array([1.2, 0.0], complex))
+        bp = _point_data(ball, np.array([1.2, 0.0], complex))
         assert np.allclose(bp.xi, [1.0, 0.0], atol=1e-10)
 
     def test_ball_inside(self, ball):
-        bp = dom.project_boundary(ball, np.array([0.9, 0.0], complex))
+        bp = _point_data(ball, np.array([0.9, 0.0], complex))
         assert np.allclose(bp.xi, [1.0, 0.0], atol=1e-10)
 
     def test_ellipsoid_vs_dense_argmin(self, ellipsoid):
         z = np.array([0.8, 0.0], complex)
-        bp = dom.project_boundary(ellipsoid, z)
+        bp = _point_data(ellipsoid, z)
         assert np.allclose(bp.xi, [1 / np.sqrt(2), 0.0], atol=1e-8)
         # dense boundary sampling oracle
         th = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
@@ -120,8 +126,7 @@ class TestProjection:
         assert np.sum(np.abs(z - bp.xi) ** 2) <= vals.min() + 1e-8
 
     def test_point_data_invariants(self, perturbed):
-        bp = dom.project_boundary(perturbed,
-                                  np.array([1.0 + 0.1j, 0.2], complex))
+        bp = _point_data(perturbed, np.array([1.0 + 0.1j, 0.2], complex))
         assert abs(perturbed.rho(bp.xi)) <= 1e-10
         assert abs(np.linalg.norm(bp.normal) - 1.0) <= 1e-12
         g = perturbed.grad(bp.xi)
@@ -133,6 +138,22 @@ class TestProjection:
         xi = dom.project_boundary(perturbed, pts, 0.0)
         xi2 = dom.project_boundary(perturbed, xi + 0, 0.0)
         assert np.abs(xi - xi2).max() <= 1e-8
+
+    def test_past_focal_set_raises(self, ellipsoid):
+        # Newton stops at the critical point (0, 1), which is not the
+        # nearest boundary point of (0, 0.4): |z1|^2 = 0.18, z2 = 0.8 is
+        # closer
+        with pytest.raises(dom.ProjectionError,
+                           match=r"z=\[0\. +\+0\.j 0\.4\+0\.j\]"):
+            dom.project_boundary(ellipsoid, np.array([[0.0, 0.4]], complex))
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "perturbed_ball"])
+    def test_two_sided_collar_within_reach(self, name):
+        d = _catalog(name)
+        rng = np.random.default_rng(0)
+        pts = dom.random_shell_points(d, rng, 20000, (-0.1, 0.1))
+        xi = dom.project_boundary(d, pts)
+        assert np.abs(d.rho(xi)).max() <= 1e-9
 
     def test_failure_carries_iterate(self, ball):
         with pytest.raises(dom.ProjectionError) as info:
@@ -151,10 +172,10 @@ class TestSymmetricPoint:
         assert np.allclose(zs, [0.0, 0.95], atol=1e-10)
 
     def test_perturbed_distance_symmetry(self, perturbed):
-        bp = dom.project_boundary(perturbed, np.array([1.0, 0.1], complex))
+        bp = _point_data(perturbed, np.array([1.0, 0.1], complex))
         z = bp.xi + 0.05 * bp.normal
         zs = dom.symmetric_point(perturbed, z)
-        pr = dom.project_boundary(perturbed, z, with_frames=False)
+        pr = dom.project_boundary(perturbed, z[None])[0]
         assert abs(np.linalg.norm(zs - pr) - np.linalg.norm(z - pr)) <= 1e-8
         assert perturbed.rho(zs) < 0
 
@@ -229,42 +250,3 @@ class TestReflectionDerivative:
                 pytest.raises(dom.ProjectionError, match="non-finite"):
             dom.symmetric_point_dbar(ball, np.zeros((1, 2), complex))
 
-
-class TestNormalForm:
-    def test_ball_has_no_holo_part(self, ball):
-        nf = dom.normalize_at(ball, np.array([0.0, 1.0], complex))
-        assert np.abs(nf.b).max() == 0.0
-        assert np.all(np.linalg.eigvalsh(nf.hermitian_form) > 0)
-
-    def test_perturbed_quadratic_part(self, perturbed):
-        xi = dom.project_boundary(perturbed,
-                                  np.array([1.05, 0.0], complex)).xi
-        nf = dom.normalize_at(perturbed, xi)
-        assert np.abs(nf.b).max() > 1e-3
-
-    def test_residual_cubic_order(self, perturbed, rng):
-        xi = dom.project_boundary(perturbed,
-                                  np.array([1.0, 0.1], complex)).xi
-        nf = dom.normalize_at(perturbed, xi)
-        radii = np.geomspace(1e-3, 1e-1, 7)
-        w0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w0 /= np.linalg.norm(w0)
-        resid = []
-        for r in radii:
-            w = r * w0
-            z = dom.normal_form_pushforward(perturbed, xi, nf, w)
-            model = 2 * np.real(w[-1]) + np.real(
-                np.conj(w) @ nf.hermitian_form @ w)
-            resid.append(max(abs(perturbed.rho(z) - model), 1e-16))
-        slope = np.polyfit(np.log(radii), np.log(resid), 1)[0]
-        assert slope >= 2.9
-
-    def test_positive_definite_everywhere(self, ellipsoid, rng):
-        pts = dom.random_shell_points(ellipsoid, rng, 5, (-1e-6, 1e-6))
-        for xi in pts:
-            nf = dom.normalize_at(ellipsoid, xi)
-            assert np.all(np.linalg.eigvalsh(nf.hermitian_form) > 0)
-
-    def test_degenerate_gradient_rejected(self, ball):
-        with pytest.raises(dom.ProjectionError):
-            dom.normalize_at(ball, np.zeros(2, complex))

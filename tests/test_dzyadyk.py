@@ -87,7 +87,8 @@ class TestBuildT:
 class TestKglob:
     def test_center_value(self, ball):
         kg = dzyadyk.build_Kglob(ball, 8, r=0.5)
-        val = kg.eval(np.array([1.0, 0.0], complex), np.zeros(2, complex))
+        xi = np.array([[1.0, 0.0]], complex)
+        val = kg.eval_pairs(xi, ball.grad(xi), np.zeros((1, 2), complex))[0]
         # lambda = 0 there, so the value carries the fit's origin error
         T = kg.approximant_for(np.pi / 2)
         budget = T.cert["C1"] * kg.j ** (-0.5)
@@ -104,7 +105,8 @@ class TestKglob:
         c = np.sum(g * xi)
         zs = 0.7 * dom.random_unit_directions(rng, 12, 2)
         lam = (zs @ g) / c
-        direct = kg.eval(xi, zs)
+        direct = kg.eval_pairs(np.broadcast_to(xi, zs.shape),
+                               np.broadcast_to(g, zs.shape), zs)
         series = np.polynomial.polynomial.polyval(lam, D) / c ** 2
         assert np.abs(direct - series).max() <= 1e-8 * np.abs(direct).max()
 
@@ -138,7 +140,7 @@ class TestKglob:
         for k in (8, 16, 32, 64):
             kg = dzyadyk.build_Kglob(ball, k, r=0.5)
             g = ball.grad(xi)
-            approx = dzyadyk._eval_pairs(kg, xi, g, z)
+            approx = kg.eval_pairs(xi, g, z)
             sups.append(np.abs(kern - approx).max())
         for a, b in zip(sups, sups[1:]):
             assert b <= 1.2 * a

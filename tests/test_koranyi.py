@@ -113,8 +113,9 @@ class TestSampler:
     def test_model_region_inclusion_sweep(self, ball, ext_sample):
         # normal-form coordinates at e1: w_n = <grad, z - e1>; the model
         # region has |w'|^2 < c eta Re(w_n), |Im w_n| < c eta Re(w_n)
-        nf = dom.normalize_at(ball, E1)
-        w = (ext_sample.points - E1) @ nf.phi.T
+        bp = dom.boundary_point_data(ball, E1)
+        phi = np.stack([np.conj(bp.ct_frame[0]), ball.grad(E1)])
+        w = (ext_sample.points - E1) @ phi.T
         re_n, im_n = w[:, 1].real, w[:, 1].imag
         tang = np.abs(w[:, 0])
         assert np.all(re_n > 0)

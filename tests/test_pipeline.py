@@ -31,14 +31,7 @@ class TestPolynomialCn:
 
     def test_degree(self):
         p = pl.PolynomialCn({(2, 1): 1.0, (0, 0): 5.0, (1, 3): 0.0})
-        assert p.degree == 3
-
-    def test_as_holo_derivatives(self, rng):
-        p = pl.PolynomialCn({(2, 1): 1.5, (1, 0): -2.0})
-        f = p.as_holo()
-        z = np.array([[0.3, 0.4]], complex)
-        assert f.d((1, 0), z)[0] == pytest.approx(3.0 * 0.3 * 0.4 - 2.0)
-        assert f.d((2, 1), z)[0] == pytest.approx(3.0)
+        assert max(map(sum, p.coeffs)) == 3
 
 
 class TestProjectDirect:
@@ -57,7 +50,7 @@ class TestProjectDirect:
     def test_degree_structure(self, ball):
         f = corpus.monomial((1, 0))
         p = pl.project_direct(ball, f, 3, r=2.0)
-        assert p.degree <= 2 * int(np.ceil(8 / 2))
+        assert max(map(sum, p.coeffs)) <= 2 * int(np.ceil(8 / 2))
         assert all(sum(a) <= 8 for a in p.coeffs)
 
     def test_validity_guard(self, ball):
@@ -98,9 +91,10 @@ class TestHarmonicAssembly:
             reduced = pl._assemble(domain, kglob,
                                    dom.pairing(g[col], nodes[col]), g[col],
                                    np.ones(harm.shape[0]), harm=harm)
-            diff = generic - reduced
+            diff = [generic.coeffs.get(b, 0.0) - reduced.coeffs.get(b, 0.0)
+                    for b in set(generic.coeffs) | set(reduced.coeffs)]
             scale = max(abs(v) for v in generic.coeffs.values())
-            assert max(abs(v) for v in diff.coeffs.values()) <= 1e-13 * scale
+            assert max(abs(v) for v in diff) <= 1e-13 * scale
 
 
 class TestProjectViaContinuation:
@@ -142,21 +136,23 @@ class TestProjectViaContinuation:
 class TestSmoothnessSum:
     def test_zero_fields(self, ball_grid_small):
         fields = {k: np.zeros(ball_grid_small.size) for k in (1, 2, 3)}
-        assert pl.smoothness_sum(ball_grid_small, fields, 2, 2.0) == 0.0
+        assert pl.smoothness_trajectory(ball_grid_small, fields, 2,
+                                        2.0)[1][-1] == 0.0
 
     def test_constant_fields_closed_form(self, ball_grid_small):
         s_dec = 1.0
         fields = {k: np.full(ball_grid_small.size, 2.0 ** (-s_dec * k))
                   for k in (1, 2, 3, 4)}
-        val = pl.smoothness_sum(ball_grid_small, fields, 2, 2.0)
+        val = pl.smoothness_trajectory(ball_grid_small, fields, 2, 2.0)[1][-1]
         inner = sum(4.0 ** (2 * k) * 4.0 ** (-s_dec * k) for k in (1, 2, 3, 4))
         closed = ball_grid_small.sigma_total * inner
         assert val == pytest.approx(closed, rel=1e-10)
 
     def test_needs_three_levels(self, ball_grid_small):
         with pytest.raises(ValueError):
-            pl.smoothness_sum(ball_grid_small,
-                              {1: np.zeros(ball_grid_small.size)}, 1, 2.0)
+            pl.smoothness_trajectory(ball_grid_small,
+                                     {1: np.zeros(ball_grid_small.size)}, 1,
+                                     2.0)
 
     def test_verdicts(self):
         conv = [1.0, 1.02, 1.03, 1.035]

@@ -19,7 +19,7 @@ print(f"lune at e1: chord angle t = {lune.t:.4f} (pi/2), R = {lune.R}")
 
 print("\ncertificate sweep (rate r = 0.5):")
 for j in (4, 8, 16, 32):
-    T = build_T(j, lune.t, 0.5, lune)
+    T = build_T(j, 0.5, lune)
     print(f"  j = {j:2d}: C1 = {T.cert['C1']:.4f}, C2 = {T.cert['C2']:.4f}")
 
 print("\nkernel-level constants on sampled pairs:")

@@ -226,11 +226,15 @@ def cmd_diagnose(cfg, rep, fname):
     return EXIT_OK
 
 
-def cmd_kernel(cfg, rep, k_values=(8, 16, 32, 64)):
+# kernel approximant degrees whose certificates `kernel` reports
+KERNEL_DEGREES = (8, 16, 32, 64)
+
+
+def cmd_kernel(cfg, rep):
     dom = cfg.make_domain()
     rows = []
     certs = {}
-    for k in k_values:
+    for k in KERNEL_DEGREES:
         kg = dzyadyk.build_Kglob(dom, int(k), r=0.5, eps=cfg.eps)
         out = dzyadyk.validate_Kglob(dom, kg, seed=cfg.seed, eps=cfg.eps)
         rows.append([int(k), repr(out.get("C_far", float("nan"))),
@@ -240,8 +244,8 @@ def cmd_kernel(cfg, rep, k_values=(8, 16, 32, 64)):
             {str(kk): vv for kk, vv in kg.certificates().items()})
         rep.event(command="kernel", k=int(k))
     cfar = [float(r[1]) for r in rows]
-    slope = float(np.polyfit(np.log(list(k_values)), np.log(cfar), 1)[0])
-    payload = {"command": "kernel", "k_values": list(map(int, k_values)),
+    slope = float(np.polyfit(np.log(KERNEL_DEGREES), np.log(cfar), 1)[0])
+    payload = {"command": "kernel", "k_values": list(KERNEL_DEGREES),
                "rows": [[r[0], float(r[1]), float(r[2]), r[3], r[4]]
                         for r in rows],
                "c_far_log_slope": slope, "certificates": certs}

@@ -20,13 +20,14 @@ the Leray density), which is folded in here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .domain import pairing, symmetric_point, symmetric_point_dbar
-from .forms import ShellGrid, pair_dbar_with_leray
+from .forms import ShellGrid, multi_indices, pair_dbar_with_leray
 from . import koranyi
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "extend_by_symmetry",
     "extend_by_global",
     "verify_pac",
+    "shell_defect",
+    "dbar_region_mass",
     "sobolev_functional",
     "sobolev_verdict",
 ]
@@ -95,17 +98,22 @@ def _dbar_reflection(domain, z, h=1e-5):
     return out
 
 
-def _jet_indices(n, order):
-    from .forms import multi_indices
-    return [a for a in multi_indices(n, order) if sum(a) <= order]
+def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
+    """Evaluator of core(z, rho) where floor < rho < eps, zero elsewhere.
 
-
-def _factorial_alpha(alpha):
-    out = 1.0
-    for a in alpha:
-        for i in range(2, a + 1):
-            out *= i
-    return out
+    ``shape`` is the shape of one point's value: () for the extension, (n,)
+    for its dbar components.
+    """
+    def evaluate(z):
+        z = np.asarray(z, dtype=complex)
+        zz = np.atleast_2d(z)
+        rho = np.asarray(domain.rho(zz))
+        out = np.zeros(zz.shape[:-1] + shape, dtype=complex)
+        live = (rho < eps) & (rho > floor)
+        if np.any(live):
+            out[live] = core(zz[live], rho[live])
+        return out[0] if z.ndim == 1 else out
+    return evaluate
 
 
 def extend_by_symmetry(domain, f, m, eps=None):
@@ -123,48 +131,27 @@ def extend_by_symmetry(domain, f, m, eps=None):
     if m < 1:
         raise ValueError("jet order m must be >= 1")
     chi = Cutoff(eps / 2.0, eps)
-    n = domain.n
-    jets = _jet_indices(n, m - 1)
-    top = [a for a in _jet_indices(n, m - 1) if sum(a) == m - 1]
+    jets = multi_indices(domain.n, m - 1)
+    top = [a for a in jets if sum(a) == m - 1]
 
     def f0(z, zs):
         dz = z - zs
         out = np.zeros(z.shape[:-1], dtype=complex)
         for alpha in jets:
             mono = np.prod(dz ** np.array(alpha), axis=-1)
-            out += f.d(alpha, zs) * mono / _factorial_alpha(alpha)
+            out += (f.d(alpha, zs) * mono
+                    / math.prod(map(math.factorial, alpha)))
         return out
 
-    def f_eval(z):
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        zz = np.atleast_2d(z)
-        rho = np.asarray(domain.rho(zz))
-        vals = np.zeros(zz.shape[:-1], dtype=complex)
-        inside = rho < eps
-        if np.any(inside):
-            zi = zz[inside]
-            vals[inside] = f0(zi, symmetric_point(domain, zi)) * \
-                chi(rho[inside])
-        return vals[0] if single else vals
-
-    def dbar_eval(z):
-        zz = np.atleast_2d(np.asarray(z, dtype=complex))
-        rho = np.asarray(domain.rho(zz))
-        out = np.zeros(zz.shape, dtype=complex)
-        live = rho < eps
-        if not np.any(live):
-            return out
-        zl = zz[live]
+    def dbar_core(zl, rho):
         zs, dstar = symmetric_point_dbar(domain, zl)   # dstar: (M, j, k)
         dz = zl - zs
-        chival = chi(rho[live])
         # telescoped jet term: sum_k dbar_j z*_k sum_{|a|=m-1} f^(a+e_k)(z*)
         # (z - z*)^a / a!
         jet_term = np.zeros_like(zl)
         for alpha in top:
             mono = np.prod(dz ** np.array(alpha), axis=-1) / \
-                _factorial_alpha(alpha)
+                math.prod(map(math.factorial, alpha))
             for k in range(domain.n):
                 ak = tuple(alpha[i] + (1 if i == k else 0)
                            for i in range(domain.n))
@@ -172,10 +159,13 @@ def extend_by_symmetry(domain, f, m, eps=None):
                     dstar[:, :, k]
         # cutoff ramp: f0 * chi'(rho) * dbar rho
         g = np.asarray(domain.grad(zl))
-        ramp = (f0(zl, zs) * chi.deriv(rho[live]))[:, None] * np.conj(g)
-        out[live] = jet_term * chival[:, None] + ramp
-        return out
+        ramp = (f0(zl, zs) * chi.deriv(rho))[:, None] * np.conj(g)
+        return jet_term * chi(rho)[:, None] + ramp
 
+    f_eval = _on_collar(
+        domain, lambda z, rho: f0(z, symmetric_point(domain, z)) * chi(rho),
+        eps)
+    dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,))
     return Continuation(kind="symmetry", f_eval=f_eval, dbar_eval=dbar_eval,
                         support_height=eps, domain=domain,
                         meta={"m": m, "label": f.label, "truth": f})
@@ -221,25 +211,7 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             out[shallow] = p_seq[0](z[shallow])
         return out
 
-    def f_eval(z):
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        zz = np.atleast_2d(z)
-        rho = np.asarray(domain.rho(zz))
-        vals = np.zeros(zz.shape[:-1], dtype=complex)
-        live = rho < eps
-        if np.any(live):
-            vals[live] = blend(zz[live], rho[live]) * chi_out(rho[live])
-        return vals[0] if single else vals
-
-    def dbar_eval(z):
-        zz = np.atleast_2d(np.asarray(z, dtype=complex))
-        rho = np.asarray(domain.rho(zz))
-        out = np.zeros(zz.shape, dtype=complex)
-        live = (rho < eps) & (rho > 0)
-        if not np.any(live):
-            return out
-        zl, rl = zz[live], rho[live]
+    def dbar_core(zl, rl):
         g = np.conj(np.asarray(domain.grad(zl)))     # dbar rho components
         k = shell_index(rl)
         f0 = blend(zl, rl)
@@ -251,10 +223,13 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             diff = p_seq[kk](zl[sel]) - p_seq[kk - 1](zl[sel])
             term[sel] = (2.0 ** kk * chi_blend.deriv(2.0 ** kk * rl[sel])
                          * diff)
-        out[live] = (term * chi_out(rl))[:, None] * g \
+        return (term * chi_out(rl))[:, None] * g \
             + (f0 * chi_out.deriv(rl))[:, None] * g
-        return out
 
+    f_eval = _on_collar(domain, lambda z, rho: blend(z, rho) * chi_out(rho),
+                        eps)
+    dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,),
+                           floor=0.0)
     return Continuation(kind="global", f_eval=f_eval, dbar_eval=dbar_eval,
                         support_height=eps, domain=domain, meta={"K": K})
 
@@ -263,6 +238,16 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
 # reconstruction and the Sobolev functional
 # ---------------------------------------------------------------------------
 
+def shell_defect(cont, shell: ShellGrid):
+    """Shell points, gradients and dbar-defect weights of a continuation.
+
+    The weights are the density of dbar f ^ (Leray form) times d(mu).
+    """
+    pts, g, w_mu, _ = shell.flat()
+    dens = pair_dbar_with_leray(cont.domain, cont.dbar_eval(pts), pts)
+    return pts, g, dens * w_mu
+
+
 def pac_reconstruct(cont, shell: ShellGrid, z):
     """Value of the reconstruction integral at interior points z (batched).
 
@@ -270,15 +255,12 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
     shell; boundary frames are oriented outward-first, so the exterior
     Stokes identity carries a minus sign folded in here.
     """
-    dom = cont.domain
-    pts, g, w_mu, _ = shell.flat()
-    dbar = cont.dbar_eval(pts)
-    dens = pair_dbar_with_leray(dom, dbar, pts)
+    pts, g, dw = shell_defect(cont, shell)
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zz = np.atleast_2d(z)
     den = pairing(g, pts)[:, None] - g @ zz.T
-    vals = -np.sum((dens * w_mu)[:, None] * den ** (-dom.n), axis=0)
+    vals = -np.sum(dw[:, None] * den ** (-cont.domain.n), axis=0)
     return vals[0] if single else vals
 
 
@@ -296,26 +278,38 @@ def verify_pac(cont, shell: ShellGrid, z_set, f_true=None):
             "max_rel_err": float(rel.max()), "n_nodes": shell.size}
 
 
+def dbar_region_mass(cont, z, l, eta, eps, resolution, rho_min=0.0,
+                     rho_max=None):
+    """Region integral of |dbar f|^2 |rho|^(-2l) d(nu) at a boundary point.
+
+    The region is the external approach region at z with heights in
+    [rho_min, rho_max); it is the inner integral of both the Sobolev
+    functional and the b_k band masses of the maximal-function comparison.
+    """
+    sample = koranyi.sample_region(cont.domain, z, "external", eta, eps,
+                                   resolution, rho_min=rho_min,
+                                   rho_max=rho_max)
+    dbar = cont.dbar_eval(sample.points)
+    mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
+    return koranyi.region_integrate(
+        sample, mag2 * np.abs(sample.rho) ** (-2.0 * l), weight="nu")
+
+
 def sobolev_functional(cont, l, p, eta=koranyi.DEFAULT_ETA, eps=None,
-                       centers=None, resolution=None, rho_min=0.0):
+                       centers=None, resolution=None):
     """Sobolev-characterization mass of a continuation.
 
     Integral over boundary centers of (region integral of
     |dbar f|^2 rho^(-2l) against d(nu))^(p/2).  ``centers`` is a boundary
     grid (its sigma-weights integrate the outer variable).
     """
-    dom = cont.domain
     eps = cont.support_height if eps is None else float(eps)
     if centers is None:
         raise ValueError("need a center grid")
     total = 0.0
     for i in range(centers.size):
-        sample = koranyi.sample_region(dom, centers.nodes[i], "external",
-                                       eta, eps, resolution, rho_min=rho_min)
-        dbar = cont.dbar_eval(sample.points)
-        mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
-        inner = koranyi.region_integrate(
-            sample, mag2 * np.abs(sample.rho) ** (-2.0 * l), weight="nu")
+        inner = dbar_region_mass(cont, centers.nodes[i], l, eta, eps,
+                                 resolution)
         total += centers.w_sigma[i] * max(inner, 0.0) ** (p / 2.0)
     return float(total)
 

@@ -15,6 +15,7 @@ excluded from acceptance counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,18 +130,11 @@ def log_function(a=(1.0, 0.0), label=None):
         if m == 0:
             return ev(z)
         fac = np.prod((-a) ** np.asarray(beta)) * (-1.0) ** (m - 1) * \
-            _fact(m - 1)
+            math.factorial(m - 1)
         return fac * u(z) ** (-m)
 
     return HoloFunction(eval=ev, deriv=deriv, validity=0.0,
                         label=label or "log(1-z.a)")
-
-
-def _fact(m):
-    out = 1.0
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def product_power(s, a=(1.0, 0.0), label=None):
@@ -167,20 +161,20 @@ def product_power(s, a=(1.0, 0.0), label=None):
 # the norm-trend oracle
 # ---------------------------------------------------------------------------
 
-def _graded_level_integral(domain, h, t, n_coarse=64,
-                           n_fine=64, alpha_floor=1e-6):
+def _graded_level_integral(domain, h, t):
     """Integral of |h(z1)|^p-type integrands over the level surface rho = t.
 
     The corpus integrands factor as h(z_1) |z_2|^(m2 p) with all angular
     dependence in one phase, so the level integral reduces to two angles.
-    The (alpha, phi) mesh is graded geometrically toward the singular point
-    (alpha, phi) = (0, 0), resolving the peak scale by scale.
+    The (alpha, phi) mesh, 64 uniform plus 64 geometric points per angle, is
+    graded toward the singular point (alpha, phi) = (0, 0), resolving the
+    peak scale by scale down to the angles 1e-6 and 1e-7.
     """
-    a_reg = np.linspace(0.12, 0.5 * np.pi, n_coarse)
-    a_sing = np.geomspace(alpha_floor, 0.12, n_fine)
+    a_reg = np.linspace(0.12, 0.5 * np.pi, 64)
+    a_sing = np.geomspace(1e-6, 0.12, 64)
     alph = np.unique(np.concatenate([a_sing, a_reg]))
-    p_reg = np.linspace(0.35, np.pi, n_coarse)
-    p_sing = np.geomspace(1e-7, 0.35, n_fine)
+    p_reg = np.linspace(0.35, np.pi, 64)
+    p_sing = np.geomspace(1e-7, 0.35, 64)
     phi = np.unique(np.concatenate([p_sing, p_reg]))
     phi = np.concatenate([-phi[::-1], phi])
 
@@ -199,17 +193,17 @@ def _graded_level_integral(domain, h, t, n_coarse=64,
     return 2.0 * np.pi * float(np.trapezoid(ia, phi))
 
 
-def classify_norm(domain, f, l, p, eps_frac=1.0, n_levels=6,
-                  stable=1.05, divergent=1.4):
+def classify_norm(domain, f, l, p):
     """finite / infinite / unknown for the order-l p-norm by level trends.
 
     Evaluates the worst derivative-norm trend over |alpha| = l on the ladder
-    t = -eps 4^-i; power-type divergences show ratios bounded away from 1,
-    stable norms converge to 1 quickly, and logarithmic borderline growth
-    lands in between and is reported unknown.
+    t = -eps 4^-i, i < 6; power-type divergences show ratios bounded away
+    from 1 (both last ratios >= 1.4), stable norms converge to 1 quickly
+    (both <= 1.05), and logarithmic borderline growth lands in between and
+    is reported unknown.
     """
-    eps = domain.eps_shell * eps_frac
-    levels = [-eps * 4.0 ** (-i) for i in range(n_levels)]
+    eps = domain.eps_shell
+    levels = [-eps * 4.0 ** (-i) for i in range(6)]
     worst = "finite"
     for alpha in multi_indices(domain.n, l):
         if sum(alpha) != l and l > 0:
@@ -222,9 +216,9 @@ def classify_norm(domain, f, l, p, eps_frac=1.0, n_levels=6,
         vals = np.array(vals)
         r1 = vals[-1] / max(vals[-2], 1e-300)
         r2 = vals[-2] / max(vals[-3], 1e-300)
-        if min(r1, r2) >= divergent:
+        if min(r1, r2) >= 1.4:
             return "infinite"
-        if max(r1, r2) > stable:
+        if max(r1, r2) > 1.05:
             worst = "unknown"
     return worst
 
@@ -241,8 +235,12 @@ def _eval_dalpha(f, alpha, z1, z2abs):
     return f.d(alpha, z)
 
 
-def build_corpus(domain, l_probe=(0, 1, 2, 3), p_probe=(2.0, 4.0),
-                 with_labels=True):
+# the (l, p) pairs every corpus entry is labelled at
+L_PROBE = (0, 1, 2, 3)
+P_PROBE = (2.0, 4.0)
+
+
+def build_corpus(domain, with_labels=True):
     """The labeled corpus; oracle labels filled by the norm classifier."""
     entries = [
         CorpusEntry(monomial((0, 0), label="1"), "polynomial", {"deg": 0}),
@@ -264,23 +262,23 @@ def build_corpus(domain, l_probe=(0, 1, 2, 3), p_probe=(2.0, 4.0),
     ]
     if with_labels:
         for e in entries:
-            for l in l_probe:
-                for p in p_probe:
+            for l in L_PROBE:
+                for p in P_PROBE:
                     if e.family in ("polynomial", "entire"):
                         e.oracle_label[(l, p)] = "finite"
                     else:
                         e.oracle_label[(l, p)] = classify_norm(
                             domain, e.f, l, p)
-        _enforce_monotone(entries, l_probe, p_probe)
+        _enforce_monotone(entries)
     return entries
 
 
-def _enforce_monotone(entries, l_probe, p_probe):
+def _enforce_monotone(entries):
     """Divergence at order l forces divergence at higher orders."""
     for e in entries:
-        for p in p_probe:
+        for p in P_PROBE:
             seen_inf = False
-            for l in sorted(l_probe):
+            for l in L_PROBE:
                 lab = e.oracle_label.get((l, p))
                 if seen_inf:
                     e.oracle_label[(l, p)] = "infinite"

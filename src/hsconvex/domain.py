@@ -32,6 +32,7 @@ __all__ = [
     "symmetric_point",
     "symmetric_point_dbar",
     "boundary_point_data",
+    "unit_frame",
     "radial_level",
     "random_shell_points",
     "pairing",
@@ -93,7 +94,6 @@ class DomainSpec:
     hess_mixed : callable -> Hermitian matrix A_jk = d2(rho)/(dz_j dzbar_k).
     hess_holo : callable -> symmetric matrix H_jk = d2(rho)/(dz_j dz_k).
     eps_shell : validated width of the two-sided shell around the boundary.
-    contains_origin : the origin must be interior for the kernel machinery.
     exact_project : optional closed-form nearest-point map (z, t) -> xi.
     """
 
@@ -103,7 +103,6 @@ class DomainSpec:
     hess_mixed: Callable
     hess_holo: Callable
     eps_shell: float
-    contains_origin: bool = True
     name: str = "custom"
     params: tuple = ()
     exact_project: Optional[Callable] = None
@@ -240,34 +239,35 @@ def from_catalog(name, params=(), eps_shell=0.1, validate=True):
 
 
 def make_domain(n, rho, grad, hess_mixed, hess_holo, eps_shell,
-                contains_origin=True, name="custom", params=(),
-                exact_project=None, validate=True, n_check=1000, seed=7):
+                name="custom", params=(), exact_project=None, validate=True):
     dom = DomainSpec(n=n, rho=rho, grad=grad, hess_mixed=hess_mixed,
                      hess_holo=hess_holo, eps_shell=float(eps_shell),
-                     contains_origin=contains_origin, name=name,
-                     params=tuple(params), exact_project=exact_project)
+                     name=name, params=tuple(params),
+                     exact_project=exact_project)
     if validate:
-        validate_domain(dom, n_check=n_check, seed=seed)
+        validate_domain(dom)
     return dom
 
 
-def validate_domain(domain, n_check=1000, seed=7, fd_check=True):
+def validate_domain(domain, seed=7, fd_check=True):
     """Strong convexity and derivative consistency checks by shell sampling.
+
+    Samples 200 box points and 1000 shell points, every 20th of them for the
+    finite-difference check.
 
     Raises :class:`DomainValidationError` with a witness point on failure.
     Returns a dict of measured margins for reporting.
     """
     if domain.eps_shell <= 0:
         raise DomainValidationError("eps_shell must be positive")
-    if domain.contains_origin:
-        r0 = float(domain.rho(np.zeros(domain.n, dtype=complex)))
-        if not r0 < 0:
-            raise DomainValidationError(f"rho(0) = {r0:.3g} is not negative")
+    r0 = float(domain.rho(np.zeros(domain.n, dtype=complex)))
+    if not r0 < 0:
+        raise DomainValidationError(f"rho(0) = {r0:.3g} is not negative")
 
     rng = np.random.default_rng(seed)
     # gross non-convexity first: a box sample yields a Hessian witness even
     # when the level sets are unreachable along some rays
-    box = rng.uniform(-1.3, 1.3, size=(max(200, n_check // 5), 2 * domain.n))
+    box = rng.uniform(-1.3, 1.3, size=(200, 2 * domain.n))
     box_pts = as_complex(box)
     eigs_box = np.linalg.eigvalsh(real_hessian(domain, box_pts))
     i_bad = int(np.argmin(eigs_box[:, 0]))
@@ -276,7 +276,7 @@ def validate_domain(domain, n_check=1000, seed=7, fd_check=True):
             "real Hessian not positive definite: min eigenvalue "
             f"{eigs_box[i_bad, 0]:.3g} at z = {box_pts[i_bad]}")
     try:
-        pts = random_shell_points(domain, rng, n_check,
+        pts = random_shell_points(domain, rng, 1000,
                                   (-domain.eps_shell, domain.eps_shell))
     except ProjectionError as exc:
         raise DomainValidationError(
@@ -291,9 +291,9 @@ def validate_domain(domain, n_check=1000, seed=7, fd_check=True):
             "real Hessian not positive definite on the shell: "
             f"min eigenvalue {lam_min:.3g} at z = {pts[i_min]}")
 
-    report = {"hessian_min_eig": lam_min, "n_check": int(n_check)}
+    report = {"hessian_min_eig": lam_min, "n_check": 1000}
     if fd_check:
-        sub = pts[:: max(1, n_check // 50)]
+        sub = pts[::20]
         rel = _fd_consistency(domain, sub)
         if rel > 1e-6:
             raise DomainValidationError(
@@ -380,19 +380,19 @@ def real_gradient(domain, z):
 # radial parametrization of level sets (the domains are star shaped about 0)
 # ---------------------------------------------------------------------------
 
-def radial_level(domain, dirs, t, r0=None, tol=1e-13, max_iter=60):
+def radial_level(domain, dirs, t, max_iter=60):
     """Radii r(theta) with rho(r * theta) = t for unit directions theta.
 
-    Newton in r; the catalog domains are strongly convex with the origin
-    interior, so rho is strictly increasing in r near the shell.
+    Newton in r from r = 1; the catalog domains are strongly convex with the
+    origin interior, so rho is strictly increasing in r near the shell.
     """
     dirs = np.asarray(dirs, dtype=complex)
-    r = np.full(dirs.shape[:-1], 1.0 if r0 is None else r0, dtype=float)
+    r = np.full(dirs.shape[:-1], 1.0, dtype=float)
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), r.shape)
     for _ in range(max_iter):
         pts = r[..., None] * dirs
         val = np.asarray(domain.rho(pts)) - t_arr
-        if np.all(np.abs(val) < tol):
+        if np.all(np.abs(val) < 1e-13):
             break
         g = np.asarray(domain.grad(pts))
         slope = 2.0 * np.real(pairing(g, dirs))
@@ -425,15 +425,22 @@ def random_shell_points(domain, rng, m, t_range):
 # nearest-point projection onto a level surface
 # ---------------------------------------------------------------------------
 
-def project_boundary(domain, z, t=0.0, tol=1e-11, max_iter=100):
+# Newton's tolerance (a residual above 1e2 times it goes to the descent),
+# and the stationarity every returned projection is certified to
+_NEWTON_TOL = 1e-11
+STATIONARY_TOL = 1e-9
+
+
+def project_boundary(domain, z, t=0.0):
     """Nearest points on the level surface rho = t of a batch z, shape (M, n).
 
     Damped Newton on the KKT system (rho(xi) = t, z - xi parallel to the real
     gradient), vectorized over the batch.  Points that fail to converge fall
     back to a projected-gradient descent along the surface; if that also
-    fails a :class:`ProjectionError` carries the last iterate.  A critical
-    point of the distance that is not the nearest point (past the focal set,
-    see :func:`_bordered_kkt`) also raises :class:`ProjectionError`.
+    fails a :class:`ProjectionError` carries the last iterate.  Every result
+    is certified by :func:`_bordered_kkt`: a point that is not stationary to
+    ``STATIONARY_TOL``, or a critical point of the distance that is not the
+    nearest point (past the focal set), raises :class:`ProjectionError`.
     """
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
@@ -441,14 +448,13 @@ def project_boundary(domain, z, t=0.0, tol=1e-11, max_iter=100):
     if domain.exact_project is not None:
         xi = np.asarray(domain.exact_project(pts, t), dtype=complex)
     else:
-        xi = _project_newton(domain, pts, t, tol, max_iter)
-    _bordered_kkt(domain, pts, xi)
+        xi = _project_newton(domain, pts, t)
+    _bordered_kkt(domain, pts, xi, t)
     return xi
 
 
-def _project_newton(domain, pts, t, tol, max_iter):
-    m, n = pts.shape
-    dim = 2 * n + 1
+def _project_newton(domain, pts, t):
+    n = pts.shape[1]
     dirs = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     r = radial_level(domain, dirs, t)
     xi = r[:, None] * dirs
@@ -459,52 +465,48 @@ def _project_newton(domain, pts, t, tol, max_iter):
         g = real_gradient(domain, xi_c)
         f1 = as_real(targets - xi_c - lam_c[:, None] * g)
         f2 = (np.asarray(domain.rho(xi_c)) - t)[:, None]
-        return np.concatenate([f1, f2], axis=1), g
+        return np.concatenate([f1, f2], axis=1)
 
-    res, _ = residual(xi, lam, pts)
+    res = residual(xi, lam, pts)
     norm = np.linalg.norm(res, axis=1)
-    active = norm > tol
-    for _ in range(max_iter):
+    active = norm > _NEWTON_TOL
+    for _ in range(100):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
         xa, la, pa, ra, cur = xi[idx], lam[idx], pts[idx], res[idx], norm[idx]
-        hess = real_hessian(domain, xa)
-        ga = real_gradient(domain, xa)
-        J = np.zeros((len(idx), dim, dim))
-        J[:, :2 * n, :2 * n] = -np.eye(2 * n) - la[:, None, None] * hess
-        J[:, :2 * n, 2 * n] = -as_real(ga)
-        J[:, 2 * n, :2 * n] = as_real(ga)
+        kkt = _kkt_matrix(as_real(real_gradient(domain, xa)), la,
+                          real_hessian(domain, xa))
+        # the residual's Jacobian is kkt with its first 2n rows negated, so
+        # the Newton step solves kkt step = [F1; -F2]
+        ra[:, 2 * n] = -ra[:, 2 * n]
         try:
-            step = np.linalg.solve(J, -ra[..., None])[..., 0]
+            step = np.linalg.solve(kkt, ra[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.stack([np.linalg.lstsq(J[i], -ra[i], rcond=None)[0]
+            step = np.stack([np.linalg.lstsq(kkt[i], ra[i], rcond=None)[0]
                              for i in range(len(idx))])
-        # damping: accept the longest step in {1, 1/2, ...} that reduces |F|
+        del kkt, ra     # freed before the next iteration builds its own
+        # damping: the longest step in {1, 1/2, ...} that reduces |F|, with
+        # at most 25 halvings
         scale = np.ones(len(idx))
-        for _ in range(25):
+        for halvings in range(26):
             cand_xi = xa + as_complex(scale[:, None] * step[:, :2 * n])
             cand_la = la + scale * step[:, 2 * n]
-            rc, _ = residual(cand_xi, cand_la, pa)
+            rc = residual(cand_xi, cand_la, pa)
             nc = np.linalg.norm(rc, axis=1)
             better = nc < cur
-            if np.all(better):
+            if np.all(better) or halvings == 25:
                 break
             scale = np.where(better, scale, scale * 0.5)
-        else:
-            cand_xi = xa + as_complex(scale[:, None] * step[:, :2 * n])
-            cand_la = la + scale * step[:, 2 * n]
-            rc, _ = residual(cand_xi, cand_la, pa)
-            nc = np.linalg.norm(rc, axis=1)
         xi[idx], lam[idx], res[idx], norm[idx] = cand_xi, cand_la, rc, nc
-        active = norm > tol
+        active = norm > _NEWTON_TOL
 
-    bad = norm > 1e2 * tol
+    bad = norm > 1e2 * _NEWTON_TOL
     if np.any(bad):
         for i in np.nonzero(bad)[0]:
             xi[i] = _project_descent(domain, pts[i], t)
         res_b = np.abs(np.asarray(domain.rho(xi[bad])) - t)
-        if np.any(res_b > 1e-9):
+        if np.any(res_b > STATIONARY_TOL):
             i = np.nonzero(bad)[0][int(np.argmax(res_b))]
             raise ProjectionError(
                 f"projection failed to converge for z={pts[i]}",
@@ -512,18 +514,18 @@ def _project_newton(domain, pts, t, tol, max_iter):
     return xi
 
 
-def _project_descent(domain, z, t, max_iter=400, tol=1e-12):
+def _project_descent(domain, z, t):
     """Fallback: projected gradient descent on |z - xi|^2 along the surface."""
     dirvec = z / np.linalg.norm(z)
     r = radial_level(domain, dirvec[None], t)[0]
     xi = r * dirvec
     step = 1.0
     d2 = np.sum(np.abs(z - xi) ** 2)
-    for _ in range(max_iter):
+    for _ in range(400):
         g = real_gradient(domain, xi[None])[0]
         nu = g / np.linalg.norm(g)
         tang = (z - xi) - real_dot(z - xi, nu) * nu
-        if np.linalg.norm(tang) < tol:
+        if np.linalg.norm(tang) < 1e-12:
             break
         cand_dir = xi + step * tang
         cand_dir /= np.linalg.norm(cand_dir)
@@ -540,10 +542,10 @@ def _project_descent(domain, z, t, max_iter=400, tol=1e-12):
     return xi
 
 
-def boundary_point_data(domain, xi, t=None):
+def boundary_point_data(domain, xi):
     """Assemble frames at a surface point; see :class:`BoundaryPointData`."""
     xi = np.asarray(xi, dtype=complex)
-    lvl = float(domain.rho(xi)) if t is None else float(t)
+    lvl = float(domain.rho(xi))
     g = np.asarray(domain.grad(xi))
     gn = np.linalg.norm(g)
     if gn < 1e-12:
@@ -570,8 +572,23 @@ def _complex_tangent_basis(g):
     return basis
 
 
-def symmetric_point(domain, z, t=0.0):
-    """Reflection across the level surface: z* = 2 pr(z) - z.
+def unit_frame(g):
+    """|g|, unit normal conj(g)/|g| and complex tangent (-g2, g1)/|g|, n = 2.
+
+    ``g`` (N, 2) are holomorphic gradients; a vanishing one raises ValueError.
+    """
+    gn = np.linalg.norm(g, axis=-1)
+    if np.any(gn < 1e-12):
+        raise ValueError("degenerate gradient; cannot frame")
+    nu = np.conj(g) / gn[:, None]
+    u = np.empty_like(g)
+    u[:, 0] = -g[:, 1] / gn
+    u[:, 1] = g[:, 0] / gn
+    return gn, nu, u
+
+
+def symmetric_point(domain, z):
+    """Reflection across the boundary: z* = 2 pr(z) - z.
 
     Test oracle for the z* of :func:`symmetric_point_dbar`, and the
     reflection behind ``Continuation.f_eval`` and the finite-difference
@@ -580,33 +597,54 @@ def symmetric_point(domain, z, t=0.0):
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     pts = np.atleast_2d(z)
-    pr = project_boundary(domain, pts, t)
+    pr = project_boundary(domain, pts)
     out = 2.0 * pr - pts
     return out[0] if single else out
 
 
-def _bordered_kkt(domain, pts, xi):
+def _kkt_matrix(g, lam, hess):
+    """Bordered matrices [[I + lam H, g], [g^T, 0]] from real g, lam and H."""
+    m, d = g.shape
+    kkt = np.zeros((m, d + 1, d + 1))
+    kkt[:, :d, :d] = np.eye(d) + lam[:, None, None] * hess
+    kkt[:, :d, d] = g
+    kkt[:, d, :d] = g
+    return kkt
+
+
+def _bordered_kkt(domain, pts, xi, t=0.0):
     """The projection's bordered KKT matrix at xi, certified inside the reach.
 
     With the real gradient g and Hessian H at xi (coordinates x1, y1, ...,
     xn, yn) and lam = <z - xi, g> / |g|^2, the matrix is
-    [[I + lam H, g], [g^T, 0]].  The nearest-point map is smooth inside the
-    reach (Federer, Curvature measures, 1959), where I + lam H is positive
-    definite on the tangent space, i.e. the bordered matrix has exactly one
-    negative eigenvalue.  Gershgorin (|lam| times the largest absolute row
-    sum of H below 1) certifies this for the collar; the eigenvalues decide
-    the remaining points.  A point with a singular or non-finite matrix, or
-    past a focal point (where xi is a critical point of the distance but not
-    the nearest point), raises :class:`ProjectionError` naming the point.
+    [[I + lam H, g], [g^T, 0]].  First xi must be stationary: |rho(xi) - t|
+    and the tangential part z - xi - lam g at most ``STATIONARY_TOL``.  The
+    nearest-point map is smooth inside the reach (Federer, Curvature
+    measures, 1959), where I + lam H is positive definite on the tangent
+    space, i.e. the bordered matrix has exactly one negative eigenvalue.
+    Gershgorin (|lam| times the largest absolute row sum of H below 1)
+    certifies this for the collar; the eigenvalues decide the remaining
+    points.  A point that is not stationary, has a singular or non-finite
+    matrix, or lies past a focal point (where xi is a critical point of the
+    distance but not the nearest point) raises :class:`ProjectionError`
+    naming the point.
     """
-    m, n = pts.shape
     g = as_real(real_gradient(domain, xi))
-    lam = np.sum(as_real(pts - xi) * g, axis=-1) / np.sum(g * g, axis=-1)
+    dz = as_real(pts - xi)
+    lam = np.sum(dz * g, axis=-1) / np.sum(g * g, axis=-1)
+    resid = np.maximum(np.abs(np.asarray(domain.rho(xi)) - t),
+                       np.linalg.norm(dz - lam[:, None] * g, axis=-1))
+    del dz      # freed before the matrices are built
+    # a NaN residual (non-finite xi) fails the matrix check below instead
+    loose = resid > STATIONARY_TOL
+    if np.any(loose):
+        i = int(np.argmax(loose))
+        raise ProjectionError(
+            f"projection of z={pts[i]} is not stationary: residual "
+            f"{resid[i]:.3g} above {STATIONARY_TOL:g}", last_iterate=xi[i],
+            residual=float(resid[i]))
     hess = real_hessian(domain, xi)
-    kkt = np.zeros((m, 2 * n + 1, 2 * n + 1))
-    kkt[:, :2 * n, :2 * n] = np.eye(2 * n) + lam[:, None, None] * hess
-    kkt[:, :2 * n, 2 * n] = g
-    kkt[:, 2 * n, :2 * n] = g
+    kkt = _kkt_matrix(g, lam, hess)
     finite = np.isfinite(kkt).all(axis=(1, 2))
     ok = finite & (np.abs(lam) * np.abs(hess).sum(axis=-1).max(axis=-1) < 1.0)
     rest = np.nonzero(finite & ~ok)[0]
@@ -640,7 +678,7 @@ def symmetric_point_dbar(domain, z):
     """
     pts = np.atleast_2d(np.asarray(z, dtype=complex))
     n = pts.shape[1]
-    xi = project_boundary(domain, pts, 0.0)
+    xi = project_boundary(domain, pts)
     kkt = _bordered_kkt(domain, pts, xi)
     rhs = np.eye(2 * n + 1, 2 * n)
     dxi = as_complex(np.swapaxes(np.linalg.solve(kkt, rhs)[:, :2 * n], 1, 2))

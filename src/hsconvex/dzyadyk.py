@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import pairing, radial_level, random_unit_directions
+from .domain import pairing, radial_level, random_unit_directions, \
+    unit_frame
 
 __all__ = [
     "Lune",
@@ -68,21 +69,25 @@ class Lune:
         return (-c - disc, -c + disc)
 
 
-def lune_radius(domain, eps=None, n_xi=400, n_z=400, seed=3, margin=1.05):
+_LUNE_SAMPLES = 400    # shell points and interior points of lune_radius
+
+
+def lune_radius(domain, eps=None):
     """R = sup |lambda(xi, z)| over shell points xi and interior z, + margin."""
     eps = domain.eps_shell if eps is None else float(eps)
-    rng = np.random.default_rng(seed)
-    dirs = random_unit_directions(rng, n_xi, domain.n)
-    ts = rng.uniform(1e-4 * eps, eps, size=n_xi)
+    rng = np.random.default_rng(3)
+    dirs = random_unit_directions(rng, _LUNE_SAMPLES, domain.n)
+    ts = rng.uniform(1e-4 * eps, eps, size=_LUNE_SAMPLES)
     r = radial_level(domain, dirs, ts)
     xi = r[:, None] * dirs
     g = np.asarray(domain.grad(xi))
     c = pairing(g, xi)
-    zdirs = random_unit_directions(rng, n_z, domain.n)
+    zdirs = random_unit_directions(rng, _LUNE_SAMPLES, domain.n)
     rz = radial_level(domain, zdirs, 0.0)
-    z = (rng.uniform(0, 1, n_z) ** (1.0 / (2 * domain.n)))[:, None] * rz[:, None] * zdirs
+    z = (rng.uniform(0, 1, _LUNE_SAMPLES) ** (1.0 / (2 * domain.n)))[:, None] \
+        * rz[:, None] * zdirs
     lam = (g @ z.T) / c[:, None]
-    return float(np.abs(lam).max() * margin)
+    return float(np.abs(lam).max() * 1.05)
 
 
 def lune_of(domain, xi, R=None, eps=None):
@@ -166,10 +171,11 @@ def _lune_boundary_mesh(lune, j):
     return np.concatenate([arc, chord, inner])
 
 
-def build_T(j, t, r, lune=None, R=1.05, moment_exact=None):
+def build_T(j, r, lune, moment_exact=None):
     """Weighted least-squares realization of the Dzyadyk approximant.
 
-    The fit minimizes the residual against 1/(1 - lambda) times the target
+    Degree j on the lune ``lune`` (its chord angle and radius R).  The fit
+    minimizes the residual against 1/(1 - lambda) times the target
     weight j^r |1 - lambda|^(1+r) on the boundary mesh; Lawson reweighting
     pushes the weighted error toward equioscillation so the measured C1 stays
     flat in j.  Certificates are suprema over the mesh (the weighted error is
@@ -182,8 +188,6 @@ def build_T(j, t, r, lune=None, R=1.05, moment_exact=None):
     """
     if j < 1:
         raise ValueError("degree must be at least 1")
-    if lune is None:
-        lune = Lune(t=float(t), R=float(R))
     mesh = _lune_boundary_mesh(lune, j)
     target = 1.0 / (1.0 - mesh)
     w = float(j) ** r * np.abs(1.0 - mesh) ** (1.0 + r)
@@ -301,7 +305,7 @@ class KernelApproximant:
     def approximant_for(self, tq):
         key = (self.j, round(tq / T_QUANT_STEP))
         if key not in self.cache:
-            self.cache[key] = build_T(self.j, tq, self.r, Lune(t=tq, R=self.R),
+            self.cache[key] = build_T(self.j, self.r, Lune(t=tq, R=self.R),
                                       moment_exact=self.moment_exact)
         return self.cache[key]
 
@@ -328,14 +332,14 @@ class KernelApproximant:
         return {k: v.cert for k, v in self.cache.items()}
 
 
-def build_Kglob(domain, k, r=2.0, R=None, eps=None, moment_exact=None):
+def build_Kglob(domain, k, r=2.0, eps=None, moment_exact=None):
     """Kernel approximant of degree k with rate parameter r.
 
+    The lunes have the radius of :func:`lune_radius` (collar width ``eps``).
     ``moment_exact="half"`` pins half the Taylor coefficients (the pipeline
     projector default); an integer pins that many orders; None fits freely.
     """
-    if R is None:
-        R = lune_radius(domain, eps)
+    R = lune_radius(domain, eps)
     j = int(math.ceil(k / domain.n))
     if moment_exact == "half":
         moment_exact = j // 2
@@ -363,11 +367,7 @@ def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,
     rr = radial_level(domain, dirs, ts)
     xi = rr[:, None] * dirs
     g = np.asarray(domain.grad(xi))
-    gn = np.linalg.norm(g, axis=-1)
-    nu = np.conj(g) / gn[:, None]
-    ct = np.empty_like(g)
-    ct[:, 0] = -g[:, 1] / gn
-    ct[:, 1] = g[:, 0] / gn
+    gn, nu, ct = unit_frame(g)
 
     # interior z constructed around each xi at prescribed quasimetric depth
     u = np.geomspace(0.2 / k, 2.0, n_z)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import unit_frame
+
 __all__ = [
     "FormValue",
     "dz_form",
@@ -164,15 +166,8 @@ def leray_form(g, a):
 
 def grid_leray_density(domain, nodes, g):
     """Per-node Leray density on a level-set grid (n = 2, vectorized)."""
-    n = 2
     a = np.asarray(domain.hess_mixed(nodes))
-    gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn < 1e-12):
-        raise ValueError("degenerate gradient on grid; cannot frame")
-    nu = np.conj(g) / gn[:, None]
-    u = np.empty_like(g)
-    u[:, 0] = -g[:, 1] / gn
-    u[:, 1] = g[:, 0] / gn
+    _, nu, u = unit_frame(g)
     frames = np.stack([1j * nu, u, 1j * u], axis=1)   # (N, 3, 2)
     form = leray_form(g, a)
     vals = evaluate(form, frames)

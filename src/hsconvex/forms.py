@@ -21,7 +21,7 @@ import numpy as np
 from . import exterior
 from .domain import pairing
 from .homtype import BoundaryGrid
-from .sphere import angular_mesh, surface_nodes
+from .sphere import angular_mesh, gauss_legendre_segments, surface_nodes
 
 __all__ = [
     "HoloFunction",
@@ -186,22 +186,16 @@ class ShellGrid:
 
 
 def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
-                     nodes_per_band=3, mesh=None):
+                     nodes_per_band=3):
     """Shell grid on 0 < rho <= eps (eps defaults to the validated width)."""
     eps = domain.eps_shell if eps is None else float(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mesh is None:
-        mesh = angular_mesh(resolution)
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes_per_band))
-    levels = []
-    weights = []
-    for m in range(1, n_bands + 1):
-        lo, hi = eps * 2.0 ** (-m), eps * 2.0 ** (-m + 1)
-        levels.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
-        weights.append(0.5 * (hi - lo) * wg)
-    levels = np.concatenate(levels)[::-1].copy()
-    weights = np.concatenate(weights)[::-1].copy()
+    mesh = angular_mesh(resolution)
+    levels, weights = gauss_legendre_segments(
+        [(eps * 2.0 ** (-m), eps * 2.0 ** (-m + 1))
+         for m in range(1, n_bands + 1)], nodes_per_band)
+    levels, weights = levels[::-1].copy(), weights[::-1].copy()
 
     all_nodes, all_grad, all_wsig, all_wmu = [], [], [], []
     for t, wt in zip(levels, weights):

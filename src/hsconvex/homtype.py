@@ -65,9 +65,10 @@ class BoundaryGrid:
         """Radius at which a quasiball holds about one node on average."""
         return float(np.sqrt(self.sigma_total / self.size))
 
-    def diameter(self, sample=256, seed=0):
+    def diameter(self, seed=0):
+        """Largest distance from a seeded sample of 256 nodes to any node."""
         rng = np.random.default_rng(seed)
-        idx = rng.choice(self.size, size=min(sample, self.size), replace=False)
+        idx = rng.choice(self.size, size=min(256, self.size), replace=False)
         d = np.abs(self.pair_self[idx, None]
                    - self.grad[idx] @ self.nodes.T)
         return float(d.max())
@@ -124,13 +125,13 @@ def quasiball(grid, z, delta):
     return mask, float(grid.w_sigma[mask].sum())
 
 
-def check_homogeneous(grid, deltas=None, n_centers=50, n_triples=4000, seed=0):
+def check_homogeneous(grid, deltas=None, seed=0):
     """Fit the measure-scaling exponent and sample the quasi-triangle constant.
 
     Returns a dict with ``fitted_dimension`` (mean least-squares slope of
-    log sigma(B(z, delta)) against log delta over random centers) and
-    ``quasi_triangle_constant`` (max of d(x,z)/(d(x,y)+d(y,z)) over sampled
-    triples of nodes).
+    log sigma(B(z, delta)) against log delta over 50 random centers) and
+    ``quasi_triangle_constant`` (max of d(x,z)/(d(x,y)+d(y,z)) over 4000
+    sampled triples of nodes).
     """
     rng = np.random.default_rng(seed)
     diam = grid.diameter(seed=seed)
@@ -140,7 +141,7 @@ def check_homogeneous(grid, deltas=None, n_centers=50, n_triples=4000, seed=0):
     if deltas.size < 3:
         raise ValueError("need >= 3 radii to fit a scaling exponent")
 
-    centers = rng.choice(grid.size, size=min(n_centers, grid.size),
+    centers = rng.choice(grid.size, size=min(50, grid.size),
                          replace=False)
     slopes = []
     for ci in centers:
@@ -153,7 +154,7 @@ def check_homogeneous(grid, deltas=None, n_centers=50, n_triples=4000, seed=0):
     if not slopes:
         raise ValueError("all sampled quasiballs were empty; grid too coarse")
 
-    xi = rng.choice(grid.size, size=(n_triples, 3))
+    xi = rng.choice(grid.size, size=(4000, 3))
     ok = (xi[:, 0] != xi[:, 1]) & (xi[:, 1] != xi[:, 2])
     xi = xi[ok]
     x, y, z = (grid.nodes[xi[:, 0]], grid.nodes[xi[:, 1]], grid.nodes[xi[:, 2]])
@@ -272,12 +273,7 @@ def stratified_centers(grid, pole=None, n_bulk=24, n_per_annulus=3,
                      w_sigma=np.concatenate(weights))
 
 
-def _radius_ladder(grid, n_levels=12):
-    diam = grid.diameter()
-    return diam * 2.0 ** (-np.arange(n_levels, dtype=float))
-
-
-def maximal_function(grid, a, n_levels=12, chunk=256, at=None):
+def maximal_function(grid, a, n_levels=12, at=None):
     """Centred quasiball maximal function over a dyadic radius ladder.
 
     Ma(z) = sup over radii of the sigma-average of |a| over B(z, r); the
@@ -289,11 +285,11 @@ def maximal_function(grid, a, n_levels=12, chunk=256, at=None):
     if a.shape != (grid.size,):
         raise ValueError("field must be per-node")
     idx = np.arange(grid.size) if at is None else np.asarray(at)
-    radii = _radius_ladder(grid, n_levels)
+    radii = grid.diameter() * 2.0 ** (-np.arange(n_levels, dtype=float))
     aw = a * grid.w_sigma
     out = a[idx]
-    for start in range(0, idx.size, chunk):
-        sl = slice(start, min(start + chunk, idx.size))
+    for start in range(0, idx.size, 256):
+        sl = slice(start, start + 256)
         d = grid_qdist(grid, grid.nodes[idx[sl]])    # (C, N)
         for r in radii:
             mask = d < r
@@ -304,7 +300,7 @@ def maximal_function(grid, a, n_levels=12, chunk=256, at=None):
     return out
 
 
-def maximal_function_brute(grid, a, chunk=64):
+def maximal_function_brute(grid, a):
     """Exact discrete sup over all radii.
 
     Test oracle for the dyadic radius ladder of :func:`maximal_function`.
@@ -312,8 +308,8 @@ def maximal_function_brute(grid, a, chunk=64):
     a = np.abs(np.asarray(a, dtype=float))
     aw = a * grid.w_sigma
     out = np.empty(grid.size)
-    for start in range(0, grid.size, chunk):
-        sl = slice(start, min(start + chunk, grid.size))
+    for start in range(0, grid.size, 64):
+        sl = slice(start, start + 64)
         d = grid_qdist(grid, grid.nodes[sl])
         order = np.argsort(d, axis=1)
         num = np.cumsum(np.take_along_axis(

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import boundary_point_data, pairing, project_boundary
+from .domain import boundary_point_data, pairing, project_boundary, \
+    real_hessian
 from .homtype import BoundaryGrid, qdist
 
 __all__ = [
@@ -51,6 +52,7 @@ class RegionSample:
 
 
 DEFAULT_ETA = 0.25
+_RADIAL_GAUSS = 4    # Gauss-Legendre nodes per member interval of a ray
 
 
 def _resolution_tuple(resolution):
@@ -83,11 +85,11 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
     return inside
 
 
-def _bisect_edge(inside, lo, hi, flags_lo, n_iter=30):
+def _bisect_edge(inside, lo, hi, flags_lo):
     """Per-ray crossing radius between a member radius and a non-member one."""
     lo = lo.copy()
     hi = hi.copy()
-    for _ in range(n_iter):
+    for _ in range(30):
         mid = 0.5 * (lo + hi)
         ok = inside(mid)
         lo = np.where(ok == flags_lo, mid, lo)
@@ -96,7 +98,7 @@ def _bisect_edge(inside, lo, hi, flags_lo, n_iter=30):
 
 
 def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
-                  rho_min=0.0, rho_max=None, n_gauss=4):
+                  rho_min=0.0, rho_max=None):
     """Sample an approach region at a boundary point with volume weights.
 
     Points live in frame coordinates tau = z + a u + (s + i b) nu (complex
@@ -117,7 +119,6 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
     bp = boundary_point_data(domain, z)
     nu, u = bp.normal, bp.ct_frame[0]
     gn = float(np.linalg.norm(np.asarray(domain.grad(z))))
-    from .domain import real_hessian
     lam = 0.5 * float(np.linalg.eigvalsh(real_hessian(domain, z))[-1])
     sign = 1.0 if kind == "external" else -1.0
     if kind == "external" and eta * lam >= 0.85:
@@ -131,7 +132,7 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
         raise ValueError("empty height band")
 
     th = 2.0 * np.pi * (np.arange(n_th) + 0.5) / n_th
-    xg, wg = np.polynomial.legendre.leggauss(int(n_gauss))
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_GAUSS)
     lam_eff = max(1.0 - min(eta * lam, 0.8), 0.2)
     if kind == "external":
         r_max_glob = np.sqrt(eta * hi_cut) * 1.000001
@@ -241,8 +242,8 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
                         points=tau,
                         rho=np.asarray(domain.rho(tau)),
                         weights=w.ravel(),
-                        meta={"resolution": (n_levels, per_level, n_gauss,
-                                             n_th, n_b),
+                        meta={"resolution": (n_levels, per_level,
+                                             _RADIAL_GAUSS, n_th, n_b),
                               "rho_min": lo_cut, "rho_max": hi_cut})
 
 
@@ -314,29 +315,28 @@ def area_internal(domain, f, p, eta=DEFAULT_ETA, eps=None, centers=None,
 
 
 def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
-            eps=None, resolution=None, rho_min=None, chunk=512):
+            eps=None, resolution=None):
     """External area functional of a boundary field at one center.
 
     The inner boundary integral pairs the field with the kernel at power
     n + l (nonsingular: the region point is exterior); the outer integral
-    runs over the external region with the nu_l weight.  ``rho_min`` floors
-    the region heights at a scale the boundary grid can resolve.
+    runs over the external region with the nu_l weight.  The region heights
+    are floored at a scale the boundary grid can resolve.
 
     ``g_field`` is one per-node field (the result is a float) or a stack
     ``(F, N)`` of them (the result is an array of F floats); the region and
     each kernel chunk are built once and contracted with every field.
     """
-    if rho_min is None:
-        rho_min = max(grid.quasi_spacing * 0.75,
-                      (domain.eps_shell if eps is None else eps) * 2.0 ** -9)
+    rho_min = max(grid.quasi_spacing * 0.75,
+                  (domain.eps_shell if eps is None else eps) * 2.0 ** -9)
     sample = sample_region(domain, center, "external", eta, eps, resolution,
                            rho_min=rho_min)
     n = domain.n
     g = np.asarray(g_field)
     gw = np.atleast_2d(g) * grid.w_S
     phi = np.empty((gw.shape[0], sample.size), dtype=complex)
-    for start in range(0, sample.size, chunk):
-        sl = slice(start, min(start + chunk, sample.size))
+    for start in range(0, sample.size, 512):
+        sl = slice(start, start + 512)
         tau = sample.points[sl]
         gt = np.asarray(domain.grad(tau))
         den = pairing(gt, tau)[:, None] - gt @ grid.nodes.T
@@ -352,7 +352,7 @@ def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
 
 
 def check_area_inequality(domain, g_family, l, p, grid, centers,
-                          eta=DEFAULT_ETA, eps=None, resolution=None, rho_min=None):
+                          eta=DEFAULT_ETA, eps=None, resolution=None):
     """Per-family-member ratio of area-functional mass to boundary mass.
 
     Members are per-node fields on ``grid``; the report carries the ratio
@@ -366,7 +366,7 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     nums = [0.0] * len(fam)
     for i in range(centers.size):
         il = area_Il(domain, fam, l, centers.nodes[i], grid, eta, eps,
-                     resolution, rho_min)
+                     resolution)
         for j in range(len(fam)):
             nums[j] += centers.w_sigma[i] * float(il[j]) ** p
     ratios = []

@@ -26,10 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .continuation import dbar_region_mass, shell_defect
 from .domain import pairing
 from .dzyadyk import build_Kglob
-from .forms import ShellGrid, pair_dbar_with_leray
-from .homtype import BoundaryGrid, maximal_function
+from .forms import ShellGrid, multi_indices
+from .homtype import BoundaryGrid, build_boundary_grid, maximal_function
+from .sphere import graded_angular_mesh, surface_nodes
 from . import koranyi
 
 __all__ = [
@@ -92,17 +94,16 @@ class PolynomialCn:
         return out
 
 
-def taylor_sections(coeff_fn, degrees, n=2):
-    """Polynomials from a coefficient function alpha -> complex, per degree."""
-    from .forms import multi_indices
+def taylor_sections(coeff_fn, degrees):
+    """Polynomials in C^2 from a coefficient function alpha -> complex."""
     out = []
     for d in degrees:
         coeffs = {}
-        for a in multi_indices(n, d):
+        for a in multi_indices(2, d):
             c = coeff_fn(a)
             if c != 0:
                 coeffs[a] = c
-        out.append(PolynomialCn(coeffs, n=n))
+        out.append(PolynomialCn(coeffs))
     return out
 
 
@@ -154,12 +155,8 @@ def _assemble(domain, kglob, c, g, w, harm=None):
                 mom = np.sum(term if hs is None else term * hs[:, b2])
                 key = (b1, b2)
                 coeffs[key] = coeffs.get(key, 0.0) + \
-                    D[m] * _binom(m, b1) * mom
+                    D[m] * float(math.comb(m, b1)) * mom
     return PolynomialCn(coeffs, n=n)
-
-
-def _binom(m, k):
-    return float(math.comb(m, k))
 
 
 # phase harmonics kept by the reduced projector, and the relative size of
@@ -168,7 +165,7 @@ _HARM_CAP = 3
 _HARM_TOL = 1e-7
 
 
-def project_direct_reduced(domain, f, k_list, r, eps=None):
+def project_direct_reduced(domain, f, k_list, r):
     """Offset-surface projections on pole-graded meshes, one level per k.
 
     The catalog domains are invariant under rotating the second coordinate's
@@ -183,10 +180,7 @@ def project_direct_reduced(domain, f, k_list, r, eps=None):
     slit correction inside the offset surface is O(t_off^(1+s)), below the
     approximation budget.
     """
-    from .exterior import grid_leray_density
-    from .sphere import graded_angular_mesh, surface_nodes
-
-    eps = domain.eps_shell if eps is None else float(eps)
+    eps = domain.eps_shell
     out = []
     for k in k_list:
         t_off = 2.0 ** (-k) * eps
@@ -197,20 +191,19 @@ def project_direct_reduced(domain, f, k_list, r, eps=None):
         mesh = graded_angular_mesh(n_phi2=n_phi2, alpha_floor=alpha_floor,
                                    phi_floor=phi_floor, deg_hint=deg_hint)
         n2 = mesh.size // n_phi2
-        nodes, w_sigma, g = surface_nodes(domain, mesh, t_off)
-        dens = grid_leray_density(domain, nodes, g)
-        vals = np.asarray(f(nodes))
-        F = np.fft.fft((vals * dens * w_sigma).reshape(n2, n_phi2), axis=1)
+        grid = build_boundary_grid(domain, t_off, mesh=mesh)
+        w = np.asarray(f(grid.nodes)) * grid.density * grid.w_sigma
+        F = np.fft.fft(w.reshape(n2, n_phi2), axis=1)
         mag = np.abs(F)
         hi_bins = mag[:, _HARM_CAP + 1: n_phi2 - _HARM_CAP]
         if hi_bins.max() > _HARM_TOL * max(mag.max(), 1e-300):
             raise ValueError("boundary data has phase harmonics beyond "
                              f"{_HARM_CAP}; use the generic projector")
         q0 = slice(0, None, n_phi2)
-        g0 = g[q0]
+        g0 = grid.grad[q0]
         kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
                             moment_exact="half")
-        out.append(_assemble(domain, kglob, pairing(g0, nodes[q0]), g0,
+        out.append(_assemble(domain, kglob, pairing(g0, grid.nodes[q0]), g0,
                              np.ones(n2), harm=F[:, : _HARM_CAP + 1]))
     return out
 
@@ -226,34 +219,29 @@ def projection_resolution(degree):
     return (max(8, (int(degree) + 14) // 2), nphi, nphi)
 
 
-def project_direct(domain, f, k, r=None, resolution=None, kglob=None):
+def project_direct(domain, f, k, r=None, resolution=None):
     """Degree-2^k polynomial from boundary values on an offset level surface.
 
     P(z) = integral over rho = t_off of f(xi) K_k(xi, z) dS(xi); requires f
     holomorphic across the offset surface (t_off below f's validity level).
     """
-    from .homtype import build_boundary_grid
-
     eps = domain.eps_shell
     t_off = min(2.0 ** (-k) * eps, eps)
     if not f.validity > t_off:
         raise ValueError(
             f"{f.label!r} is not holomorphic across the offset surface "
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
-    if kglob is None:
-        r = 2.0 if r is None else float(r)
-        kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
-                            moment_exact="half")
+    r = 2.0 if r is None else float(r)
+    kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps, moment_exact="half")
     if resolution is None:
         resolution = projection_resolution(2 ** k)
     grid = build_boundary_grid(domain, t_off, resolution)
     vals = np.asarray(f(grid.nodes))
-    return _assemble(domain, kglob, pairing(grid.grad, grid.nodes),
-                     grid.grad, vals * grid.w_S)
+    return _assemble(domain, kglob, grid.pair_self, grid.grad,
+                     vals * grid.w_S)
 
 
-def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None,
-                             kglob=None):
+def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None):
     """Degree-2^k polynomial from the dbar-defect of a continuation.
 
     P(z) = reconstruction integral with the kernel replaced by its
@@ -261,47 +249,52 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None,
     reconstruction.  Test oracle for :func:`project_direct` (the two
     constructions of the dual polynomial agree within their budgets).
     """
-    if kglob is None:
-        r = 2.0 if r is None else float(r)
-        kglob = build_Kglob(domain, 2 ** k, r=r, eps=cont.support_height,
-                            moment_exact="half")
-    pts, g, w_mu, _ = shell.flat()
-    dbar = cont.dbar_eval(pts)
-    dens = pair_dbar_with_leray(domain, dbar, pts)
-    return _assemble(domain, kglob, pairing(g, pts), g, -dens * w_mu)
+    r = 2.0 if r is None else float(r)
+    kglob = build_Kglob(domain, 2 ** k, r=r, eps=cont.support_height,
+                        moment_exact="half")
+    pts, g, dw = shell_defect(cont, shell)
+    return _assemble(domain, kglob, pairing(g, pts), g, -dw)
 
 
 # ---------------------------------------------------------------------------
 # the smoothness functional
 # ---------------------------------------------------------------------------
 
-def smoothness_trajectory(grid: BoundaryGrid, e_fields, l, p):
-    """Partial sums over K of the characterization integral, one per level."""
+def smoothness_trajectory(w_sigma, e_fields, l, p):
+    """Partial sums over K of the characterization integral, one per level.
+
+    ``e_fields`` maps each level k to its error field on the boundary nodes
+    whose surface-measure weights are ``w_sigma``.
+    """
     if len(e_fields) < 3:
         raise ValueError("need at least 3 levels")
     ks = sorted(e_fields)
-    acc = np.zeros(grid.size)
+    acc = np.zeros(w_sigma.shape)
     out = []
     for k in ks:
         acc = acc + np.abs(e_fields[k]) ** 2 * 4.0 ** (l * k)
-        out.append(float(np.sum(acc ** (p / 2.0) * grid.w_sigma)))
+        out.append(float(np.sum(acc ** (p / 2.0) * w_sigma)))
     return ks, np.array(out)
 
 
-def verdict_from_trajectory(traj, tail=3):
+# partial sums in the tail ratio of verdict_from_trajectory
+_TAIL = 3
+
+
+def verdict_from_trajectory(traj):
     """converging / diverging / inconclusive from the tail of partial sums.
 
     The tail ratio is the geometric-mean growth per level over the last
-    ``tail`` partial sums; at desk scale the truncation caps K around 6, so
+    three partial sums; at desk scale the truncation caps K around 6, so
     mid ratios get the honest inconclusive band.
     """
     traj = np.asarray(traj, dtype=float)
-    if traj.size < tail + 1:
+    if traj.size < _TAIL + 1:
         return "inconclusive"
     if traj[-1] <= 1e-16:
         # partial sums at the numerical floor: exact approximation
         return "converging"
-    r = (traj[-1] / max(traj[-tail], 1e-300)) ** (1.0 / (tail - 1))
+    r = (traj[-1] / max(traj[-_TAIL], 1e-300)) ** (1.0 / (_TAIL - 1))
     if r <= 1.1:
         return "converging"
     if r >= 1.5:
@@ -349,18 +342,15 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     fitted on levels above the numerical floor; polynomial-exact levels read
     as floor values and are excluded.
     """
-    from .homtype import build_boundary_grid
-    from .sphere import graded_angular_mesh
-
-    # evaluation grid graded toward the corpus singular direction, so the
-    # error fields resolve the singular zone scale by scale
-    mesh = graded_angular_mesh(n_phi2=12)
-    grid = build_boundary_grid(domain, 0.0, mesh=mesh)
+    # evaluation nodes and surface-measure weights graded toward the corpus
+    # singular direction, so the error fields resolve the singular zone
+    # scale by scale
+    nodes, w_sigma, _ = surface_nodes(domain, graded_angular_mesh(n_phi2=12))
     k_list = sorted(int(k) for k in k_range)
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
     proj_resolution = projection_resolution(2 ** max(k_list))
-    f_vals = np.asarray(f(grid.nodes))
+    f_vals = np.asarray(f(nodes))
     fields, sups, lps = {}, {}, {}
     if method == "offset":
         # boundary-singular corpus entries: offset projection with the slit
@@ -369,16 +359,13 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
         pks = dict(zip(k_list, p_seq))
     for k in k_list:
         if method == "direct":
-            kglob = build_Kglob(domain, 2 ** k, r=r, eps=domain.eps_shell,
-                                moment_exact="half")
-            pk = project_direct(domain, f, k, resolution=proj_resolution,
-                                kglob=kglob)
+            pk = project_direct(domain, f, k, r=r, resolution=proj_resolution)
         else:
             pk = pks[k]
-        e = np.abs(f_vals - pk(grid.nodes))
+        e = np.abs(f_vals - pk(nodes))
         fields[k] = e
         sups[k] = float(e.max())
-        lps[k] = float(np.sum(e ** p * grid.w_sigma) ** (1.0 / p))
+        lps[k] = float(np.sum(e ** p * w_sigma) ** (1.0 / p))
 
     floor = 1e-9        # sup errors at or below it sit on the quadrature floor
     usable = [k for k in k_list if sups[k] > floor]
@@ -391,7 +378,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
                                  [np.log2(sups[k]) for k in usable], 1)[0])
     partial, verdicts = {}, {}
     for l in l_probe:
-        _, traj = smoothness_trajectory(grid, fields, l, p)
+        _, traj = smoothness_trajectory(w_sigma, fields, l, p)
         partial[l] = traj
         verdicts[l] = verdict_from_trajectory(traj)
     return SmoothnessReport(
@@ -399,7 +386,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
         fields=fields, slope=slope, slope_points=len(usable),
         partial_sums=partial, verdicts=verdicts,
         meta={"method": method, "p": p, "r": r, "m_jet": m_jet,
-              "grid_size": grid.size})
+              "grid_size": nodes.shape[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +394,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
 # ---------------------------------------------------------------------------
 
 def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
-              center_idx, eta=koranyi.DEFAULT_ETA, eps=None, resolution=None,
-              k_range=None):
+              center_idx, eta=koranyi.DEFAULT_ETA, eps=None, resolution=None):
     """Difference fields a_k on the grid and band masses b_k at centers.
 
     a_k = |P_{k+1} - P_k| 2^(k l) per node; b_k is the square root of the
@@ -418,10 +404,8 @@ def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
     maximal-function comparison needs both sides on the same scale; the
     characterization sum also carries 2^(+2lk).)
     """
-    domain = grid.domain
     eps = cont.support_height if eps is None else float(eps)
-    K = len(p_seq)
-    ks = list(k_range) if k_range is not None else list(range(1, K))
+    ks = list(range(1, len(p_seq)))
     a_fields = {}
     for k in ks:
         diff = p_seq[k](grid.nodes) - p_seq[k - 1](grid.nodes)
@@ -433,19 +417,14 @@ def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
             lo, hi = 2.0 ** (-k), 2.0 ** (-k + 1)
             if lo >= eps:
                 continue
-            sample = koranyi.sample_region(
-                domain, z, "external", eta, eps, resolution,
-                rho_min=lo, rho_max=min(hi, eps))
-            dbar = cont.dbar_eval(sample.points)
-            mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
-            val = koranyi.region_integrate(
-                sample, mag2 * np.abs(sample.rho) ** (-2.0 * l), weight="nu")
+            val = dbar_region_mass(cont, z, l, eta, eps, resolution,
+                                   rho_min=lo, rho_max=min(hi, eps))
             b_fields[k][ci] = np.sqrt(max(val, 0.0))
     return a_fields, b_fields
 
 
 def check_bk_lemma(grid: BoundaryGrid, a_fields, b_fields, center_idx,
-                   delta=1e-12, n_levels=12, exclude_k=()):
+                   exclude_k=()):
     """99th-percentile ratios b_k / (M a_k) per level and their spread.
 
     ``exclude_k`` drops levels from the spread statistic (the band holding
@@ -456,9 +435,8 @@ def check_bk_lemma(grid: BoundaryGrid, a_fields, b_fields, center_idx,
     report = {"per_k": {}, "ks": sorted(a_fields)}
     pcts = []
     for k in sorted(a_fields):
-        ma = maximal_function(grid, a_fields[k], n_levels=n_levels,
-                              at=center_idx)
-        ratios = b_fields[k] / (ma + delta)
+        ma = maximal_function(grid, a_fields[k], at=center_idx)
+        ratios = b_fields[k] / (ma + 1e-12)    # finite where M a_k = 0
         pct = float(np.percentile(ratios, 99))
         floored = bool(a_fields[k].max() <= 1e-10)
         report["per_k"][k] = {"p99": pct, "max": float(ratios.max()),

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import radial_level
+from .domain import radial_level, random_unit_directions
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
-           "radial_graph_jacobian"]
+           "radial_graph_jacobian", "gauss_legendre_segments"]
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,22 @@ def angular_mesh(resolution):
     w1 = 2.0 * np.pi / np1
     w2 = 2.0 * np.pi / np2
 
-    A, P1, P2 = np.meshgrid(a, p1, p2, indexing="ij")
-    dirs = np.empty(A.shape + (2,), dtype=complex)
-    dirs[..., 0] = np.cos(A) * np.exp(1j * P1)
-    dirs[..., 1] = np.sin(A) * np.exp(1j * P2)
+    A, dirs = _hopf_directions(a, p1, p2)
     W = np.broadcast_to(wa[:, None, None] * w1 * w2, A.shape)
-    return AngularMesh(dirs=dirs.reshape(-1, 2), weights=W.reshape(-1).copy(),
+    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy(),
                        resolution=(na, np1, np2))
 
 
-def _gl_axis(segments, q):
-    """Composite Gauss-Legendre nodes/weights over a list of segments."""
+def _hopf_directions(a, p1, p2):
+    """Angle grid A and directions (cos a e^{i p1}, sin a e^{i p2}), (N, 2)."""
+    A, P1, P2 = np.meshgrid(a, p1, p2, indexing="ij")
+    dirs = np.stack([np.cos(A) * np.exp(1j * P1), np.sin(A) * np.exp(1j * P2)],
+                    axis=-1)
+    return A, dirs.reshape(-1, 2)
+
+
+def gauss_legendre_segments(segments, q):
+    """Composite Gauss-Legendre nodes/weights, q per segment (lo, hi)."""
     xg, wg = np.polynomial.legendre.leggauss(int(q))
     nodes, weights = [], []
     for lo, hi in segments:
@@ -88,38 +93,33 @@ def _graded_segments(lo, split, hi, n_uniform):
 
 
 def graded_angular_mesh(n_phi2=12, alpha_floor=3e-3, phi_floor=1e-4,
-                        alpha_split=0.12, phi_split=0.3, q=(7, 6),
-                        n_uniform=None, deg_hint=32):
+                        q=(7, 6), deg_hint=32):
     """Mesh graded toward the boundary point z = (1, 0) (Hopf angles (0, 0)).
 
     Composite Gauss-Legendre axes refine geometrically toward the pole at
     the quasimetric's anisotropic rates (sqrt of the scale in alpha, linear
-    in phi_1); phi_2 stays a uniform trapezoid.  Used for integrands peaked
+    in phi_1), in octaves below alpha = 0.12 and phi_1 = 0.3 and uniformly
+    above; phi_2 stays a uniform trapezoid.  Used for integrands peaked
     along the z_1 = 1 ray (the corpus singularities).  ``deg_hint`` sizes
     the uniform segments so monomial oscillation up to that degree is
     integrated by the per-segment Gauss rule.
     """
-    if n_uniform is None:
-        n_uniform = (max(5, int(np.ceil(deg_hint / 8))),
-                     max(6, int(np.ceil(deg_hint / 4))))
-    a_nodes, a_w = _gl_axis(_graded_segments(alpha_floor, alpha_split,
-                                             0.5 * np.pi, n_uniform[0]),
-                            q[0])
-    p_nodes_half, p_w_half = _gl_axis(
-        _graded_segments(phi_floor, phi_split, np.pi, n_uniform[1]), q[1])
+    n_uniform = (max(5, int(np.ceil(deg_hint / 8))),
+                 max(6, int(np.ceil(deg_hint / 4))))
+    a_nodes, a_w = gauss_legendre_segments(
+        _graded_segments(alpha_floor, 0.12, 0.5 * np.pi, n_uniform[0]),
+        q[0])
+    p_nodes_half, p_w_half = gauss_legendre_segments(
+        _graded_segments(phi_floor, 0.3, np.pi, n_uniform[1]), q[1])
     p_nodes = np.concatenate([-p_nodes_half[::-1], p_nodes_half])
     p_w = np.concatenate([p_w_half[::-1], p_w_half])
     p2 = 2.0 * np.pi * np.arange(n_phi2) / n_phi2
     w2 = 2.0 * np.pi / n_phi2
 
-    A, P1, P2 = np.meshgrid(a_nodes, p_nodes, p2, indexing="ij")
-    dirs = np.empty(A.shape + (2,), dtype=complex)
-    dirs[..., 0] = np.cos(A) * np.exp(1j * P1)
-    dirs[..., 1] = np.sin(A) * np.exp(1j * P2)
+    A, dirs = _hopf_directions(a_nodes, p_nodes, p2)
     W = (a_w[:, None, None] * np.cos(A) * np.sin(A)
          * p_w[None, :, None] * w2)
-    return AngularMesh(dirs=dirs.reshape(-1, 2),
-                       weights=W.reshape(-1).copy(),
+    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy(),
                        resolution=(a_nodes.size, p_nodes.size, n_phi2))
 
 
@@ -132,10 +132,7 @@ def random_angular_mesh(n, seed=0):
     for measure/maximal-function statistics, the product mesh for smooth
     quadrature.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((int(n), 4))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    dirs = v[:, 0::2] + 1j * v[:, 1::2]
+    dirs = random_unit_directions(np.random.default_rng(seed), int(n), 2)
     w = np.full(int(n), 2.0 * np.pi ** 2 / int(n))
     return AngularMesh(dirs=dirs, weights=w, resolution=(int(n),))
 

@@ -89,6 +89,7 @@ def test_criterion_3_homogeneous_type(ball, ellipsoid):
 
 def test_criterion_4_quasimetric_lemmas(ball):
     envs = {"shell_comparison": [], "region_comparison": []}
+    in_range = True
     for res, seed in ((9000, 2), (16000, 5)):
         grid = homtype.build_boundary_grid(ball, 0.0, res, kind="random",
                                            seed=seed)
@@ -104,8 +105,8 @@ def test_criterion_4_quasimetric_lemmas(ball):
         for key in envs:
             env = rep[key]
             envs[key].append(max(env["hi"], 1.0 / env["lo"]))
-        in_range = all(rep[k]["min"] >= 1 / 50 and rep[k]["max"] <= 50
-                       for k in envs)
+        in_range &= all(rep[k]["min"] >= 1 / 50 and rep[k]["max"] <= 50
+                        for k in envs)
     stable = all(abs(v[1] - v[0]) / v[0] <= 0.30 for v in envs.values())
     report(4, in_range and stable,
            "envelopes "

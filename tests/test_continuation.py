@@ -109,6 +109,26 @@ class TestSymmetryBeyondBall:
         assert worst <= 1e-2
         assert e_coarse / max(e_fine, 1e-300) >= 1.4
 
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    def test_reflection_derivative_doubling_ratio(self, name):
+        # criterion 6's points at jet order m = 2, where the jet term that
+        # carries dbar z* is O(rho) and sits above the shell-quadrature
+        # error: refining the shell then gains a factor of about 2400-4100,
+        # and a wrong derivative (lam = 0 in the KKT solve, or the d/dx and
+        # d/dy columns swapped) stalls the gain below 400
+        d = dom.from_catalog(name)
+        rng = np.random.default_rng(3)
+        zs = 0.55 * dom.random_unit_directions(rng, 12, 2) * \
+            rng.uniform(0.1, 1.0, (12, 1))
+        f = corpus.monomial((2, 1))
+        cont = cn.extend_by_symmetry(d, f, m=2, eps=0.1)
+        errs = []
+        for angles, per_band in ((3000, 2), (6000, 3)):
+            shell = forms.build_shell_grid(d, 0.1, angles, n_bands=8,
+                                           nodes_per_band=per_band)
+            errs.append(cn.verify_pac(cont, shell, zs, f)["max_rel_err"])
+        assert errs[0] / max(errs[1], 1e-300) >= 1000
+
     def test_one_projection_per_collar_node(self, ellipsoid, monkeypatch):
         shell = forms.build_shell_grid(ellipsoid, 0.1, 3000, n_bands=8,
                                        nodes_per_band=2)

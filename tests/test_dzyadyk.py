@@ -40,7 +40,7 @@ class TestLune:
 class TestBuildT:
     def test_certificate_self_consistency(self):
         lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
-        T = dzyadyk.build_T(1, np.pi / 2, 0.5, lune)
+        T = dzyadyk.build_T(1, 0.5, lune)
         err0 = abs(T(np.array([0.0]))[0] - 1.0)
         assert err0 <= T.cert["C1"] * 1.0 ** (-0.5) + 1e-12
 
@@ -48,7 +48,7 @@ class TestBuildT:
         # the sweep runs at the rate where the desk-scale window sits in the
         # asymptotic regime; see the kernel-approximation notes
         lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
-        c1 = [dzyadyk.build_T(j, np.pi / 2, 0.5, lune).cert["C1"]
+        c1 = [dzyadyk.build_T(j, 0.5, lune).cert["C1"]
               for j in (4, 8, 16, 32)]
         slope = np.polyfit(np.log([4, 8, 16, 32]), np.log(c1), 1)[0]
         assert slope <= 0.1
@@ -62,7 +62,7 @@ class TestBuildT:
         lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
         lam = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
         for j in (4, 8):
-            T = dzyadyk.build_T(j, np.pi / 2, 1.0, lune)
+            T = dzyadyk.build_T(j, 1.0, lune)
             measured = np.abs(T(lam) - 1.0 / (1.0 - lam)).max()
             geo_oracle = 2.0 * 0.5 ** (j + 1)
             budget = T.cert["C1"] * j ** (-1.0) * 0.5 ** (-2.0)
@@ -72,14 +72,14 @@ class TestBuildT:
     def test_continuity_in_t(self):
         lune1 = dzyadyk.Lune(t=np.pi / 2, R=1.05)
         lune2 = dzyadyk.Lune(t=np.pi / 2 + dzyadyk.T_QUANT_STEP, R=1.05)
-        c1 = dzyadyk.build_T(8, lune1.t, 0.5, lune1).cert["C1"]
-        c2 = dzyadyk.build_T(8, lune2.t, 0.5, lune2).cert["C2"]
-        c2full = dzyadyk.build_T(8, lune2.t, 0.5, lune2).cert["C1"]
+        c1 = dzyadyk.build_T(8, 0.5, lune1).cert["C1"]
+        c2 = dzyadyk.build_T(8, 0.5, lune2).cert["C2"]
+        c2full = dzyadyk.build_T(8, 0.5, lune2).cert["C1"]
         assert abs(c2full - c1) / c1 <= 0.1
 
     def test_moment_pinning(self):
         lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
-        T = dzyadyk.build_T(8, np.pi / 2, 2.0, lune, moment_exact=4)
+        T = dzyadyk.build_T(8, 2.0, lune, moment_exact=4)
         lc = T.lambda_coeffs()
         assert np.allclose(lc[:5], 1.0, atol=1e-12)
 

@@ -136,21 +136,22 @@ class TestProjectViaContinuation:
 class TestSmoothnessSum:
     def test_zero_fields(self, ball_grid_small):
         fields = {k: np.zeros(ball_grid_small.size) for k in (1, 2, 3)}
-        assert pl.smoothness_trajectory(ball_grid_small, fields, 2,
+        assert pl.smoothness_trajectory(ball_grid_small.w_sigma, fields, 2,
                                         2.0)[1][-1] == 0.0
 
     def test_constant_fields_closed_form(self, ball_grid_small):
         s_dec = 1.0
         fields = {k: np.full(ball_grid_small.size, 2.0 ** (-s_dec * k))
                   for k in (1, 2, 3, 4)}
-        val = pl.smoothness_trajectory(ball_grid_small, fields, 2, 2.0)[1][-1]
+        val = pl.smoothness_trajectory(ball_grid_small.w_sigma, fields, 2,
+                                       2.0)[1][-1]
         inner = sum(4.0 ** (2 * k) * 4.0 ** (-s_dec * k) for k in (1, 2, 3, 4))
         closed = ball_grid_small.sigma_total * inner
         assert val == pytest.approx(closed, rel=1e-10)
 
     def test_needs_three_levels(self, ball_grid_small):
         with pytest.raises(ValueError):
-            pl.smoothness_trajectory(ball_grid_small,
+            pl.smoothness_trajectory(ball_grid_small.w_sigma,
                                      {1: np.zeros(ball_grid_small.size)}, 1,
                                      2.0)
 

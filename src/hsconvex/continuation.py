@@ -193,9 +193,12 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
         return k
 
     def blend(z, rho):
+        """Blended values and, per blended shell k, its selection and the
+        difference P_{k+1} - P_k there."""
         z = np.atleast_2d(z)
         k = shell_index(rho)
         out = np.zeros(z.shape[:-1], dtype=complex)
+        diffs = {}
         deep = k > K - 1
         if np.any(deep):
             out[deep] = p_seq[-1](z[deep])
@@ -204,30 +207,26 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             if not np.any(sel):
                 continue
             cur = p_seq[kk - 1](z[sel])
-            nxt = p_seq[kk](z[sel])
-            out[sel] = cur + chi_blend(2.0 ** kk * rho[sel]) * (nxt - cur)
+            diff = p_seq[kk](z[sel]) - cur
+            diffs[kk] = sel, diff
+            out[sel] = cur + chi_blend(2.0 ** kk * rho[sel]) * diff
         shallow = k < 1
         if np.any(shallow):
             out[shallow] = p_seq[0](z[shallow])
-        return out
+        return out, diffs
 
     def dbar_core(zl, rl):
         g = np.conj(np.asarray(domain.grad(zl)))     # dbar rho components
-        k = shell_index(rl)
-        f0 = blend(zl, rl)
+        f0, diffs = blend(zl, rl)
         term = np.zeros(zl.shape[0], dtype=complex)
-        for kk in range(max(1, int(k.min())), K):
-            sel = k == kk
-            if not np.any(sel):
-                continue
-            diff = p_seq[kk](zl[sel]) - p_seq[kk - 1](zl[sel])
+        for kk, (sel, diff) in diffs.items():
             term[sel] = (2.0 ** kk * chi_blend.deriv(2.0 ** kk * rl[sel])
                          * diff)
         return (term * chi_out(rl))[:, None] * g \
             + (f0 * chi_out.deriv(rl))[:, None] * g
 
-    f_eval = _on_collar(domain, lambda z, rho: blend(z, rho) * chi_out(rho),
-                        eps)
+    f_eval = _on_collar(
+        domain, lambda z, rho: blend(z, rho)[0] * chi_out(rho), eps)
     dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,),
                            floor=0.0)
     return Continuation(kind="global", f_eval=f_eval, dbar_eval=dbar_eval,

@@ -48,16 +48,32 @@ __all__ = [
 ]
 
 
+# nodes per block of the Horner evaluation: the block's z1, z2, row and
+# output vectors (64 KiB each) stay in cache across the coefficient loop
+_HORNER_BLOCK = 4096
+
+
 @dataclass
 class PolynomialCn:
-    """Multivariate complex polynomial over a multi-index coefficient map."""
+    """Complex polynomial in (z1, z2) over a multi-index coefficient map."""
 
     coeffs: dict
     n: int = 2
 
     def __post_init__(self):
-        self.coeffs = {tuple(int(i) for i in k): complex(v)
-                       for k, v in self.coeffs.items() if v != 0}
+        if self.n != 2:
+            raise ValueError(f"PolynomialCn is bivariate; got n={self.n}")
+        coeffs = {}
+        for k, v in self.coeffs.items():
+            key = k if isinstance(k, tuple) else (k,)
+            if len(key) != 2 or not all(
+                    isinstance(i, (int, np.integer)) and i >= 0
+                    for i in key):
+                raise ValueError(f"multi-index {k!r} is not two "
+                                 "non-negative integers")
+            if v != 0:
+                coeffs[(int(key[0]), int(key[1]))] = complex(v)
+        self.coeffs = coeffs
 
     def _dense(self):
         d1 = max((a[0] for a in self.coeffs), default=0)
@@ -68,22 +84,46 @@ class PolynomialCn:
         return c
 
     def __call__(self, z):
-        """Horner evaluation along z1 of rows Horner-evaluated along z2."""
+        """Horner evaluation along z1 of rows Horner-evaluated along z2.
+
+        Each row's Horner starts at its highest nonzero coefficient (a
+        degree-d projection fills only the triangle b1 + b2 <= d) and is
+        folded into the z1 accumulator as soon as it is computed; nodes go
+        through in blocks of ``_HORNER_BLOCK``.  The arithmetic and its order
+        are those of the full-rectangle scheme, so values agree bit for bit.
+        """
         z = np.asarray(z, dtype=complex)
+        if z.shape[-1:] != (2,):
+            raise ValueError(f"points must have shape (..., 2), not "
+                             f"{z.shape}")
+        shape = z.shape[:-1]
+        zf = z.reshape(-1, 2)
+        out = np.zeros(zf.shape[0], dtype=complex)
         if not self.coeffs:
-            return np.zeros(z.shape[:-1], dtype=complex)
+            return out.reshape(shape)
         c = self._dense()
-        z1, z2 = z[..., 0], z[..., 1]
-        rows = np.zeros(c.shape[0:1] + z2.shape, dtype=complex)
-        for i in range(c.shape[0]):
-            acc = np.zeros_like(z2)
-            for j in range(c.shape[1] - 1, -1, -1):
-                acc = acc * z2 + c[i, j]
-            rows[i] = acc
-        out = np.zeros_like(z1)
-        for i in range(c.shape[0] - 1, -1, -1):
-            out = out * z1 + rows[i]
-        return out
+        tops = [-1] * c.shape[0]          # highest z2-power of each row
+        for a1, a2 in self.coeffs:
+            tops[a1] = max(tops[a1], a2)
+        size = min(_HORNER_BLOCK, zf.shape[0])
+        z1 = np.empty(size, dtype=complex)
+        z2 = np.empty(size, dtype=complex)
+        row = np.empty(size, dtype=complex)
+        for s in range(0, zf.shape[0], _HORNER_BLOCK):
+            m = min(_HORNER_BLOCK, zf.shape[0] - s)
+            b1, b2, r, o = z1[:m], z2[:m], row[:m], out[s: s + m]
+            b1[:] = zf[s: s + m, 0]
+            b2[:] = zf[s: s + m, 1]
+            for i in range(c.shape[0] - 1, -1, -1):
+                np.multiply(o, b1, out=o)
+                if tops[i] < 0:
+                    continue
+                r.fill(c[i, tops[i]])
+                for j in range(tops[i] - 1, -1, -1):
+                    np.multiply(r, b2, out=r)
+                    r += c[i, j]
+                o += r
+        return out.reshape(shape)
 
     def naive_eval(self, z):
         """Plain monomial sum.  Test oracle for the Horner scheme."""
@@ -406,10 +446,8 @@ def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
     """
     eps = cont.support_height if eps is None else float(eps)
     ks = list(range(1, len(p_seq)))
-    a_fields = {}
-    for k in ks:
-        diff = p_seq[k](grid.nodes) - p_seq[k - 1](grid.nodes)
-        a_fields[k] = np.abs(diff) * 2.0 ** (k * l)
+    vals = [p(grid.nodes) for p in p_seq]
+    a_fields = {k: np.abs(vals[k] - vals[k - 1]) * 2.0 ** (k * l) for k in ks}
     b_fields = {k: np.zeros(len(center_idx)) for k in ks}
     for ci, idx in enumerate(center_idx):
         z = grid.nodes[idx]

@@ -189,6 +189,30 @@ class TestGlobalContinuation:
             dn = cont.f_eval(z * (1 - 1e-10))
             assert abs(up - dn) <= 1e-7 * max(1.0, abs(up))
 
+    def test_one_evaluation_per_polynomial_and_point(self, monkeypatch):
+        # dbar_eval takes the shell differences from the blend, so each
+        # collar point meets each of its (at most two) polynomials once
+        big = dom.ball(eps_shell=1.0)
+        p_seq = taylor_sections(lambda a: 0.3 ** sum(a), [2, 4, 8, 16])
+        cont = cn.extend_by_global(big, p_seq, eps=1.0)
+        pts = dom.random_shell_points(big, np.random.default_rng(5), 400,
+                                      (0.01, 0.99))
+        rows = []
+        orig = PolynomialCn.__call__
+
+        def counting(self, z):
+            rows.append(np.atleast_2d(z).shape[0])
+            return orig(self, z)
+
+        monkeypatch.setattr(PolynomialCn, "__call__", counting)
+        # shell k holds 2^-k < rho <= 2^-k+1; shells 1-3 blend two
+        # polynomials, deeper points take the last one alone
+        k = np.ceil(-np.log2(big.rho(pts))).astype(int)
+        blend = k < len(p_seq)
+        cont.dbar_eval(pts)
+        assert len(rows) == 2 * len(np.unique(k[blend])) + 1
+        assert sum(rows) == 2 * int(blend.sum()) + int((~blend).sum())
+
     def test_needs_two_terms(self, ball):
         with pytest.raises(ValueError):
             cn.extend_by_global(ball, [PolynomialCn({(0, 0): 1.0})])

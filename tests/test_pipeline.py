@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsconvex import continuation as cn, corpus, domain as dom, forms, \
@@ -14,20 +14,61 @@ def binom_coeff(s, m):
     return out
 
 
-class TestPolynomialCn:
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_horner_matches_naive(self, seed, deg):
-        r = np.random.default_rng(seed)
+def _poly_of_kind(kind, r, deg):
+    """Coefficients of a random polynomial with the named support."""
+    cplx = lambda: complex(r.standard_normal(), r.standard_normal())
+    if kind == "random":
         coeffs = {}
         for _ in range(deg * 2):
             a = (int(r.integers(0, deg + 1)), int(r.integers(0, deg + 1)))
-            coeffs[a] = complex(r.standard_normal(), r.standard_normal())
-        p = pl.PolynomialCn(coeffs)
-        z = r.standard_normal((6, 2)) + 1j * r.standard_normal((6, 2))
-        z *= 0.7 / np.abs(z).max()
-        assert np.abs(p(z) - p.naive_eval(z)).max() <= 1e-12 * \
-            max(1.0, np.abs(p(z)).max())
+            coeffs[a] = cplx()
+        return coeffs
+    if kind == "triangle32":
+        return {(a, b): cplx() for a in range(33) for b in range(33 - a)}
+    if kind == "z1_only":
+        return {(a, 0): cplx() for a in range(deg + 1)}
+    if kind == "z2_only":
+        return {(0, b): cplx() for b in range(deg + 1)}
+    if kind == "empty_rows":
+        # rows 1 and 3 of the coefficient triangle hold nothing
+        return {(a, b): cplx() for a in (0, 2, 4) for b in range(deg + 1)}
+    return {}                                   # the zero polynomial
+
+
+class TestPolynomialCn:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+           st.sampled_from(["random", "triangle32", "z1_only", "z2_only",
+                            "empty_rows", "zero"]))
+    @example(0, 6, "triangle32")
+    @example(1, 5, "z1_only")
+    @example(2, 5, "z2_only")
+    @example(3, 4, "empty_rows")
+    @example(4, 1, "zero")
+    @settings(max_examples=20, deadline=None)
+    def test_horner_matches_naive(self, seed, deg, kind):
+        r = np.random.default_rng(seed)
+        p = pl.PolynomialCn(_poly_of_kind(kind, r, deg))
+        blk = pl._HORNER_BLOCK
+        # empty, single, small, one block, one block + 1, two blocks + 17
+        for size in (0, 1, 6, blk, blk + 1, 2 * blk + 17):
+            z = r.standard_normal((size, 2)) + \
+                1j * r.standard_normal((size, 2))
+            z *= 0.7 / max(np.abs(z).max(initial=0.0), 1e-300)
+            h = p(z)
+            assert h.shape == (size,) and h.dtype == complex
+            assert np.all(np.abs(h - p.naive_eval(z)) <= 1e-12 *
+                          max(1.0, np.abs(h).max(initial=0.0)))
+            m = size // 3
+            batch = z[: 3 * m].reshape(3, m, 2)
+            assert np.array_equal(p(batch), p(z[: 3 * m]).reshape(3, m))
+
+    @pytest.mark.parametrize("coeffs, n", [
+        ({(1, 2, 3): 1.0}, 2), ({(1,): 1.0}, 2), ({3: 1.0}, 2),
+        ({(-1, 2): 1.0}, 2), ({(0, -2): 0.0}, 2), ({(1.5, 0): 1.0}, 2),
+        ({(1, 0): 1.0}, 3)])
+    def test_rejects_bad_multi_index_or_dimension(self, coeffs, n):
+        with pytest.raises(ValueError):
+            pl.PolynomialCn(coeffs, n=n)
 
     def test_degree(self):
         p = pl.PolynomialCn({(2, 1): 1.0, (0, 0): 5.0, (1, 3): 0.0})

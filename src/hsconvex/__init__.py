@@ -15,7 +15,6 @@ from .domain import (
     ellipsoid,
     perturbed_ball,
     from_catalog,
-    domain_eval,
     project_boundary,
     symmetric_point,
 )
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainSpec", "BoundaryPointData", "ball", "ellipsoid", "perturbed_ball",
-    "from_catalog", "domain_eval", "project_boundary", "symmetric_point",
+    "from_catalog", "project_boundary", "symmetric_point",
     "BoundaryGrid", "build_boundary_grid", "qdist", "quasiball",
     "check_homogeneous", "qm_exterior_check", "maximal_function",
     "HoloFunction", "ShellGrid", "build_shell_grid", "clf_kernel",

@@ -235,8 +235,8 @@ def cmd_kernel(cfg, rep):
     rows = []
     certs = {}
     for k in KERNEL_DEGREES:
-        kg = dzyadyk.build_Kglob(dom, int(k), r=0.5, eps=cfg.eps)
-        out = dzyadyk.validate_Kglob(dom, kg, seed=cfg.seed, eps=cfg.eps)
+        kg = dzyadyk.build_Kglob(dom, int(k), r=0.5)
+        out = dzyadyk.validate_Kglob(dom, kg, seed=cfg.seed)
         rows.append([int(k), repr(out.get("C_far", float("nan"))),
                      repr(out.get("C_near", float("nan"))),
                      out["n_far"], out["n_near"]])

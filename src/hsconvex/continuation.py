@@ -21,7 +21,7 @@ the Leray density), which is folded in here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,14 +65,12 @@ class Cutoff:
 class Continuation:
     """Evaluator of the extension and its dbar-components on the collar."""
 
-    kind: str                      # "symmetry" | "global"
     # points (..., n) -> values; test oracle for dbar_eval by finite
     # differences (the reconstruction only needs dbar_eval)
     f_eval: Callable
     dbar_eval: Callable            # points (M, n) -> (M, n) components
     support_height: float
     domain: object
-    meta: dict = field(default_factory=dict)
 
 
 def _dbar_reflection(domain, z, h=1e-5):
@@ -166,9 +164,8 @@ def extend_by_symmetry(domain, f, m, eps=None):
         domain, lambda z, rho: f0(z, symmetric_point(domain, z)) * chi(rho),
         eps)
     dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,))
-    return Continuation(kind="symmetry", f_eval=f_eval, dbar_eval=dbar_eval,
-                        support_height=eps, domain=domain,
-                        meta={"m": m, "label": f.label, "truth": f})
+    return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
+                        support_height=eps, domain=domain)
 
 
 def extend_by_global(domain, p_seq: Sequence, eps=None):
@@ -229,8 +226,8 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
         domain, lambda z, rho: blend(z, rho)[0] * chi_out(rho), eps)
     dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,),
                            floor=0.0)
-    return Continuation(kind="global", f_eval=f_eval, dbar_eval=dbar_eval,
-                        support_height=eps, domain=domain, meta={"K": K})
+    return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
+                        support_height=eps, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +260,11 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
     return vals[0] if single else vals
 
 
-def verify_pac(cont, shell: ShellGrid, z_set, f_true=None):
-    """Per-point relative errors of the reconstruction against ground truth."""
-    if f_true is None:
-        f_true = cont.meta.get("truth")
+def verify_pac(cont, shell: ShellGrid, z_set, f_true):
+    """Per-point relative errors of the reconstruction against f_true."""
     z_set = np.atleast_2d(np.asarray(z_set, dtype=complex))
     rec = pac_reconstruct(cont, shell, z_set)
-    truth = np.asarray(f_true(z_set)) if f_true is not None else \
-        np.zeros(z_set.shape[0], complex)
+    truth = np.asarray(f_true(z_set))
     err = np.abs(rec - truth)
     rel = err / np.maximum(1.0, np.abs(truth))
     return {"values": rec, "truth": truth, "abs_err": err, "rel_err": rel,

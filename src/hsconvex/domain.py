@@ -26,7 +26,6 @@ __all__ = [
     "ellipsoid",
     "perturbed_ball",
     "make_domain",
-    "domain_eval",
     "real_hessian",
     "project_boundary",
     "symmetric_point",
@@ -332,28 +331,8 @@ def _fd_consistency(domain, pts, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# real derivatives
 # ---------------------------------------------------------------------------
-
-def domain_eval(domain, z):
-    """Evaluate rho with all derivative blocks at z.
-
-    Returns ``(rho, grad, A, B)`` where ``A`` is the mixed Hessian and ``B``
-    the holomorphic one.  Non-finite values raise immediately, naming the
-    offending point.
-    """
-    z = np.asarray(z, dtype=complex)
-    r = np.asarray(domain.rho(z), dtype=float)
-    g = np.asarray(domain.grad(z))
-    a = np.asarray(domain.hess_mixed(z))
-    b = np.asarray(domain.hess_holo(z))
-    for arr, tag in ((r, "rho"), (g, "grad"), (a, "hess_mixed"), (b, "hess_holo")):
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise FloatingPointError(
-                f"non-finite {tag} at z={z.reshape(-1, domain.n)[bad[0] if z.ndim > 1 else 0]}")
-    return r, g, a, b
-
 
 def real_hessian(domain, z):
     """Real 2n x 2n Hessian of rho, coordinates (x1, y1, ..., xn, yn)."""
@@ -425,8 +404,8 @@ def random_shell_points(domain, rng, m, t_range):
 # nearest-point projection onto a level surface
 # ---------------------------------------------------------------------------
 
-# Newton's tolerance (a residual above 1e2 times it goes to the descent),
-# and the stationarity every returned projection is certified to
+# Newton's stopping tolerance, and the stationarity every returned
+# projection is certified to
 _NEWTON_TOL = 1e-11
 STATIONARY_TOL = 1e-9
 
@@ -435,13 +414,17 @@ def project_boundary(domain, z, t=0.0):
     """Nearest points on the level surface rho = t of a batch z, shape (M, n).
 
     Damped Newton on the KKT system (rho(xi) = t, z - xi parallel to the real
-    gradient), vectorized over the batch.  Points that fail to converge fall
-    back to a projected-gradient descent along the surface; if that also
-    fails a :class:`ProjectionError` carries the last iterate.  Every result
-    is certified by :func:`_bordered_kkt`: a point that is not stationary to
-    ``STATIONARY_TOL``, or a critical point of the distance that is not the
-    nearest point (past the focal set), raises :class:`ProjectionError`.
+    gradient), vectorized over the batch.  Every result is certified by
+    :func:`_bordered_kkt`: a point that is not stationary to
+    ``STATIONARY_TOL`` (Newton did not converge), or a critical point of the
+    distance that is not the nearest point (past the focal set), raises
+    :class:`ProjectionError`; so does a singular Newton system.
     """
+    return _project_certified(domain, z, t)[0]
+
+
+def _project_certified(domain, z, t=0.0):
+    """Nearest points xi of a batch z with their certified KKT matrices."""
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
@@ -449,8 +432,7 @@ def project_boundary(domain, z, t=0.0):
         xi = np.asarray(domain.exact_project(pts, t), dtype=complex)
     else:
         xi = _project_newton(domain, pts, t)
-    _bordered_kkt(domain, pts, xi, t)
-    return xi
+    return xi, _bordered_kkt(domain, pts, xi, t)
 
 
 def _project_newton(domain, pts, t):
@@ -482,9 +464,11 @@ def _project_newton(domain, pts, t):
         ra[:, 2 * n] = -ra[:, 2 * n]
         try:
             step = np.linalg.solve(kkt, ra[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.stack([np.linalg.lstsq(kkt[i], ra[i], rcond=None)[0]
-                             for i in range(len(idx))])
+        except np.linalg.LinAlgError as exc:
+            i = int(np.argmin(np.abs(np.linalg.det(kkt))))
+            raise ProjectionError(
+                f"singular Newton system projecting z={pa[i]}",
+                last_iterate=xa[i], residual=float(cur[i])) from exc
         del kkt, ra     # freed before the next iteration builds its own
         # damping: the longest step in {1, 1/2, ...} that reduces |F|, with
         # at most 25 halvings
@@ -500,45 +484,6 @@ def _project_newton(domain, pts, t):
             scale = np.where(better, scale, scale * 0.5)
         xi[idx], lam[idx], res[idx], norm[idx] = cand_xi, cand_la, rc, nc
         active = norm > _NEWTON_TOL
-
-    bad = norm > 1e2 * _NEWTON_TOL
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            xi[i] = _project_descent(domain, pts[i], t)
-        res_b = np.abs(np.asarray(domain.rho(xi[bad])) - t)
-        if np.any(res_b > STATIONARY_TOL):
-            i = np.nonzero(bad)[0][int(np.argmax(res_b))]
-            raise ProjectionError(
-                f"projection failed to converge for z={pts[i]}",
-                last_iterate=xi[i], residual=float(res_b.max()))
-    return xi
-
-
-def _project_descent(domain, z, t):
-    """Fallback: projected gradient descent on |z - xi|^2 along the surface."""
-    dirvec = z / np.linalg.norm(z)
-    r = radial_level(domain, dirvec[None], t)[0]
-    xi = r * dirvec
-    step = 1.0
-    d2 = np.sum(np.abs(z - xi) ** 2)
-    for _ in range(400):
-        g = real_gradient(domain, xi[None])[0]
-        nu = g / np.linalg.norm(g)
-        tang = (z - xi) - real_dot(z - xi, nu) * nu
-        if np.linalg.norm(tang) < 1e-12:
-            break
-        cand_dir = xi + step * tang
-        cand_dir /= np.linalg.norm(cand_dir)
-        rr = radial_level(domain, cand_dir[None], t)[0]
-        cand = rr * cand_dir
-        d2c = np.sum(np.abs(z - cand) ** 2)
-        if d2c < d2:
-            xi, d2 = cand, d2c
-            step = min(step * 1.3, 4.0)
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
     return xi
 
 
@@ -678,8 +623,7 @@ def symmetric_point_dbar(domain, z):
     """
     pts = np.atleast_2d(np.asarray(z, dtype=complex))
     n = pts.shape[1]
-    xi = project_boundary(domain, pts)
-    kkt = _bordered_kkt(domain, pts, xi)
+    xi, kkt = _project_certified(domain, pts)
     rhs = np.eye(2 * n + 1, 2 * n)
     dxi = as_complex(np.swapaxes(np.linalg.solve(kkt, rhs)[:, :2 * n], 1, 2))
     return 2.0 * xi - pts, dxi[:, 0::2] + 1j * dxi[:, 1::2]

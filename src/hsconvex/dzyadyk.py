@@ -72,9 +72,12 @@ class Lune:
 _LUNE_SAMPLES = 400    # shell points and interior points of lune_radius
 
 
-def lune_radius(domain, eps=None):
-    """R = sup |lambda(xi, z)| over shell points xi and interior z, + margin."""
-    eps = domain.eps_shell if eps is None else float(eps)
+def lune_radius(domain):
+    """R = sup |lambda(xi, z)| over shell points xi and interior z, + margin.
+
+    The shell points have levels in (0, ``domain.eps_shell``).
+    """
+    eps = domain.eps_shell
     rng = np.random.default_rng(3)
     dirs = random_unit_directions(rng, _LUNE_SAMPLES, domain.n)
     ts = rng.uniform(1e-4 * eps, eps, size=_LUNE_SAMPLES)
@@ -90,7 +93,7 @@ def lune_radius(domain, eps=None):
     return float(np.abs(lam).max() * 1.05)
 
 
-def lune_of(domain, xi, R=None, eps=None):
+def lune_of(domain, xi, R=None):
     """The lune containing lambda(xi, .) for a shell point xi.
 
     Test oracle for the lune geometry that ``KernelApproximant`` fits on:
@@ -103,7 +106,7 @@ def lune_of(domain, xi, R=None, eps=None):
         raise ValueError("self-pairing vanished; the origin must be interior")
     t = 0.5 * np.pi - np.angle(c)
     if R is None:
-        R = lune_radius(domain, eps)
+        R = lune_radius(domain)
     if not 0.0 < t < np.pi:
         raise ValueError(f"chord angle t={t:.3f} outside (0, pi); "
                          "domain geometry violates the interior-origin bound")
@@ -332,14 +335,14 @@ class KernelApproximant:
         return {k: v.cert for k, v in self.cache.items()}
 
 
-def build_Kglob(domain, k, r=2.0, eps=None, moment_exact=None):
+def build_Kglob(domain, k, r=2.0, moment_exact=None):
     """Kernel approximant of degree k with rate parameter r.
 
-    The lunes have the radius of :func:`lune_radius` (collar width ``eps``).
+    The lunes have the radius of :func:`lune_radius`.
     ``moment_exact="half"`` pins half the Taylor coefficients (the pipeline
     projector default); an integer pins that many orders; None fits freely.
     """
-    R = lune_radius(domain, eps)
+    R = lune_radius(domain)
     j = int(math.ceil(k / domain.n))
     if moment_exact == "half":
         moment_exact = j // 2
@@ -347,8 +350,7 @@ def build_Kglob(domain, k, r=2.0, eps=None, moment_exact=None):
                              moment_exact=moment_exact)
 
 
-def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,
-                   exact=None):
+def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, exact=None):
     """Measured far/near constants over stratified sample pairs.
 
     Far samples (d(xi, z) >= 1/k) certify sup |K - K_k| k^r d^(n+r); near
@@ -357,7 +359,7 @@ def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, eps=None,
     """
     from .forms import clf_kernel
 
-    eps = domain.eps_shell if eps is None else float(eps)
+    eps = domain.eps_shell
     rng = np.random.default_rng(seed)
     k = kglob.k
     n = domain.n

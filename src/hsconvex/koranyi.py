@@ -85,15 +85,18 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
     return inside
 
 
-def _bisect_edge(inside, lo, hi, flags_lo):
-    """Per-ray crossing radius between a member radius and a non-member one."""
+def _bisect_edge(inside, lo, hi):
+    """Per-ray crossing radius between a member radius lo and a non-member hi.
+
+    ``lo`` may exceed ``hi``: the entry edge bisects towards the origin.
+    """
     lo = lo.copy()
     hi = hi.copy()
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         ok = inside(mid)
-        lo = np.where(ok == flags_lo, mid, lo)
-        hi = np.where(ok == flags_lo, hi, mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -196,9 +199,8 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
     # rays member at 0: single exit crossing in (0, r_max)
     m0 = np.nonzero(at0 & ~at_max)[0]
     if m0.size:
-        r_hi_arr[m0] = _bisect_edge(
-            inside_on(m0), np.full(m0.size, 1e-12),
-            np.full(m0.size, r_max_glob), np.full(m0.size, True))
+        r_hi_arr[m0] = _bisect_edge(inside_on(m0), np.full(m0.size, 1e-12),
+                                    np.full(m0.size, r_max_glob))
     # rays not member at 0 (height floor or b-window): entry then exit
     idx = np.nonzero(~at0)[0]
     if idx.size:
@@ -217,11 +219,9 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
             rm = r_member[found]
             inside_ii = inside_on(ii)
             r_lo_arr[ii] = _bisect_edge(inside_ii, rm,
-                                        np.full(ii.size, 1e-12),
-                                        np.full(ii.size, True))
+                                        np.full(ii.size, 1e-12))
             r_hi_arr[ii] = _bisect_edge(inside_ii, rm,
-                                        np.full(ii.size, r_max_glob),
-                                        np.full(ii.size, True))
+                                        np.full(ii.size, r_max_glob))
     live = r_hi_arr > r_lo_arr + 1e-14
     if not np.any(live):
         raise ValueError(

@@ -241,8 +241,7 @@ def project_direct_reduced(domain, f, k_list, r):
                              f"{_HARM_CAP}; use the generic projector")
         q0 = slice(0, None, n_phi2)
         g0 = grid.grad[q0]
-        kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps,
-                            moment_exact="half")
+        kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
         out.append(_assemble(domain, kglob, pairing(g0, grid.nodes[q0]), g0,
                              np.ones(n2), harm=F[:, : _HARM_CAP + 1]))
     return out
@@ -272,7 +271,7 @@ def project_direct(domain, f, k, r=None, resolution=None):
             f"{f.label!r} is not holomorphic across the offset surface "
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
     r = 2.0 if r is None else float(r)
-    kglob = build_Kglob(domain, 2 ** k, r=r, eps=eps, moment_exact="half")
+    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
     if resolution is None:
         resolution = projection_resolution(2 ** k)
     grid = build_boundary_grid(domain, t_off, resolution)
@@ -290,8 +289,7 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None):
     constructions of the dual polynomial agree within their budgets).
     """
     r = 2.0 if r is None else float(r)
-    kglob = build_Kglob(domain, 2 ** k, r=r, eps=cont.support_height,
-                        moment_exact="half")
+    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
     pts, g, dw = shell_defect(cont, shell)
     return _assemble(domain, kglob, pairing(g, pts), g, -dw)
 

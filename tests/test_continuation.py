@@ -130,22 +130,28 @@ class TestSymmetryBeyondBall:
         assert errs[0] / max(errs[1], 1e-300) >= 1000
 
     def test_one_projection_per_collar_node(self, ellipsoid, monkeypatch):
+        # one projection and one certified KKT matrix per live collar node
         shell = forms.build_shell_grid(ellipsoid, 0.1, 3000, n_bands=8,
                                        nodes_per_band=2)
         live = int(np.sum(ellipsoid.rho(shell.flat()[0]) < 0.1))
-        rows = []
-        orig = dom.project_boundary
+        rows = {"_project_certified": [], "_bordered_kkt": []}
 
-        def counting(domain, z, *args, **kwargs):
-            rows.append(np.atleast_2d(z).shape[0])
-            return orig(domain, z, *args, **kwargs)
+        def counting(name):
+            orig = getattr(dom, name)
 
-        monkeypatch.setattr(dom, "project_boundary", counting)
-        monkeypatch.setattr(cn, "project_boundary", counting, raising=False)
+            def wrapper(domain, z, *args, **kwargs):
+                rows[name].append(np.atleast_2d(z).shape[0])
+                return orig(domain, z, *args, **kwargs)
+            return wrapper
+
+        for name in rows:
+            monkeypatch.setattr(dom, name, counting(name))
         f = corpus.monomial((2, 1))
         cont = cn.extend_by_symmetry(ellipsoid, f, m=3, eps=0.1)
         cn.verify_pac(cont, shell, np.array([[0.3, 0.2]], complex), f)
-        assert live > 0 and 0 < sum(rows) <= live
+        assert live > 0
+        assert 0 < sum(rows["_project_certified"]) <= live
+        assert 0 < sum(rows["_bordered_kkt"]) <= live
 
 
 class TestGlobalContinuation:
@@ -221,7 +227,6 @@ class TestGlobalContinuation:
 class TestVerifyPac:
     def test_zero_defect_zero_function(self, ball, shell):
         cont = cn.Continuation(
-            kind="global",
             f_eval=lambda z: np.zeros(np.asarray(z).shape[:-1], complex),
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
             support_height=0.1, domain=ball)

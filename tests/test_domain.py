@@ -64,17 +64,17 @@ def fd_gradient(domain, z, h=1e-6):
 
 class TestEval:
     def test_ball_boundary_point(self, ball):
-        r, g, a, bb = dom.domain_eval(ball, np.array([1.0, 0.0], complex))
-        assert r == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(g, [1.0, 0.0])
-        assert np.allclose(a, np.eye(2))
-        assert np.allclose(bb, 0.0)
+        z = np.array([1.0, 0.0], complex)
+        assert ball.rho(z) == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose(ball.grad(z), [1.0, 0.0])
+        assert np.allclose(ball.hess_mixed(z), np.eye(2))
+        assert np.allclose(ball.hess_holo(z), 0.0)
 
     def test_ellipsoid_origin(self, ellipsoid):
-        r, g, a, _ = dom.domain_eval(ellipsoid, np.zeros(2, complex))
-        assert r == pytest.approx(-1.0)
-        assert np.allclose(g, 0.0)
-        assert np.allclose(np.diag(a), [2.0, 1.0])
+        z = np.zeros(2, complex)
+        assert ellipsoid.rho(z) == pytest.approx(-1.0)
+        assert np.allclose(ellipsoid.grad(z), 0.0)
+        assert np.allclose(np.diag(ellipsoid.hess_mixed(z)), [2.0, 1.0])
 
     def test_perturbed_fd_oracle(self, perturbed, rng):
         pts = dom.random_shell_points(perturbed, rng, 20, (-0.08, 0.08))
@@ -82,13 +82,6 @@ class TestEval:
         for i in range(0, 20, 5):
             fd = fd_gradient(perturbed, pts[i])
             assert np.abs(fd - g[i]).max() <= 1e-6 * (1 + np.abs(g[i]).max())
-
-    def test_nonfinite_rejected(self, ball):
-        bad = dom.make_domain(
-            2, lambda z: np.full(np.asarray(z).shape[:-1], np.nan),
-            ball.grad, ball.hess_mixed, ball.hess_holo, 0.1, validate=False)
-        with pytest.raises(FloatingPointError):
-            dom.domain_eval(bad, np.array([1.0, 0.0], complex))
 
     def test_validation_rejects_nonconvex(self):
         with pytest.raises(dom.DomainValidationError):
@@ -160,6 +153,40 @@ class TestProjection:
             dom.radial_level(ball, np.array([[1.0, 0.0]], dtype=complex),
                              5.0, max_iter=1)
         assert info.value.residual is not None
+
+    def test_unconverged_newton_raises(self, ellipsoid, monkeypatch):
+        # a zero Newton step leaves every row at its radial start, which off
+        # the axes is not stationary; no other method may take over
+        rng = np.random.default_rng(5)
+        pts = dom.random_shell_points(ellipsoid, rng, 8, (-0.1, 0.1))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.zeros_like(b))
+        with pytest.raises(dom.ProjectionError,
+                           match="not stationary") as info:
+            dom.project_boundary(ellipsoid, pts)
+        assert any(f"z={p}" in str(info.value) for p in pts)
+        assert info.value.last_iterate is not None
+
+    def test_singular_newton_system_raises(self, ellipsoid, monkeypatch):
+        # one singular solve fails the batch: no least-squares step, and no
+        # retry on the next iteration
+        rng = np.random.default_rng(5)
+        pts = dom.random_shell_points(ellipsoid, rng, 8, (-0.1, 0.1))
+        solve, calls = np.linalg.solve, []
+
+        def singular_once(a, b):
+            calls.append(len(a))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        with pytest.raises(dom.ProjectionError,
+                           match="singular Newton system") as info:
+            dom.project_boundary(ellipsoid, pts)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert any(f"z={p}" in str(info.value) for p in pts)
+        assert len(calls) == 1
 
 
 class TestSymmetricPoint:

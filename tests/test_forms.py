@@ -88,8 +88,7 @@ class TestLerayDensity:
 
     def test_orientation_flip(self, ball):
         bp = dom.boundary_point_data(ball, np.array([1.0, 0.0], complex))
-        _, g, a, _ = dom.domain_eval(ball, bp.xi)
-        form = exterior.leray_form(g, a)
+        form = exterior.leray_form(ball.grad(bp.xi), ball.hess_mixed(bp.xi))
         flipped = bp.tangent_frame[[1, 0, 2]]
         v1 = exterior.evaluate(form, bp.tangent_frame[None])[0]
         v2 = exterior.evaluate(form, flipped[None])[0]
@@ -208,7 +207,7 @@ class TestPairing:
 
     def test_permutation_oracle_components(self, ball):
         xi = np.array([1.0, 0.0], complex)
-        _, g, a, _ = dom.domain_eval(ball, xi)
+        g, a = ball.grad(xi), ball.hess_mixed(xi)
         for comp, expect_zero in (((0, 1), True), ((1, 0), False)):
             c = np.zeros(2, complex)
             c[comp[1]] = 1.0

@@ -141,7 +141,6 @@ class TestHarmonicAssembly:
 class TestProjectViaContinuation:
     def test_zero_defect_zero_polynomial(self, ball):
         contz = cn.Continuation(
-            kind="global",
             f_eval=lambda z: np.zeros(np.asarray(z).shape[:-1], complex),
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
             support_height=0.1, domain=ball)

@@ -1,10 +1,12 @@
-"""The benchmark's layer list names functions that exist in the package.
+"""The benchmark's files name functions and parameters the package has.
 
 Traced benchmark runs wrap every ``LAYERS`` entry of ``perfbench/spans.py``
 by name and read the sizes in ``COUNTS`` from the wrapped call's arguments
-by parameter name; untraced runs and the rest of this suite never do, so a
-renamed or deleted layer function or parameter would otherwise go unnoticed.
-The file is loaded by path and only read.
+by parameter name; the bk-shape job in ``perfbench/job.py`` calls package
+functions with keywords and reads ``RunConfig`` attributes.  The rest of
+this suite never runs them, so a renamed or deleted function, parameter or
+config attribute would otherwise go unnoticed until a benchmark run.  The
+files are loaded by path and only read.
 """
 
 import ast
@@ -13,7 +15,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+JOB = PERFBENCH / "job.py"
 
 
 def test_every_traced_layer_resolves():
@@ -59,3 +63,65 @@ def test_every_counted_argument_is_a_parameter():
         if name not in inspect.signature(fn).parameters:
             missing.append(f"{layer}({name})")
     assert not missing, missing
+
+
+def _job_package_use():
+    """Calls ``alias.func(...)`` into hsconvex modules and ``cfg.<name>``
+    reads in ``perfbench/job.py``: ((module, func, n_positional, keywords),
+    names)."""
+    tree = ast.parse(JOB.read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hsconvex":
+            for a in node.names:
+                aliases[a.asname or a.name] = a.name
+    calls, names = [], set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in aliases):
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((aliases[node.func.value.id], node.func.attr,
+                          len(node.args),
+                          tuple(k.arg for k in node.keywords)))
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            names.add(node.attr)
+    return calls, names
+
+
+def test_benchmark_job_calls_match_signatures():
+    calls, _ = _job_package_use()
+    keywords = {(f"{m}.{f}", k) for m, f, _, kws in calls for k in kws}
+    assert keywords >= {
+        ("pipeline.ab_fields", "eta"), ("pipeline.ab_fields", "eps"),
+        ("pipeline.ab_fields", "resolution"),
+        ("continuation.extend_by_global", "eps"),
+        ("homtype.build_boundary_grid", "kind"),
+        ("homtype.build_boundary_grid", "seed"),
+        ("pipeline.check_bk_lemma", "exclude_k")}
+    bad = []
+    for module, func, n_pos, kws in calls:
+        fn = getattr(importlib.import_module(f"hsconvex.{module}"), func,
+                     None)
+        if not callable(fn):
+            bad.append(f"{module}.{func} missing")
+            continue
+        try:
+            inspect.signature(fn).bind(*[None] * n_pos,
+                                       **dict.fromkeys(kws))
+        except TypeError as exc:
+            bad.append(f"{module}.{func}: {exc}")
+    assert not bad, bad
+
+
+def test_benchmark_job_config_attributes_exist(tmp_path):
+    from hsconvex.cli import RunConfig
+    _, names = _job_package_use()
+    assert names >= {"make_domain", "boundary_nodes", "seed", "eps", "eta"}
+    path = tmp_path / "run.ini"
+    path.write_text("[domain]\nname = ball\n")
+    cfg = RunConfig(str(path))
+    assert not [n for n in sorted(names) if not hasattr(cfg, n)]

@@ -6,7 +6,19 @@ the kernel with measured certificates, approach-region samplers and area
 integrals, pseudoanalytic continuations with the reconstruction identity, and
 the dyadic polynomial-approximation smoothness diagnostic, all at desk scale
 on a catalog of concrete domains (n = 2).
+
+``HSCONVEX_THREADS`` pins the thread count of the BLAS backing numpy.  It is
+read when this package is imported, so it takes effect only where nothing
+imported numpy before ``hsconvex``, as in the ``hsconvex`` command.
 """
+
+# the variables must reach the BLAS before numpy loads, and the submodule
+# imports below load numpy
+import os as _os
+
+if _os.environ.get("HSCONVEX_THREADS"):
+    for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_v, _os.environ["HSCONVEX_THREADS"])
 
 from .domain import (
     DomainSpec,

@@ -5,15 +5,9 @@ writes a JSON report (deterministic: sorted keys, no timestamps) plus
 CSV tables where applicable, and appends one JSON line per step to an
 event log.  Exit codes: 0 ok, 1 check failure, 2 usage error, 3 numerical
 failure.  The thread count honored by the BLAS backing numpy can be pinned
-with HSCONVEX_THREADS (set before numpy is first imported).
+with HSCONVEX_THREADS, which the ``hsconvex`` package reads on import, before
+any of its modules loads numpy.
 """
-
-# the env var must reach the BLAS before numpy loads anywhere in-process
-import os as _os
-
-if _os.environ.get("HSCONVEX_THREADS"):
-    for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_v, _os.environ["HSCONVEX_THREADS"])
 
 import argparse
 import configparser

@@ -34,6 +34,7 @@ __all__ = [
     "unit_frame",
     "radial_level",
     "random_shell_points",
+    "row_blocks",
     "pairing",
     "real_dot",
 ]
@@ -410,36 +411,71 @@ _NEWTON_TOL = 1e-11
 STATIONARY_TOL = 1e-9
 
 
+# rows per block of the per-point linear algebra (Newton steps, KKT
+# certificates, the dbar solve): a block's 5 x 5 matrices and their solve
+# copies stay a few MiB however large the batch; each row's arithmetic does
+# not depend on the block it sits in
+_ROW_BLOCK = 8192
+
+
+def row_blocks(m):
+    """Slices covering rows 0..m-1 in consecutive blocks of ``_ROW_BLOCK``."""
+    return [slice(s, s + _ROW_BLOCK) for s in range(0, m, _ROW_BLOCK)]
+
+
 def project_boundary(domain, z, t=0.0):
     """Nearest points on the level surface rho = t of a batch z, shape (M, n).
 
     Damped Newton on the KKT system (rho(xi) = t, z - xi parallel to the real
-    gradient), vectorized over the batch.  Every result is certified by
-    :func:`_bordered_kkt`: a point that is not stationary to
+    gradient), vectorized over row blocks of the batch.  Every result is
+    certified by :func:`_bordered_kkt`: a point that is not stationary to
     ``STATIONARY_TOL`` (Newton did not converge), or a critical point of the
     distance that is not the nearest point (past the focal set), raises
     :class:`ProjectionError`; so does a singular Newton system.
     """
-    return _project_certified(domain, z, t)[0]
+    pts = np.asarray(z, dtype=complex)
+    xi = np.empty_like(pts)
+    for sl, xi_block, _ in _project_certified(domain, pts, t):
+        xi[sl] = xi_block
+    return xi
 
 
 def _project_certified(domain, z, t=0.0):
-    """Nearest points xi of a batch z with their certified KKT matrices."""
+    """Nearest points of a batch z, certified one row block at a time.
+
+    Yields ``(sl, xi, kkt)`` for the consecutive blocks ``sl`` of
+    :func:`row_blocks`: the block's nearest points and their certified KKT
+    matrices, so no more than one block's matrices are alive at once.  The
+    first block that fails raises, before later blocks are projected.
+    """
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
     if domain.exact_project is not None:
         xi = np.asarray(domain.exact_project(pts, t), dtype=complex)
     else:
-        xi = _project_newton(domain, pts, t)
-    return xi, _bordered_kkt(domain, pts, xi, t)
+        # one whole-batch call: radial_level stops on a batch-wide test, so
+        # blocking it would move the start's last bits
+        dirs = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+        xi = radial_level(domain, dirs, t)[:, None] * dirs
+        del dirs    # freed before the blocks run
+    for sl in row_blocks(pts.shape[0]):
+        xi_block = xi[sl]
+        if domain.exact_project is None:
+            xi_block = _project_newton(domain, pts[sl], xi_block, t)
+        yield sl, xi_block, _bordered_kkt(domain, pts[sl], xi_block, t)
 
 
-def _project_newton(domain, pts, t):
+def _project_newton(domain, pts, start, t):
+    """Damped Newton from the radial start over one row block.
+
+    Each row's steps depend on that row alone: the damping stops once every
+    row has reduced its residual, and a row that has keeps its step while
+    the others halve theirs.  So a row's result does not depend on which
+    other rows share its block.
+    """
     n = pts.shape[1]
-    dirs = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-    r = radial_level(domain, dirs, t)
-    xi = r[:, None] * dirs
+    xi = start.copy()
     grad = real_gradient(domain, xi)
     lam = real_dot(pts - xi, grad) / np.maximum(real_dot(grad, grad), 1e-300)
 
@@ -573,6 +609,13 @@ def _bordered_kkt(domain, pts, xi, t=0.0):
     matrix, or lies past a focal point (where xi is a critical point of the
     distance but not the nearest point) raises :class:`ProjectionError`
     naming the point.
+
+    It certifies one row block of a batch (see :func:`_project_certified`).
+    When points of several blocks fail, the earliest failing block raises,
+    whatever its reason, and later blocks are never projected.  Within a
+    block, a singular Newton system (raised before this certificate) wins,
+    then non-stationarity, then a singular, non-finite or past-the-reach
+    matrix; the certificate names the first row failing its check.
     """
     g = as_real(real_gradient(domain, xi))
     dz = as_real(pts - xi)
@@ -618,12 +661,19 @@ def symmetric_point_dbar(domain, z):
     2 xi - z and z is holomorphic, d(z*_k)/d(zbar_j) = dxi_k/dx_j +
     i dxi_k/dy_j.  Points past the reach raise :class:`ProjectionError`.
 
-    Returns ``(z*, D)`` of shapes (M, n) and (M, n, n) with
-    ``D[m, j, k] = d(z*_k)/d(zbar_j)`` at point m.
+    Each row block is solved with the matrices its projection certified,
+    so only one block's matrices are alive at once.  Returns ``(z*, D)`` of
+    shapes (M, n) and (M, n, n) with ``D[m, j, k] = d(z*_k)/d(zbar_j)`` at
+    point m.
     """
     pts = np.atleast_2d(np.asarray(z, dtype=complex))
     n = pts.shape[1]
-    xi, kkt = _project_certified(domain, pts)
     rhs = np.eye(2 * n + 1, 2 * n)
-    dxi = as_complex(np.swapaxes(np.linalg.solve(kkt, rhs)[:, :2 * n], 1, 2))
-    return 2.0 * xi - pts, dxi[:, 0::2] + 1j * dxi[:, 1::2]
+    zs = np.empty_like(pts)
+    dbar = np.empty(pts.shape + (n,), dtype=complex)
+    for sl, xi, kkt in _project_certified(domain, pts):
+        sol = np.linalg.solve(kkt, rhs)[:, :2 * n]
+        dxi = as_complex(np.swapaxes(sol, 1, 2))
+        zs[sl] = 2.0 * xi - pts[sl]
+        dbar[sl] = dxi[:, 0::2] + 1j * dxi[:, 1::2]
+    return zs, dbar

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import unit_frame
+from .domain import row_blocks, unit_frame
 
 __all__ = [
     "FormValue",
@@ -165,13 +165,20 @@ def leray_form(g, a):
 
 
 def grid_leray_density(domain, nodes, g):
-    """Per-node Leray density on a level-set grid (n = 2, vectorized)."""
-    a = np.asarray(domain.hess_mixed(nodes))
-    _, nu, u = unit_frame(g)
-    frames = np.stack([1j * nu, u, 1j * u], axis=1)   # (N, 3, 2)
-    form = leray_form(g, a)
-    vals = evaluate(form, frames)
-    return np.real(vals)
+    """Per-node Leray density on a level-set grid (n = 2, vectorized).
+
+    Runs over row blocks of the nodes (:func:`hsconvex.domain.row_blocks`),
+    so the form coefficients and frame determinants of only one block are
+    alive at once; each node's value does not depend on its block.
+    """
+    nodes, g = np.asarray(nodes), np.asarray(g)
+    out = np.empty(g.shape[0])
+    for sl in row_blocks(g.shape[0]):
+        _, nu, u = unit_frame(g[sl])
+        frames = np.stack([1j * nu, u, 1j * u], axis=1)   # (B, 3, 2)
+        form = leray_form(g[sl], np.asarray(domain.hess_mixed(nodes[sl])))
+        out[sl] = np.real(evaluate(form, frames))
+    return out
 
 
 def volume_density(dbar_coeffs, g, a):

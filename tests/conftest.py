@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,22 @@ def ball_grid_mc(ball):
 def rng():
     # function scoped: every test sees the same stream regardless of order
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def traced_peak_mib():
+    """Peak MiB that a call allocates through Python's allocators.
+
+    numpy reports its array buffers to tracemalloc; BLAS workspaces are not
+    seen, so the figure bounds the arrays a function keeps alive at once.
+    """
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +150,31 @@ class TestOtherCommands:
              str(cfg_file), "--out", str(tmp_path / "sub")],
             capture_output=True, text=True)
         assert out.returncode == 0
+
+
+def test_threads_variable_reaches_blas_before_numpy():
+    # record the BLAS thread variables when numpy is first imported, with
+    # only HSCONVEX_THREADS set
+    import hsconvex
+
+    script = """
+import os, sys
+assert "numpy" not in sys.modules
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")])
+sys.meta_path.insert(0, Spy())
+import hsconvex.cli
+print(seen)
+"""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["HSCONVEX_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(hsconvex.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[['1', '1', '1']]"

@@ -189,6 +189,58 @@ class TestProjection:
         assert len(calls) == 1
 
 
+# a small row block and the batch sizes around it
+_BLOCK = 8
+_BATCH_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17)
+_PAST_REACH = r"z=\[0\. +\+0\.j 0\.4\+0\.j\]"
+
+
+class TestRowBlocks:
+    """Per-point linear algebra in row blocks equals one block, bit for bit."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("m", _BATCH_SIZES)
+    def test_blocked_equals_one_block(self, name, m, monkeypatch):
+        d = _catalog(name)
+        pts = dom.random_shell_points(d, np.random.default_rng(m), m,
+                                      (-0.1, 0.1))
+
+        def run(block):
+            monkeypatch.setattr(dom, "_ROW_BLOCK", block)
+            return (*dom.symmetric_point_dbar(d, pts),
+                    dom.project_boundary(d, pts, 0.0),
+                    dom.project_boundary(d, pts, 0.05))
+
+        for blocked, whole in zip(run(_BLOCK), run(m)):
+            assert np.array_equal(blocked, whole)
+
+    def test_error_names_the_point_past_the_first_block(self, ellipsoid):
+        # (0, 0.4) lies past the reach (see test_past_focal_set_raises); in
+        # a later block it must be named as it is on its own
+        b = dom._ROW_BLOCK
+        pts = dom.random_shell_points(ellipsoid, np.random.default_rng(0),
+                                      2 * b, (-0.1, 0.1))
+        pts[b + 3] = [0.0, 0.4]
+        with pytest.raises(dom.ProjectionError, match=_PAST_REACH) as alone:
+            dom.project_boundary(ellipsoid, pts[b + 3:b + 4])
+        assert np.allclose(alone.value.last_iterate, [0.0, 1.0])
+        for fn in (dom.project_boundary, dom.symmetric_point_dbar):
+            with pytest.raises(dom.ProjectionError, match=_PAST_REACH) as info:
+                fn(ellipsoid, pts)
+            assert str(info.value) == str(alone.value)
+            assert np.array_equal(info.value.last_iterate,
+                                  alone.value.last_iterate)
+
+    def test_dbar_peak_memory(self, ellipsoid, traced_peak_mib):
+        # 65,536 collar points: 65.2 MiB with every point's KKT matrix alive
+        # at once, 20.0 MiB in row blocks
+        pts = dom.random_shell_points(ellipsoid, np.random.default_rng(0),
+                                      65536, (-0.1, 0.1))
+        peak = traced_peak_mib(lambda: dom.symmetric_point_dbar(ellipsoid,
+                                                                pts))
+        assert peak <= 32.0
+
+
 class TestSymmetricPoint:
     def test_ball_radial(self, ball):
         zs = dom.symmetric_point(ball, np.array([1.2, 0.0], complex))

@@ -237,3 +237,34 @@ class TestShellGrid:
                                         nodes_per_band=2)
             v.append(sg.volume)
         assert abs(v[1] - v[0]) / v[1] <= 0.01
+
+
+# batch sizes 1, B - 1, B, B + 1 and 2B + 17 around row blocks of B = 8
+_BATCH_SIZES = (1, 7, 8, 9, 33)
+
+
+class TestGridLerayDensity:
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("m", _BATCH_SIZES)
+    def test_blocked_equals_one_block(self, name, m, monkeypatch):
+        # row blocks of 8 against one block of all m nodes, bit for bit
+        d = dom.from_catalog(name)
+        nodes = dom.random_shell_points(d, np.random.default_rng(m), m,
+                                        (-0.1, 0.1))
+        g = d.grad(nodes)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 8)
+        blocked = exterior.grid_leray_density(d, nodes, g)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", m)
+        assert np.array_equal(blocked,
+                              exterior.grid_leray_density(d, nodes, g))
+
+    def test_peak_memory(self, ball, traced_peak_mib):
+        # the 221,760-node pole-graded mesh: 130.3 MiB with every node's
+        # form coefficients alive at once, 6.0 MiB in row blocks
+        from hsconvex.sphere import graded_angular_mesh, surface_nodes
+
+        nodes, _, g = surface_nodes(ball, graded_angular_mesh(n_phi2=12))
+        assert nodes.shape[0] == 221760
+        peak = traced_peak_mib(
+            lambda: exterior.grid_leray_density(ball, nodes, g))
+        assert peak <= 32.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,71 @@ class TestMaximalFunction:
         full = homtype.maximal_function(grid, a)
         part = homtype.maximal_function(grid, a, at=idx)
         assert part.tobytes() == full[idx].tobytes()
+
+
+# batch sizes 1, B - 1, B, B + 1 and 2B + 17 around row blocks of B = 8
+_BATCH_SIZES = (1, 7, 8, 9, 33)
+
+
+def _unblocked_diameter(grid, seed):
+    """The seeded 256-node sample's distance matrix, built whole."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(grid.size, size=min(256, grid.size), replace=False)
+    return float(np.abs(grid.pair_self[idx, None]
+                        - grid.grad[idx] @ grid.nodes.T).max())
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("m", _BATCH_SIZES)
+    def test_blocked_equals_one_block(self, name, m, monkeypatch):
+        # sample-row blocks of 8 against one block of all m sampled rows;
+        # replace() gives a copy without the cached seed-0 value
+        grid = homtype.build_boundary_grid(dom.from_catalog(name), 0.0, m,
+                                           kind="random", seed=m)
+        for seed in (0, 3):
+            monkeypatch.setattr(homtype, "_DIAMETER_ROWS", 8)
+            blocked = dataclasses.replace(grid).diameter(seed)
+            monkeypatch.setattr(homtype, "_DIAMETER_ROWS", m)
+            assert blocked == dataclasses.replace(grid).diameter(seed)
+            assert blocked == _unblocked_diameter(grid, seed)
+
+    def test_seed0_sample_drawn_once(self, ellipsoid, monkeypatch):
+        grid = homtype.build_boundary_grid(ellipsoid, 0.0, 2000,
+                                           kind="random", seed=2)
+        draws, default_rng = [], np.random.default_rng
+
+        def counting(seed=None):
+            if isinstance(seed, int):   # the centre strata pass lists
+                draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        homtype.stratified_centers(grid)
+        a = np.abs(grid.nodes[:, 0])
+        for at in (None, np.arange(7), np.arange(100, 150)):
+            homtype.maximal_function(grid, a, at=at)
+        assert draws == [0]
+
+    def test_seeded_check_keeps_its_sample(self, ellipsoid):
+        # check_homogeneous(seed=3) reads the seed-3 sample, not the cached
+        # seed-0 one
+        grid = homtype.build_boundary_grid(ellipsoid, 0.0, 3000,
+                                           kind="random", seed=1)
+        fresh = homtype.check_homogeneous(dataclasses.replace(grid), seed=3)
+        assert grid.diameter() == _unblocked_diameter(grid, 0)
+        rep = homtype.check_homogeneous(grid, seed=3)
+        assert rep == fresh
+        assert rep["deltas"] == (_unblocked_diameter(grid, 3) * np.array(
+            [0.025, 0.05, 0.1, 0.2])).tolist()
+        assert grid.diameter(seed=3) != grid.diameter()
+
+    def test_peak_memory(self, ellipsoid, traced_peak_mib):
+        # 10,000 nodes: 78.1 MiB for the whole 256 x N distance matrix,
+        # 12.2 MiB in blocks of sample rows
+        grid = homtype.build_boundary_grid(ellipsoid, 0.0, 10000,
+                                           kind="random", seed=0)
+        assert traced_peak_mib(grid.diameter) <= 32.0
 
 
 class TestStratifiedCenters:

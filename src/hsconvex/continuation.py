@@ -271,21 +271,31 @@ def verify_pac(cont, shell: ShellGrid, z_set, f_true):
             "max_rel_err": float(rel.max()), "n_nodes": shell.size}
 
 
-def dbar_region_mass(cont, z, l, eta, eps, resolution, rho_min=0.0,
+def dbar_region_mass(cont, centers, l, eta, eps, resolution, rho_min=0.0,
                      rho_max=None):
-    """Region integral of |dbar f|^2 |rho|^(-2l) d(nu) at a boundary point.
+    """Region integrals of |dbar f|^2 |rho|^(-2l) d(nu) at boundary points.
 
-    The region is the external approach region at z with heights in
-    [rho_min, rho_max); it is the inner integral of both the Sobolev
-    functional and the b_k band masses of the maximal-function comparison.
+    The regions are the external approach regions at the rows of
+    ``centers`` (m, n) with heights in [rho_min, rho_max); they are the
+    inner integral of both the Sobolev functional and the b_k band masses
+    of the maximal-function comparison.  All regions come from one bank
+    (:func:`koranyi.sample_regions`, whose errors this raises) and one
+    ``dbar_eval`` call on their concatenated points; returns one mass per
+    centre.  Each mass equals the one-centre call's for a global
+    continuation, and for a symmetry continuation on the ball; on a curved
+    domain the symmetry continuation's dbar projects the whole batch with
+    a batch-wide radial start, so it may differ from per-centre calls in
+    the last bits.
     """
-    sample = koranyi.sample_region(cont.domain, z, "external", eta, eps,
-                                   resolution, rho_min=rho_min,
-                                   rho_max=rho_max)
-    dbar = cont.dbar_eval(sample.points)
+    samples = koranyi.sample_regions(cont.domain, centers, "external", eta,
+                                     eps, resolution, rho_min=rho_min,
+                                     rho_max=rho_max)
+    dbar = cont.dbar_eval(np.concatenate([s.points for s in samples]))
     mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
-    return koranyi.region_integrate(
-        sample, mag2 * np.abs(sample.rho) ** (-2.0 * l), weight="nu")
+    ends = np.cumsum([s.size for s in samples])
+    return np.array([koranyi.region_integrate(
+        s, m2 * np.abs(s.rho) ** (-2.0 * l), weight="nu")
+        for s, m2 in zip(samples, np.split(mag2, ends[:-1]))])
 
 
 def sobolev_functional(cont, l, p, eta=koranyi.DEFAULT_ETA, eps=None,
@@ -294,16 +304,16 @@ def sobolev_functional(cont, l, p, eta=koranyi.DEFAULT_ETA, eps=None,
 
     Integral over boundary centers of (region integral of
     |dbar f|^2 rho^(-2l) against d(nu))^(p/2).  ``centers`` is a boundary
-    grid (its sigma-weights integrate the outer variable).
+    grid (its sigma-weights integrate the outer variable); the inner
+    integrals are one :func:`dbar_region_mass` call.
     """
     eps = cont.support_height if eps is None else float(eps)
     if centers is None:
         raise ValueError("need a center grid")
+    inner = dbar_region_mass(cont, centers.nodes, l, eta, eps, resolution)
     total = 0.0
-    for i in range(centers.size):
-        inner = dbar_region_mass(cont, centers.nodes[i], l, eta, eps,
-                                 resolution)
-        total += centers.w_sigma[i] * max(inner, 0.0) ** (p / 2.0)
+    for w, mass in zip(centers.w_sigma, inner.tolist()):
+        total += w * max(mass, 0.0) ** (p / 2.0)
     return float(total)
 
 

@@ -26,6 +26,7 @@ from .homtype import BoundaryGrid, qdist
 __all__ = [
     "RegionSample",
     "sample_region",
+    "sample_regions",
     "region_integrate",
     "region_volume_profile",
     "area_internal",
@@ -64,11 +65,13 @@ def _resolution_tuple(resolution):
 
 def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
                     sign):
-    """Membership predicate along tangential rays, vectorized over rays."""
+    """Membership predicate along tangential rays, vectorized over rays.
+
+    ``z``, ``u``, ``nu`` are each ray's centre and frame, one row per ray.
+    """
     def inside(r):
         a = r * np.exp(1j * theta)
-        tau = (z[None, :] + a[:, None] * u[None, :]
-               + (sign * s + 1j * b)[:, None] * nu[None, :])
+        tau = z + a[:, None] * u + (sign * s + 1j * b)[:, None] * nu
         rho = np.asarray(domain.rho(tau))
         h = sign * rho
         ok = (h > lo_cut) & (h < hi_cut)
@@ -78,7 +81,7 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
             sel = np.nonzero(ok)[0]
             if sel.size:
                 pr = project_boundary(domain, tau[sel], 0.0)
-                ok2 = qdist(domain, pr, z) < eta * h[sel]
+                ok2 = qdist(domain, pr, z[sel]) < eta * h[sel]
                 ok = ok.copy()
                 ok[sel] = ok2
         return ok
@@ -100,54 +103,37 @@ def _bisect_edge(inside, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
-                  rho_min=0.0, rho_max=None):
-    """Sample an approach region at a boundary point with volume weights.
+def _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
+                per_level, n_th, n_b):
+    """Frame and (s, b) rays of one centre's region, before any probing.
 
-    Points live in frame coordinates tau = z + a u + (s + i b) nu (complex
-    tangential offset a, height s, imaginary-normal offset b); the frame is
-    unitary, so cell volumes are Lebesgue weights.  Heights ride a geometric
-    ladder (matching the dyadic analysis of the singular weights); for every
-    (s, b, angle) ray the exact membership interval in the tangential radius
-    is found by bisection and integrated with Gauss-Legendre nodes, so no
-    indicator discontinuity is left in the radial direction and all emitted
-    points satisfy the defining inequalities exactly.  ``rho_min``/``rho_max``
-    restrict the heights (the dyadic shells of the decomposition).
+    Returns the unit normal, the complex tangent, the tangential radius
+    bound and, per ray, its height, imaginary-normal offset and cell weight
+    (each height cell's n_b * n_th rays in (b, angle) order).
     """
-    if kind not in ("internal", "external"):
-        raise ValueError("kind must be 'internal' or 'external'")
-    eps = domain.eps_shell if eps is None else float(eps)
-    n_levels, per_level, _, n_th, n_b = _resolution_tuple(resolution)
-    z = np.asarray(z, dtype=complex)
     bp = boundary_point_data(domain, z)
     nu, u = bp.normal, bp.ct_frame[0]
     gn = float(np.linalg.norm(np.asarray(domain.grad(z))))
     lam = 0.5 * float(np.linalg.eigvalsh(real_hessian(domain, z))[-1])
-    sign = 1.0 if kind == "external" else -1.0
     if kind == "external" and eta * lam >= 0.85:
         raise ValueError(
             f"eta={eta} too large against the curvature bound {lam:.2f}; "
             "the tangential constraint degenerates (use a smaller eta)")
-
-    lo_cut = max(float(rho_min), eps * 2.0 ** (-n_levels))
-    hi_cut = eps if rho_max is None else min(eps, float(rho_max))
     if lo_cut >= hi_cut:
         raise ValueError("empty height band")
 
-    th = 2.0 * np.pi * (np.arange(n_th) + 0.5) / n_th
-    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_GAUSS)
     lam_eff = max(1.0 - min(eta * lam, 0.8), 0.2)
     if kind == "external":
-        r_max_glob = np.sqrt(eta * hi_cut) * 1.000001
+        r_max = np.sqrt(eta * hi_cut) * 1.000001
     else:
         lam_levi = float(np.linalg.eigvalsh(
             np.asarray(domain.hess_mixed(z)))[0])
-        r_max_glob = np.sqrt(4.0 * eta * hi_cut / max(lam_levi, 1e-9))
+        r_max = np.sqrt(4.0 * eta * hi_cut / max(lam_levi, 1e-9))
 
     # internal rays lose height along the tangent (curvature), so their
     # s-ladder must start above eps/(2|g|); external heights only grow
     if kind == "internal":
-        top = max(hi_cut * 1.05, hi_cut + lam * r_max_glob ** 2 * 1.2)
+        top = max(hi_cut * 1.05, hi_cut + lam * r_max ** 2 * 1.2)
         n_extra = max(0, int(np.ceil(np.log2(top / eps))))
     else:
         top, n_extra = eps, 0
@@ -155,7 +141,7 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
     s_cap = (hi_cut * 1.1 if kind == "external"
              else top * 1.05)
     # gather the (s, b, angle) rays of every height cell, each with its cell
-    # weight, so membership probing and bisection run once per region
+    # weight, so membership probing and bisection run once per bank
     ray_s, ray_b, ray_w = [], [], []
     for m in range(n_levels + n_extra):
         hi, lo = edges[m], edges[m + 1]
@@ -181,38 +167,89 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
             ray_s.append(np.full(n_b * n_th, s_mid))
             ray_b.append(np.repeat(b_mid, n_th))
             ray_w.append(np.full(n_b * n_th, w_s * w_b))
-    Sf, Bf = np.concatenate(ray_s), np.concatenate(ray_b)
-    Wf = np.concatenate(ray_w)
+    return (nu, u, r_max, np.concatenate(ray_s), np.concatenate(ray_b),
+            np.concatenate(ray_w))
+
+
+def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
+                   resolution=None, rho_min=0.0, rho_max=None):
+    """Approach regions at a batch of boundary points, one bank of rays.
+
+    Returns one :class:`RegionSample` per row of ``centers`` (shape (m, n)),
+    in order, each equal array for array to :func:`sample_region` at that
+    centre.  Each centre's frame, curvature bound, tangential radius bound
+    and ray ladder are set up on their own; then the rays of all centres
+    run the membership tests, the probe ladder, both bisections and the
+    Gauss-Legendre placement together.  Every step is elementwise per ray,
+    so a centre's rays meet the same arithmetic as in a bank of one; the
+    one exception is the internal region on a curved domain, whose
+    membership projects the whole bank at once, where
+    :func:`~hsconvex.domain.project_boundary`'s batch-wide radial start can
+    move the projection's last bits; the membership outcomes, and so the
+    samples, matched per-centre calls on every input tried.  The samples'
+    arrays are views of the bank's arrays.
+
+    Errors: an empty ``centers`` raises ``ValueError``; so does the first
+    centre, in order, whose set-up fails (``eta`` too large against its
+    curvature bound, or an empty height band), before any ray is probed;
+    after probing, the first centre left without a member ray raises the
+    empty-region ``ValueError``.  Each message is the one
+    :func:`sample_region` raises at that centre.
+    """
+    if kind not in ("internal", "external"):
+        raise ValueError("kind must be 'internal' or 'external'")
+    centers = np.asarray(centers, dtype=complex)
+    if centers.ndim != 2 or centers.shape[0] == 0:
+        raise ValueError("need a non-empty batch of centres, shape (m, n)")
+    eps = domain.eps_shell if eps is None else float(eps)
+    n_levels, per_level, _, n_th, n_b = _resolution_tuple(resolution)
+    sign = 1.0 if kind == "external" else -1.0
+    lo_cut = max(float(rho_min), eps * 2.0 ** (-n_levels))
+    hi_cut = eps if rho_max is None else min(eps, float(rho_max))
+
+    nus, us, r_maxs, ss, bs, ws = zip(*[
+        _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
+                    per_level, n_th, n_b) for z in centers])
+    # every ray carries its centre's data
+    counts = np.array([s.size for s in ss])
+    ray_off = np.concatenate([[0], np.cumsum(counts)])
+    Zf, NUf, Uf = (np.repeat(np.asarray(v), counts, axis=0)
+                   for v in (centers, nus, us))
+    RMf = np.repeat(r_maxs, counts)
+    Sf, Bf, Wf = np.concatenate(ss), np.concatenate(bs), np.concatenate(ws)
+    th = 2.0 * np.pi * (np.arange(n_th) + 0.5) / n_th
     THf = np.tile(th, Sf.size // n_th)
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_GAUSS)
 
     def inside_on(idx):
         """Membership along the rays ``idx`` as a function of the radius."""
-        return _ray_membership(domain, kind, z, u, nu, Sf[idx], Bf[idx],
-                               THf[idx], eta, lo_cut, hi_cut, sign)
+        return _ray_membership(domain, kind, Zf[idx], Uf[idx], NUf[idx],
+                               Sf[idx], Bf[idx], THf[idx], eta, lo_cut,
+                               hi_cut, sign)
 
     inside = inside_on(slice(None))
     at0 = inside(np.full(Sf.size, 1e-12))
-    at_max = inside(np.full(Sf.size, r_max_glob))
+    at_max = inside(RMf)
     # member interval [r_lo, r_hi] along each ray (monotone exits)
-    r_hi_arr = np.where(at0 | at_max, r_max_glob, 0.0)
+    r_hi_arr = np.where(at0 | at_max, RMf, 0.0)
     r_lo_arr = np.zeros(Sf.size)
     # rays member at 0: single exit crossing in (0, r_max)
     m0 = np.nonzero(at0 & ~at_max)[0]
     if m0.size:
         r_hi_arr[m0] = _bisect_edge(inside_on(m0), np.full(m0.size, 1e-12),
-                                    np.full(m0.size, r_max_glob))
+                                    RMf[m0])
     # rays not member at 0 (height floor or b-window): entry then exit
     idx = np.nonzero(~at0)[0]
     if idx.size:
         inside_m1 = inside_on(idx)
         # probe for any member radius on a coarse ladder
-        probes = r_max_glob * (np.arange(1, 8) / 8.0)
         found = np.zeros(idx.size, dtype=bool)
         r_member = np.zeros(idx.size)
-        for pr_r in probes:
-            okp = inside_m1(np.full(idx.size, pr_r))
+        for k in range(1, 8):
+            pr_r = RMf[idx] * (k / 8.0)
+            okp = inside_m1(pr_r)
             newly = okp & ~found
-            r_member[newly] = pr_r
+            r_member[newly] = pr_r[newly]
             found |= newly
         if np.any(found):
             ii = idx[found]
@@ -220,10 +257,10 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
             inside_ii = inside_on(ii)
             r_lo_arr[ii] = _bisect_edge(inside_ii, rm,
                                         np.full(ii.size, 1e-12))
-            r_hi_arr[ii] = _bisect_edge(inside_ii, rm,
-                                        np.full(ii.size, r_max_glob))
+            r_hi_arr[ii] = _bisect_edge(inside_ii, rm, RMf[ii])
     live = r_hi_arr > r_lo_arr + 1e-14
-    if not np.any(live):
+    live_off = np.concatenate([[0], np.cumsum(live)])[ray_off]
+    if np.any(np.diff(live_off) == 0):
         raise ValueError(
             f"empty {kind} region at eta={eta}, eps={eps}; resolution too "
             "coarse or band too thin")
@@ -234,17 +271,39 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
         0.5 * (rh + rl)[:, None]
     wgr = 0.5 * (rh - rl)[:, None] * wg[None, :] * rg
     a = rg * np.exp(1j * thl)[:, None]
-    tau = (z[None, None, :] + a[..., None] * u[None, None, :]
-           + (sign * sl + 1j * bl)[:, None, None] * nu[None, None, :])
-    w = (Wf[live] * (2.0 * np.pi / n_th))[:, None] * wgr
+    tau = (Zf[live][:, None, :] + a[..., None] * Uf[live][:, None, :]
+           + (sign * sl + 1j * bl)[:, None, None] * NUf[live][:, None, :])
+    w = ((Wf[live] * (2.0 * np.pi / n_th))[:, None] * wgr).ravel()
     tau = tau.reshape(-1, domain.n)
-    return RegionSample(kind=kind, center=z, eta=float(eta), eps=eps,
-                        points=tau,
-                        rho=np.asarray(domain.rho(tau)),
-                        weights=w.ravel(),
-                        meta={"resolution": (n_levels, per_level,
-                                             _RADIAL_GAUSS, n_th, n_b),
-                              "rho_min": lo_cut, "rho_max": hi_cut})
+    rho = np.asarray(domain.rho(tau))
+    pt_off = live_off * _RADIAL_GAUSS
+    return [RegionSample(kind=kind, center=z, eta=float(eta), eps=eps,
+                         points=tau[p0:p1], rho=rho[p0:p1],
+                         weights=w[p0:p1],
+                         meta={"resolution": (n_levels, per_level,
+                                              _RADIAL_GAUSS, n_th, n_b),
+                               "rho_min": lo_cut, "rho_max": hi_cut})
+            for z, p0, p1 in zip(centers, pt_off[:-1], pt_off[1:])]
+
+
+def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
+                  rho_min=0.0, rho_max=None):
+    """Sample an approach region at a boundary point with volume weights.
+
+    Points live in frame coordinates tau = z + a u + (s + i b) nu (complex
+    tangential offset a, height s, imaginary-normal offset b); the frame is
+    unitary, so cell volumes are Lebesgue weights.  Heights ride a geometric
+    ladder (matching the dyadic analysis of the singular weights); for every
+    (s, b, angle) ray the exact membership interval in the tangential radius
+    is found by bisection and integrated with Gauss-Legendre nodes, so no
+    indicator discontinuity is left in the radial direction and all emitted
+    points satisfy the defining inequalities exactly.  ``rho_min``/``rho_max``
+    restrict the heights (the dyadic shells of the decomposition).  This is
+    the one-centre bank of :func:`sample_regions`.
+    """
+    z = np.asarray(z, dtype=complex)
+    return sample_regions(domain, z[None, :], kind, eta, eps, resolution,
+                          rho_min, rho_max)[0]
 
 
 def region_integrate(sample, F, weight="mu", l=None):
@@ -299,9 +358,9 @@ def area_internal(domain, f, p, eta=DEFAULT_ETA, eps=None, centers=None,
         raise ValueError("need a center grid (BoundaryGrid)")
     n = domain.n
     lhs = 0.0
-    for i in range(centers.size):
-        sample = sample_region(domain, centers.nodes[i], "internal", eta,
-                               eps, resolution)
+    samples = sample_regions(domain, centers.nodes, "internal", eta, eps,
+                             resolution)
+    for i, sample in enumerate(samples):
         grads = np.stack([np.asarray(f.d(tuple(np.eye(n, dtype=int)[j]),
                                           sample.points))
                           for j in range(n)], axis=-1)
@@ -312,6 +371,40 @@ def area_internal(domain, f, p, eta=DEFAULT_ETA, eps=None, centers=None,
     rhs = float(np.sum(fv * centers.w_sigma))
     return {"lhs": float(lhs), "rhs": rhs,
             "ratio": float(lhs / rhs) if rhs > 0 else np.inf}
+
+
+_KERNEL_ROWS = 512    # region points per kernel chunk of the area functional
+
+
+def _area_floor(domain, grid, eps):
+    """Lowest region height of the area functional: one the grid resolves."""
+    return max(grid.quasi_spacing * 0.75,
+               (domain.eps_shell if eps is None else eps) * 2.0 ** -9)
+
+
+def _area_values(domain, sample, gw, l, grid, kern_buf):
+    """Area functional at one region sample for each row of ``gw``.
+
+    ``gw`` holds the fields times the boundary weights, ``kern_buf`` is a
+    complex (``_KERNEL_ROWS``, N) buffer that every kernel chunk reuses.
+    """
+    n = domain.n
+    phi = np.empty((gw.shape[0], sample.size), dtype=complex)
+    for start in range(0, sample.size, _KERNEL_ROWS):
+        sl = slice(start, start + _KERNEL_ROWS)
+        tau = sample.points[sl]
+        gt = np.asarray(domain.grad(tau))
+        kern = kern_buf[:tau.shape[0]]
+        np.matmul(gt, grid.nodes.T, out=kern)
+        np.subtract(pairing(gt, tau)[:, None], kern, out=kern)
+        np.power(kern, -(n + l), out=kern)
+        # one matrix-vector product per field: a single matrix product
+        # rounds differently and would change reported values
+        for j in range(gw.shape[0]):
+            phi[j, sl] = kern @ gw[j]
+    return [float(np.sqrt(max(region_integrate(sample, np.abs(ph) ** 2,
+                                               weight="nu_l", l=l), 0.0)))
+            for ph in phi]
 
 
 def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
@@ -327,27 +420,11 @@ def area_Il(domain, g_field, l, center, grid: BoundaryGrid, eta=DEFAULT_ETA,
     ``(F, N)`` of them (the result is an array of F floats); the region and
     each kernel chunk are built once and contracted with every field.
     """
-    rho_min = max(grid.quasi_spacing * 0.75,
-                  (domain.eps_shell if eps is None else eps) * 2.0 ** -9)
     sample = sample_region(domain, center, "external", eta, eps, resolution,
-                           rho_min=rho_min)
-    n = domain.n
+                           rho_min=_area_floor(domain, grid, eps))
     g = np.asarray(g_field)
-    gw = np.atleast_2d(g) * grid.w_S
-    phi = np.empty((gw.shape[0], sample.size), dtype=complex)
-    for start in range(0, sample.size, 512):
-        sl = slice(start, start + 512)
-        tau = sample.points[sl]
-        gt = np.asarray(domain.grad(tau))
-        den = pairing(gt, tau)[:, None] - gt @ grid.nodes.T
-        kern = den ** (-(n + l))
-        # one matrix-vector product per field: a single matrix product
-        # rounds differently and would change reported values
-        for j in range(gw.shape[0]):
-            phi[j, sl] = kern @ gw[j]
-    vals = [float(np.sqrt(max(region_integrate(sample, np.abs(ph) ** 2,
-                                               weight="nu_l", l=l), 0.0)))
-            for ph in phi]
+    vals = _area_values(domain, sample, np.atleast_2d(g) * grid.w_S, l, grid,
+                        np.empty((_KERNEL_ROWS, grid.size), dtype=complex))
     return vals[0] if g.ndim == 1 else np.array(vals)
 
 
@@ -358,17 +435,23 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     Members are per-node fields on ``grid``; the report carries the ratio
     list, its max/min, and a pass flag (bounded envelope, no monotone
     blow-up across the family order, which is assumed scale-ordered).
-    Each center's region is sampled once for the whole family.
+    Every center's region comes from one bank (:func:`sample_regions`);
+    each region's kernel is built once and contracted with the whole
+    family, with the values :func:`area_Il` gives at that center.
     """
     if len(g_family) < 2:
         raise ValueError("need at least two family members")
     fam = np.stack(g_family)
+    gw = fam * grid.w_S
+    samples = sample_regions(domain, centers.nodes, "external", eta, eps,
+                             resolution, rho_min=_area_floor(domain, grid,
+                                                             eps))
+    kern_buf = np.empty((_KERNEL_ROWS, grid.size), dtype=complex)
     nums = [0.0] * len(fam)
-    for i in range(centers.size):
-        il = area_Il(domain, fam, l, centers.nodes[i], grid, eta, eps,
-                     resolution)
+    for i, sample in enumerate(samples):
+        il = _area_values(domain, sample, gw, l, grid, kern_buf)
         for j in range(len(fam)):
-            nums[j] += centers.w_sigma[i] * float(il[j]) ** p
+            nums[j] += centers.w_sigma[i] * il[j] ** p
     ratios = []
     for num, g_field in zip(nums, fam):
         den = float(np.sum(np.abs(g_field) ** p * grid.w_sigma))
@@ -387,19 +470,25 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
 def region_comparison_samples(domain, n_centers=40, eta=DEFAULT_ETA, eps=None,
                              resolution=None, seed=5, per_region=40,
                              grid=None):
-    """(tau, centers, boundary w) triples for the region comparison estimate."""
+    """(tau, centers, boundary w) triples for the region comparison estimate.
+
+    The centres' regions come from one bank; the per-region subsets are
+    drawn centre by centre after it, in the order a per-centre loop draws
+    them (sampling consumes no random numbers).
+    """
     rng = np.random.default_rng(seed)
     if grid is None:
         raise ValueError("need a boundary grid to draw centers from")
     idx = rng.choice(grid.size, size=min(n_centers, grid.size), replace=False)
+    samples = sample_regions(domain, grid.nodes[idx], "external", eta, eps,
+                             resolution)
     taus, cents, ws = [], [], []
-    for i in idx:
-        z = grid.nodes[i]
-        sample = sample_region(domain, z, "external", eta, eps, resolution)
+    for sample in samples:
         take = rng.choice(sample.size, size=min(per_region, sample.size),
                           replace=False)
         w_idx = rng.choice(grid.size, size=take.size)
         taus.append(sample.points[take])
-        cents.append(np.broadcast_to(z, (take.size, domain.n)).copy())
+        cents.append(np.broadcast_to(sample.center,
+                                     (take.size, domain.n)).copy())
         ws.append(grid.nodes[w_idx])
     return (np.concatenate(taus), np.concatenate(cents), np.concatenate(ws))

@@ -440,22 +440,23 @@ def ab_fields(grid: BoundaryGrid, p_seq: Sequence[PolynomialCn], cont, l,
     2^-k <= rho < 2^-k+1 of the external region at each center.  (The
     weight's sign: b_k scales like the difference times 2^(k l), and the
     maximal-function comparison needs both sides on the same scale; the
-    characterization sum also carries 2^(+2lk).)
+    characterization sum also carries 2^(+2lk).)  Each band's masses at all
+    centers are one :func:`dbar_region_mass` call.
     """
     eps = cont.support_height if eps is None else float(eps)
     ks = list(range(1, len(p_seq)))
     vals = [p(grid.nodes) for p in p_seq]
     a_fields = {k: np.abs(vals[k] - vals[k - 1]) * 2.0 ** (k * l) for k in ks}
-    b_fields = {k: np.zeros(len(center_idx)) for k in ks}
-    for ci, idx in enumerate(center_idx):
-        z = grid.nodes[idx]
-        for k in ks:
-            lo, hi = 2.0 ** (-k), 2.0 ** (-k + 1)
-            if lo >= eps:
-                continue
-            val = dbar_region_mass(cont, z, l, eta, eps, resolution,
-                                   rho_min=lo, rho_max=min(hi, eps))
-            b_fields[k][ci] = np.sqrt(max(val, 0.0))
+    centers = grid.nodes[np.asarray(center_idx)]
+    b_fields = {}
+    for k in ks:
+        lo, hi = 2.0 ** (-k), 2.0 ** (-k + 1)
+        if lo >= eps:
+            b_fields[k] = np.zeros(len(center_idx))
+            continue
+        val = dbar_region_mass(cont, centers, l, eta, eps, resolution,
+                               rho_min=lo, rho_max=min(hi, eps))
+        b_fields[k] = np.sqrt(np.maximum(val, 0.0))
     return a_fields, b_fields
 
 

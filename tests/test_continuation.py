@@ -291,6 +291,52 @@ class TestSobolevFunctional:
                                     resolution=(8, 1, 4, 4, 4))
         assert val == 0.0
 
+    @pytest.mark.parametrize("name,kind", [
+        ("ball", "symmetry"), ("ball", "global"), ("ellipsoid", "global"),
+        ("perturbed_ball", "global")])
+    def test_equals_per_centre_loop(self, name, kind):
+        # the banked dbar is elementwise for global continuations, and for
+        # symmetric ones on the ball (closed-form projection)
+        from hsconvex import koranyi
+        d = dom.from_catalog(name)
+        if kind == "symmetry":
+            cont = cn.extend_by_symmetry(d, corpus.power_function(0.6), m=3,
+                                         eps=0.1)
+        else:
+            cont = cn.extend_by_global(
+                d, taylor_sections(lambda a: 0.3 ** sum(a), [2, 4, 8, 16, 32]),
+                eps=0.1)
+        centers = homtype.build_boundary_grid(d, 0.0, 12, kind="random",
+                                              seed=2)
+        res = (10, 2, 6, 6, 6)
+        got = cn.sobolev_functional(cont, 2, 2.0, eta=0.25, eps=0.1,
+                                    centers=centers, resolution=res)
+        want = 0.0
+        for i in range(centers.size):
+            s = koranyi.sample_region(d, centers.nodes[i], "external", 0.25,
+                                      0.1, res)
+            m2 = np.sum(np.abs(cont.dbar_eval(s.points)) ** 2, axis=-1)
+            inner = koranyi.region_integrate(s, m2 * np.abs(s.rho) ** -4.0,
+                                             weight="nu")
+            want += centers.w_sigma[i] * max(inner, 0.0) ** 1.0
+        assert got > 0 and got == float(want)
+
+    def test_one_dbar_call(self, ball, monkeypatch):
+        cont = cn.extend_by_symmetry(ball, corpus.monomial((2, 1)), m=2,
+                                     eps=0.1)
+        calls = []
+        orig = cont.dbar_eval
+
+        def counting(z):
+            calls.append(np.shape(z)[0])
+            return orig(z)
+        monkeypatch.setattr(cont, "dbar_eval", counting)
+        centers = homtype.build_boundary_grid(ball, 0.0, 12, kind="random",
+                                              seed=2)
+        cn.sobolev_functional(cont, 1, 2.0, eta=0.25, eps=0.05,
+                              centers=centers, resolution=(8, 1, 4, 4, 4))
+        assert len(calls) == 1 and calls[0] > 12
+
     def test_smooth_stable_vs_singular_divergent(self, ball):
         from hsconvex.sphere import graded_angular_mesh
         mesh = graded_angular_mesh(n_phi2=6, alpha_floor=5e-4,

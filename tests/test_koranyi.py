@@ -278,6 +278,37 @@ class TestAreaIl:
         assert vals[0] > vals[1] > vals[2]
 
 
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_reused_buffer_equals_fresh_chunks(self, request, name):
+        # oracle: fresh 512-row kernel chunks, one matrix-vector product
+        # per field, as before the buffer was reused
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 3000)
+        z = grid.nodes[5]
+        fam = np.stack([np.ones(grid.size),
+                        np.abs(grid.nodes[:, 1]) + 0.1,
+                        homtype.quasiball(grid, z, 0.3)[0].astype(float)])
+        res = (12, 3, 8, 8, 8)
+        got = koranyi.area_Il(domain, fam, 1, z, grid, eta=0.25, eps=0.1,
+                              resolution=res)
+        s = koranyi.sample_region(
+            domain, z, "external", 0.25, 0.1, res,
+            rho_min=max(grid.quasi_spacing * 0.75, 0.1 * 2.0 ** -9))
+        assert s.size > 512
+        gw = fam * grid.w_S
+        phi = np.empty((3, s.size), complex)
+        for start in range(0, s.size, 512):
+            tau = s.points[start:start + 512]
+            gt = domain.grad(tau)
+            den = dom.pairing(gt, tau)[:, None] - gt @ grid.nodes.T
+            kern = den ** -3
+            for j in range(3):
+                phi[j, start:start + 512] = kern @ gw[j]
+        want = [float(np.sqrt(max(koranyi.region_integrate(
+            s, np.abs(ph) ** 2, weight="nu_l", l=1), 0.0))) for ph in phi]
+        assert got.tolist() == want
+
+
 class TestAreaInequality:
     def test_scaling_invariance(self, ball, ball_grid_small):
         centers = homtype.build_boundary_grid(ball, 0.0, 10, kind="random",
@@ -319,3 +350,187 @@ class TestAreaInequality:
         with pytest.raises(ValueError):
             koranyi.check_area_inequality(ball, [np.ones(10)], 1, 2.0,
                                           ball_grid_small, centers)
+
+
+@pytest.fixture(scope="module")
+def quartic():
+    """|z|^2 + (|z1|^4 + |z2|^4) / 2 - 1: strongly convex, with a curvature
+    bound and a smallest Levi eigenvalue that vary along the boundary (both
+    are constant on every catalog domain)."""
+    def rho(z):
+        a = np.abs(np.asarray(z, complex)) ** 2
+        return np.sum(a + 0.5 * a ** 2, axis=-1) - 1.0
+
+    def grad(z):
+        z = np.asarray(z, complex)
+        return np.conj(z) * (1.0 + np.abs(z) ** 2)
+
+    def hess_mixed(z):
+        z = np.asarray(z, complex)
+        h = np.zeros(z.shape + (2,), complex)
+        h[..., 0, 0] = 1.0 + 2.0 * np.abs(z[..., 0]) ** 2
+        h[..., 1, 1] = 1.0 + 2.0 * np.abs(z[..., 1]) ** 2
+        return h
+
+    def hess_holo(z):
+        z = np.asarray(z, complex)
+        h = np.zeros(z.shape + (2,), complex)
+        h[..., 0, 0] = np.conj(z[..., 0]) ** 2
+        h[..., 1, 1] = np.conj(z[..., 1]) ** 2
+        return h
+
+    return dom.make_domain(2, rho, grad, hess_mixed, hess_holo, 0.1,
+                           name="quartic")
+
+
+def _same_sample(a, b):
+    return (np.array_equal(a.points, b.points)
+            and np.array_equal(a.rho, b.rho)
+            and np.array_equal(a.weights, b.weights)
+            and a.meta == b.meta and a.kind == b.kind and a.eta == b.eta
+            and a.eps == b.eps and np.array_equal(a.center, b.center))
+
+
+def _first_error(fn, items):
+    """Message of the first item whose call raises ValueError, and how many
+    items raise."""
+    msgs = []
+    for it in items:
+        try:
+            fn(it)
+        except ValueError as exc:
+            msgs.append(str(exc))
+    return (msgs[0] if msgs else None), len(msgs)
+
+
+class TestRegionBank:
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed",
+                                      "quartic"])
+    @pytest.mark.parametrize("kind,band,res", [
+        ("external", {}, None),
+        ("external", {"rho_min": 0.0125, "rho_max": 0.05}, None),
+        ("internal", {}, (8, 2, 4, 6, 4))])
+    def test_bank_equals_per_centre(self, request, name, kind, band, res):
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
+                                           seed=1)
+        centers = grid.nodes[:12]
+        bank = koranyi.sample_regions(domain, centers, kind, 0.25, 0.1, res,
+                                      **band)
+        assert len(bank) == 12
+        for z, got in zip(centers, bank):
+            want = koranyi.sample_region(domain, z, kind, 0.25, 0.1, res,
+                                         **band)
+            assert _same_sample(got, want)
+
+    def test_varying_ray_counts_and_emptiness(self, quartic):
+        # on the quartic a thin band leaves some centres without a member
+        # ray: the bank of the others still equals the per-centre samples,
+        # and one empty centre makes the whole bank raise its message
+        domain = quartic
+        grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
+                                           seed=1)
+        kw = dict(eta=0.25, eps=0.1, resolution=(12, 1, 2, 4, 2),
+                  rho_min=0.09, rho_max=0.0901)
+        ok, msgs = [], set()
+        for z in grid.nodes[:40]:
+            try:
+                ok.append(koranyi.sample_region(domain, z, "external", **kw))
+            except ValueError as exc:
+                ok.append(None)
+                msgs.add(str(exc))
+        live = [i for i, s in enumerate(ok) if s is not None]
+        assert 2 <= len(live) <= 38 and len(msgs) == 1
+        bank = koranyi.sample_regions(domain, grid.nodes[live], "external",
+                                      **kw)
+        sizes = {s.size for s in bank}
+        assert len(sizes) > 1
+        for got, i in zip(bank, live):
+            assert _same_sample(got, ok[i])
+        one_dead = [live[0], ok.index(None), live[-1]]
+        with pytest.raises(ValueError) as exc:
+            koranyi.sample_regions(domain, grid.nodes[one_dead], "external",
+                                   **kw)
+        assert str(exc.value) == msgs.pop()
+
+    def test_first_failing_centre_raises_its_eta_message(self, quartic):
+        domain = quartic
+        grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
+                                           seed=1)
+        centers = grid.nodes[:12]
+
+        def one(z):
+            koranyi.sample_region(domain, z, "external", eta=0.3, eps=0.1,
+                                  resolution=(8, 1, 4, 4, 4))
+        want, n_bad = _first_error(one, centers)
+        assert want is not None and "eta=0.3" in want and 2 <= n_bad < 12
+        # a later failing centre has another curvature bound, so another
+        # message: the bank must report the first one in order
+        later, _ = _first_error(one, centers[::-1])
+        assert later != want
+        with pytest.raises(ValueError) as exc:
+            koranyi.sample_regions(domain, centers, "external", eta=0.3,
+                                   eps=0.1, resolution=(8, 1, 4, 4, 4))
+        assert str(exc.value) == want
+
+    def test_empty_height_band_message(self, ball, ball_grid_small):
+        kw = dict(eta=0.25, eps=0.1, rho_min=0.05, rho_max=0.04)
+        with pytest.raises(ValueError) as one:
+            koranyi.sample_region(ball, ball_grid_small.nodes[3], "external",
+                                  **kw)
+        with pytest.raises(ValueError) as bank:
+            koranyi.sample_regions(ball, ball_grid_small.nodes[:12],
+                                   "external", **kw)
+        assert str(bank.value) == str(one.value) == "empty height band"
+
+    def test_empty_centers_raise(self, ball):
+        for bad in (np.empty((0, 2), complex), E1):
+            with pytest.raises(ValueError, match="non-empty batch"):
+                koranyi.sample_regions(ball, bad, "external")
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_area_inequality_equals_per_centre_area_il(self, request, name):
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 3000)
+        centers = homtype.build_boundary_grid(domain, 0.0, 12,
+                                              kind="random", seed=3)
+        fam = [np.ones(grid.size)]
+        for delta in (0.4, 0.2):
+            fam.append(homtype.quasiball(grid, grid.nodes[0], delta)[0]
+                       .astype(float))
+        kw = dict(eta=0.25, eps=0.1, resolution=(8, 1, 4, 4, 4))
+        out = koranyi.check_area_inequality(domain, fam, 1, 2.0, grid,
+                                            centers, **kw)
+        nums = [0.0] * len(fam)
+        for i in range(centers.size):
+            il = koranyi.area_Il(domain, np.stack(fam), 1, centers.nodes[i],
+                                 grid, **kw)
+            for j in range(len(fam)):
+                nums[j] += centers.w_sigma[i] * float(il[j]) ** 2.0
+        want = [num / float(np.sum(np.abs(g) ** 2.0 * grid.w_sigma))
+                for num, g in zip(nums, fam)]
+        assert out["ratios"] == want
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_region_comparison_draws_as_per_centre_loop(self, request, name):
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 600, kind="random",
+                                           seed=2)
+        got = koranyi.region_comparison_samples(
+            domain, n_centers=12, eta=0.25, eps=0.1, grid=grid, seed=4,
+            per_region=30)
+        # the per-centre loop: sample, then draw that region's subset and
+        # its boundary points, centre by centre from one generator
+        rng = np.random.default_rng(4)
+        idx = rng.choice(grid.size, size=12, replace=False)
+        taus, cents, ws = [], [], []
+        for i in idx:
+            s = koranyi.sample_region(domain, grid.nodes[i], "external",
+                                      0.25, 0.1)
+            take = rng.choice(s.size, size=min(30, s.size), replace=False)
+            w_idx = rng.choice(grid.size, size=take.size)
+            taus.append(s.points[take])
+            cents.append(np.broadcast_to(grid.nodes[i], (take.size, 2)))
+            ws.append(grid.nodes[w_idx])
+        for a, b in zip(got, (taus, cents, ws)):
+            assert np.array_equal(a, np.concatenate(b))

@@ -323,6 +323,51 @@ class TestAbFields:
         rep = pl.check_bk_lemma(wide_grid, a, b, cidx, exclude_k=(1,))
         assert rep["spread"] <= 3.0
 
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid",
+                                      "perturbed_ball"])
+    def test_bands_equal_per_centre_loop(self, name):
+        from hsconvex import koranyi
+        d = dom.from_catalog(name, eps_shell=1.0)
+        grid = homtype.build_boundary_grid(d, 0.0, 600, kind="random",
+                                           seed=3)
+        p_seq = pl.taylor_sections(lambda al: 0.3 ** sum(al), [2, 4, 8])
+        cont = cn.extend_by_global(d, p_seq, eps=1.0)
+        cidx = np.random.default_rng(2).choice(grid.size, 12, replace=False)
+        res = (8, 1, 4, 4, 4)
+        _, b = pl.ab_fields(grid, p_seq, cont, 1, cidx, eta=0.25, eps=1.0,
+                            resolution=res)
+        assert sorted(b) == [1, 2]
+        for k, got in b.items():
+            want = []
+            for i in cidx:
+                s = koranyi.sample_region(d, grid.nodes[i], "external", 0.25,
+                                          1.0, res, rho_min=2.0 ** -k,
+                                          rho_max=min(2.0 ** (1 - k), 1.0))
+                m2 = np.sum(np.abs(cont.dbar_eval(s.points)) ** 2, axis=-1)
+                val = koranyi.region_integrate(
+                    s, m2 * np.abs(s.rho) ** -2.0, weight="nu")
+                want.append(np.sqrt(max(val, 0.0)))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eps,live", [(1.0, 3), (0.3, 2)])
+    def test_one_dbar_call_per_live_band(self, wide_ball, wide_grid,
+                                         monkeypatch, eps, live):
+        # bands 2^-k <= rho < 2^-k+1 with 2^-k >= eps hold no region
+        p_seq = pl.taylor_sections(lambda al: 0.3 ** sum(al), [2, 4, 8, 16])
+        cont = cn.extend_by_global(wide_ball, p_seq, eps=eps)
+        calls = []
+        orig = cont.dbar_eval
+
+        def counting(z):
+            calls.append(np.shape(z)[0])
+            return orig(z)
+        monkeypatch.setattr(cont, "dbar_eval", counting)
+        _, b = pl.ab_fields(wide_grid, p_seq, cont, 1, np.arange(12),
+                            eta=0.25, eps=eps, resolution=(8, 1, 4, 4, 4))
+        assert len(calls) == live
+        assert sum(np.count_nonzero(v) for v in b.values()) > 0
+        assert all(not b[k].any() for k in b if 2.0 ** -k >= eps)
+
     def test_ratio_stability_across_resolution(self, wide_ball):
         p2 = pl.PolynomialCn({})
         p4 = pl.PolynomialCn({(0, 0): 1.0})

@@ -9,17 +9,19 @@ and issues per-order verdicts, cross-checked against the level-norm oracle.
 import numpy as np
 
 from hsconvex import ball, diagnose
-from hsconvex.corpus import build_corpus, classify_norm
+from hsconvex.corpus import corpus_entries, oracle_labels
 
 domain = ball()
 
 print("entry              slope   verdicts (l = 1, 2, 3)      oracle (p=2)")
-for entry in build_corpus(domain, with_labels=False):
+for entry in corpus_entries():
     rep = diagnose(domain, entry.f, p=2.0, k_range=range(1, 6),
                    l_probe=(1, 2, 3))
-    oracle = [classify_norm(domain, entry.f, l, 2.0)[0]
-              if entry.family not in ("polynomial", "entire") else "f"
-              for l in (1, 2, 3)]
+    if entry.family in ("polynomial", "entire"):
+        oracle = ["f"] * 3
+    else:
+        labels = oracle_labels(domain, entry.f)
+        oracle = [labels[(l, 2.0)][0] for l in (1, 2, 3)]
     slope = f"{rep.slope:7.2f}" if np.isfinite(rep.slope) else "  floor"
     verdicts = ", ".join(rep.verdicts[l][:4] for l in (1, 2, 3))
     print(f"{entry.f.label:18s} {slope}  {verdicts:28s} {'/'.join(oracle)}")

@@ -188,8 +188,7 @@ def cmd_validate(cfg, rep):
 
 def cmd_diagnose(cfg, rep, fname):
     dom = cfg.make_domain()
-    entries = {e.f.label: e for e in
-               corpus_mod.build_corpus(dom, with_labels=False)}
+    entries = {e.f.label: e for e in corpus_mod.corpus_entries()}
     if fname not in entries:
         print(f"unknown function {fname!r}; corpus: {sorted(entries)}",
               file=sys.stderr)

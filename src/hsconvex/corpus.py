@@ -27,7 +27,8 @@ from .sphere import radial_graph_jacobian
 __all__ = [
     "CorpusEntry",
     "build_corpus",
-    "classify_norm",
+    "corpus_entries",
+    "oracle_labels",
     "power_function",
     "log_function",
     "exp_function",
@@ -161,14 +162,23 @@ def product_power(s, a=(1.0, 0.0), label=None):
 # the norm-trend oracle
 # ---------------------------------------------------------------------------
 
-def _graded_level_integral(domain, h, t):
-    """Integral of |h(z1)|^p-type integrands over the level surface rho = t.
+# the (l, p) pairs every corpus entry is labelled at
+L_PROBE = (0, 1, 2, 3)
+P_PROBE = (2.0, 4.0)
+
+
+def _level_quadrature(domain, t):
+    """Points (alpha, phi, 2) and Jacobian of the two-angle mesh on rho = t.
 
     The corpus integrands factor as h(z_1) |z_2|^(m2 p) with all angular
     dependence in one phase, so the level integral reduces to two angles.
     The (alpha, phi) mesh, 64 uniform plus 64 geometric points per angle, is
     graded toward the singular point (alpha, phi) = (0, 0), resolving the
-    peak scale by scale down to the angles 1e-6 and 1e-7.
+    peak scale by scale down to the angles 1e-6 and 1e-7.  Every corpus
+    derivative factors as h(z_1) z_2^kappa, so its modulus only sees |z_2|;
+    the points carry the real value |z_2|, which keeps the measure factor of
+    the second coordinate (it damps the singular ray, which shifts
+    borderline classifications).
     """
     a_reg = np.linspace(0.12, 0.5 * np.pi, 64)
     a_sing = np.geomspace(1e-6, 0.12, 64)
@@ -187,62 +197,52 @@ def _graded_level_integral(domain, h, t):
 
     g = np.asarray(domain.grad(pts))
     jac = radial_graph_jacobian(rr, dirs, g) * np.cos(A) * np.sin(A)
-
-    vals = np.abs(h(pts[..., 0], np.abs(pts[..., 1]))) * jac
-    ia = np.trapezoid(vals, alph, axis=0)
-    return 2.0 * np.pi * float(np.trapezoid(ia, phi))
+    z = np.stack([pts[..., 0], np.abs(pts[..., 1]).astype(complex)], axis=-1)
+    return alph, phi, z, jac
 
 
-def classify_norm(domain, f, l, p):
-    """finite / infinite / unknown for the order-l p-norm by level trends.
+def oracle_labels(domain, f):
+    """finite / infinite / unknown for every probed (l, p) by level trends.
 
-    Evaluates the worst derivative-norm trend over |alpha| = l on the ladder
-    t = -eps 4^-i, i < 6; power-type divergences show ratios bounded away
-    from 1 (both last ratios >= 1.4), stable norms converge to 1 quickly
-    (both <= 1.05), and logarithmic borderline growth lands in between and
-    is reported unknown.
+    For each |alpha| = l the derivative norm is integrated on the deepest
+    levels t = -eps 4^-i, i = 3, 4, 5, of the geometric inner ladder;
+    power-type divergences show ratios bounded away from 1 (both ratios
+    >= 1.4), stable norms converge to 1 quickly (both <= 1.05), and
+    logarithmic borderline growth lands in between and is reported
+    unknown.  The worst alpha sets the label.  Divergence at order l forces
+    divergence at every higher order, which is written without integrating.
+    Each level is built once, and each |d^alpha f| is evaluated once per
+    level for both exponents.
     """
     eps = domain.eps_shell
-    levels = [-eps * 4.0 ** (-i) for i in range(6)]
-    worst = "finite"
-    for alpha in multi_indices(domain.n, l):
-        if sum(alpha) != l and l > 0:
-            continue
-        vals = []
-        for t in levels:
-            def h(z1, z2abs, alpha=alpha):
-                return np.abs(_eval_dalpha(f, alpha, z1, z2abs)) ** p
-            vals.append(_graded_level_integral(domain, h, t))
-        vals = np.array(vals)
-        r1 = vals[-1] / max(vals[-2], 1e-300)
-        r2 = vals[-2] / max(vals[-3], 1e-300)
-        if min(r1, r2) >= 1.4:
-            return "infinite"
-        if max(r1, r2) > 1.05:
-            worst = "unknown"
-    return worst
+    levels = [_level_quadrature(domain, -eps * 4.0 ** (-i))
+              for i in (3, 4, 5)]
+    labels = {}
+    for l in L_PROBE:
+        worst = {p: "infinite" if labels.get((l - 1, p)) == "infinite"
+                 else "finite" for p in P_PROBE}
+        for alpha in multi_indices(domain.n, l):
+            open_p = [p for p in P_PROBE if worst[p] != "infinite"]
+            if sum(alpha) != l or not open_p:
+                continue
+            mods = [np.abs(f.d(alpha, z)) for _, _, z, _ in levels]
+            for p in open_p:
+                vals = [2.0 * np.pi * float(np.trapezoid(
+                    np.trapezoid(m ** p * jac, alph, axis=0), phi))
+                    for (alph, phi, _, jac), m in zip(levels, mods)]
+                r1 = vals[2] / max(vals[1], 1e-300)
+                r2 = vals[1] / max(vals[0], 1e-300)
+                if min(r1, r2) >= 1.4:
+                    worst[p] = "infinite"
+                elif max(r1, r2) > 1.05:
+                    worst[p] = "unknown"
+        labels.update(((l, p), worst[p]) for p in P_PROBE)
+    return labels
 
 
-def _eval_dalpha(f, alpha, z1, z2abs):
-    """Derivative modulus on the surface (corpus integrands).
-
-    Every corpus derivative factors as h(z_1) z_2^kappa, so its modulus only
-    sees |z_2|; evaluating at the real value |z_2| keeps the measure factor
-    of the second coordinate (it damps the singular ray, which shifts
-    borderline classifications).
-    """
-    z = np.stack([z1, z2abs.astype(complex)], axis=-1)
-    return f.d(alpha, z)
-
-
-# the (l, p) pairs every corpus entry is labelled at
-L_PROBE = (0, 1, 2, 3)
-P_PROBE = (2.0, 4.0)
-
-
-def build_corpus(domain, with_labels=True):
-    """The labeled corpus; oracle labels filled by the norm classifier."""
-    entries = [
+def corpus_entries():
+    """The nine corpus entries, without labels."""
+    return [
         CorpusEntry(monomial((0, 0), label="1"), "polynomial", {"deg": 0}),
         CorpusEntry(monomial((1, 0), label="z1"), "polynomial", {"deg": 1}),
         CorpusEntry(monomial((2, 1), label="z1^2 z2"), "polynomial",
@@ -260,27 +260,15 @@ def build_corpus(domain, with_labels=True):
         CorpusEntry(product_power(1.5, label="(1-z1)^1.5 z2"), "product",
                     {"s": 1.5}),
     ]
-    if with_labels:
-        for e in entries:
-            for l in L_PROBE:
-                for p in P_PROBE:
-                    if e.family in ("polynomial", "entire"):
-                        e.oracle_label[(l, p)] = "finite"
-                    else:
-                        e.oracle_label[(l, p)] = classify_norm(
-                            domain, e.f, l, p)
-        _enforce_monotone(entries)
-    return entries
 
 
-def _enforce_monotone(entries):
-    """Divergence at order l forces divergence at higher orders."""
+def build_corpus(domain):
+    """The corpus with oracle labels; smooth families are finite everywhere."""
+    entries = corpus_entries()
     for e in entries:
-        for p in P_PROBE:
-            seen_inf = False
-            for l in L_PROBE:
-                lab = e.oracle_label.get((l, p))
-                if seen_inf:
-                    e.oracle_label[(l, p)] = "infinite"
-                elif lab == "infinite":
-                    seen_inf = True
+        if e.family in ("polynomial", "entire"):
+            e.oracle_label = {(l, p): "finite"
+                              for l in L_PROBE for p in P_PROBE}
+        else:
+            e.oracle_label = oracle_labels(domain, e.f)
+    return entries

@@ -3,7 +3,7 @@
 The kernel K(xi, z) = <d rho(xi), xi - z>^(-n) paired with the Leray-Levy
 measure reproduces holomorphic functions from their boundary values.  (The
 Hardy-Sobolev level-norm trends behind the corpus labels live in
-:func:`hsconvex.corpus.classify_norm`.)
+:func:`hsconvex.corpus.oracle_labels`.)
 
 Shell grids discretize the outer collar between the boundary and rho = eps
 with dyadic bands in the level and Gauss-Legendre nodes inside each band, so

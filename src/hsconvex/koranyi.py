@@ -57,7 +57,12 @@ _RADIAL_GAUSS = 4    # Gauss-Legendre nodes per member interval of a ray
 
 
 def _resolution_tuple(resolution):
-    """(n_levels, per_level, n_r, n_theta, n_b); (12, 3, 8, 8, 8) for None."""
+    """(n_levels, per_level, n_r, n_theta, n_b); (12, 3, 8, 8, 8) for None.
+
+    The third entry, ``n_r``, is unused: every member interval of a ray gets
+    ``_RADIAL_GAUSS`` Gauss-Legendre nodes, and ``meta["resolution"]``
+    records that count in its place.
+    """
     if resolution is None:
         return (12, 3, 8, 8, 8)
     return tuple(int(v) for v in resolution)
@@ -187,7 +192,9 @@ def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
     :func:`~hsconvex.domain.project_boundary`'s batch-wide radial start can
     move the projection's last bits; the membership outcomes, and so the
     samples, matched per-centre calls on every input tried.  The samples'
-    arrays are views of the bank's arrays.
+    arrays are views of the bank's arrays.  ``resolution`` is
+    (n_levels, per_level, n_r, n_theta, n_b); its ``n_r`` entry is unused,
+    each member interval getting ``_RADIAL_GAUSS`` = 4 radial nodes.
 
     Errors: an empty ``centers`` raises ``ValueError``; so does the first
     centre, in order, whose set-up fails (``eta`` too large against its
@@ -298,8 +305,9 @@ def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
     is found by bisection and integrated with Gauss-Legendre nodes, so no
     indicator discontinuity is left in the radial direction and all emitted
     points satisfy the defining inequalities exactly.  ``rho_min``/``rho_max``
-    restrict the heights (the dyadic shells of the decomposition).  This is
-    the one-centre bank of :func:`sample_regions`.
+    restrict the heights (the dyadic shells of the decomposition).  The
+    third ``resolution`` entry (n_r) is unused; see :func:`sample_regions`.
+    This is the one-centre bank of :func:`sample_regions`.
     """
     z = np.asarray(z, dtype=complex)
     return sample_regions(domain, z[None, :], kind, eta, eps, resolution,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import radial_level, random_unit_directions
+from .domain import radial_level, random_unit_directions, real_dot
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
            "radial_graph_jacobian", "gauss_legendre_segments"]
@@ -146,10 +146,10 @@ def radial_graph_jacobian(r, dirs, g):
     has the shape of ``dirs`` without its last axis.
     """
     grad_re = 2.0 * np.conj(g)                       # real gradient in C^2
-    slope = np.real(np.sum(grad_re * np.conj(dirs), axis=-1))   # d rho / dr
+    slope = real_dot(grad_re, dirs)                  # d rho / dr
     tang = grad_re - slope[..., None] * dirs         # tangential part on S^3
     grad_s_r = r[..., None] * (-tang) / slope[..., None]
-    gs2 = np.real(np.sum(grad_s_r * np.conj(grad_s_r), axis=-1))
+    gs2 = real_dot(grad_s_r, grad_s_r)
     return r ** 2 * np.sqrt(r ** 2 + gs2)
 
 

@@ -256,8 +256,8 @@ def test_criterion_8_smoothness_diagnosis(ball, labeled_corpus):
            f"{tau:.2f} (need 1.0)")
 
 
-def test_criterion_9_bk_lemma(ball):
-    wide = dom.ball(eps_shell=1.0)
+def _bk_lemma_shape(wide):
+    """Criterion 9 on a domain whose shell reaches eps = 1: (passed, detail)."""
     grid = homtype.build_boundary_grid(wide, 0.0, 4000, kind="random",
                                        seed=3)
     rng = np.random.default_rng(0)
@@ -285,47 +285,83 @@ def test_criterion_9_bk_lemma(ball):
                           resolution=(10, 2, 6, 6, 6))
     rep2 = pl.check_bk_lemma(grid, a2, b2, cidx, exclude_k=(1,))
     spread = rep2["spread"]
-    report(9, two_ok and spread <= 3.0,
-           f"two-term p99 {two['per_k'][1]['p99']:.2f}; corpus-driven "
-           f"p99 per k "
-           + str({k: round(v['p99'], 2) for k, v in rep2['per_k'].items()
-                  if not v['floored'] and k != 1})
-           + f" spread {spread:.2f} (limit 3; cutoff band excluded)")
+    return (two_ok and spread <= 3.0,
+            f"two-term p99 {two['per_k'][1]['p99']:.2f}; corpus-driven "
+            f"p99 per k "
+            + str({k: round(v['p99'], 2) for k, v in rep2['per_k'].items()
+                   if not v['floored'] and k != 1})
+            + f" spread {spread:.2f} (limit 3; cutoff band excluded)")
 
 
-def test_criterion_10_area_inequality(ball):
-    grid = homtype.build_boundary_grid(ball, 0.0, 8000)
-    src = homtype.build_boundary_grid(ball, 0.0, 12000, kind="random",
+def test_criterion_9_bk_lemma(ball):
+    report(9, *_bk_lemma_shape(dom.ball(eps_shell=1.0)))
+
+
+def _area_shape(domain, pole, a):
+    """Criterion 10 with indicators and centres around ``pole`` and the
+    internal family (1 - <z, a>)^-s: (passed, detail)."""
+    grid = homtype.build_boundary_grid(domain, 0.0, 8000)
+    src = homtype.build_boundary_grid(domain, 0.0, 12000, kind="random",
                                       seed=2)
     # the small-radius indicators concentrate their area-functional mass
     # near the spike, so the outer integral uses pole-stratified centers
-    centers = homtype.stratified_centers(src, n_bulk=10, n_per_annulus=2,
-                                         n_annuli=8, seed=7)
-    e1 = np.array([1.0, 0.0], complex)
+    centers = homtype.stratified_centers(src, pole, n_bulk=10,
+                                         n_per_annulus=2, n_annuli=8, seed=7)
     fam = []
     for delta in (0.4, 0.2, 0.1, 0.05):   # coarse-to-fine
-        mask, _ = homtype.quasiball(grid, e1, delta)
+        mask, _ = homtype.quasiball(grid, pole, delta)
         fam.append(mask.astype(float))
     fam.append(np.abs(np.sin(3 * np.angle(grid.nodes[:, 0] + 0.2))
                       * grid.nodes[:, 1].real ** 2) + 0.2)
-    out = koranyi.check_area_inequality(ball, fam, 1, 2.0, grid, centers,
+    out = koranyi.check_area_inequality(domain, fam, 1, 2.0, grid, centers,
                                         eta=0.25, eps=0.1,
                                         resolution=(8, 1, 4, 4, 4))
     ext_ok = out["spread"] <= 50 and not out["monotone_blowup"]
-    rnd_centers = homtype.build_boundary_grid(ball, 0.0, 12, kind="random",
+    rnd_centers = homtype.build_boundary_grid(domain, 0.0, 12, kind="random",
                                               seed=3)
     ratios = []
     for s in (0.1, 0.2, 0.3):
-        f = corpus.power_function(-s)
-        rep = koranyi.area_internal(ball, f, 2.0, eta=0.25, eps=0.1,
+        f = corpus.power_function(-s, a)
+        rep = koranyi.area_internal(domain, f, 2.0, eta=0.25, eps=0.1,
                                     centers=rnd_centers,
                                     resolution=(8, 1, 4, 4, 4))
         ratios.append(rep["ratio"])
     int_ok = max(ratios) / min(ratios) <= 20.0
-    report(10, ext_ok and int_ok,
-           f"external spread {out['spread']:.1f} (limit 50), no blow-up: "
-           f"{not out['monotone_blowup']}; internal family max/min "
-           f"{max(ratios) / min(ratios):.2f} (limit 20)")
+    return (ext_ok and int_ok,
+            f"external spread {out['spread']:.1f} (limit 50), no blow-up: "
+            f"{not out['monotone_blowup']}; internal family max/min "
+            f"{max(ratios) / min(ratios):.2f} (limit 20)")
+
+
+def test_criterion_10_area_inequality(ball):
+    report(10, *_area_shape(ball, np.array([1.0, 0.0], complex), (1.0, 0.0)))
+
+
+CURVED = {"ellipsoid": dom.ellipsoid, "perturbed_ball": dom.perturbed_ball}
+
+
+def _boundary_pole(domain):
+    """xi0 = r(e1) e1 on the boundary and a = d rho(xi0) / <xi0, d rho(xi0)>.
+
+    With this a the singular set <z, a> = 1 touches the closure of the
+    domain at xi0 only, so (1 - <z, a>)^-s blows up at the pole; with a = e1
+    the ellipsoid's singular set would sit outside and probe nothing.
+    """
+    e1 = np.array([1.0, 0.0], complex)
+    xi0 = dom.radial_level(domain, e1[None, :], 0.0)[0] * e1
+    g = domain.grad(xi0)
+    return xi0, g / dom.pairing(xi0, g)
+
+
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_criterion_9_bk_lemma_curved(name):
+    report(f"9 [{name}]", *_bk_lemma_shape(CURVED[name](eps_shell=1.0)))
+
+
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_criterion_10_area_inequality_curved(name):
+    domain = CURVED[name]()
+    report(f"10 [{name}]", *_area_shape(domain, *_boundary_pole(domain)))
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -222,8 +222,9 @@ class TestDiagnose:
         assert rep.verdicts[1] == "converging"
         assert rep.verdicts[2] == "diverging"
         # norm-oracle cross-validation
-        assert corpus.classify_norm(ball, f, 1, 2.0) == "finite"
-        assert corpus.classify_norm(ball, f, 2, 2.0) == "infinite"
+        labels = corpus.oracle_labels(ball, f)
+        assert labels[(1, 2.0)] == "finite"
+        assert labels[(2, 2.0)] == "infinite"
 
     def test_verdict_scale_invariance(self, ball):
         f = corpus.power_function(1.5)

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import pairing, symmetric_point, symmetric_point_dbar
+from .domain import (pairing, row_blocks, sum_last, symmetric_point,
+                     symmetric_point_dbar)
 from .forms import ShellGrid, multi_indices, pair_dbar_with_leray
 from . import koranyi
 
@@ -100,18 +101,32 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
     """Evaluator of core(z, rho) where floor < rho < eps, zero elsewhere.
 
     ``shape`` is the shape of one point's value: () for the extension, (n,)
-    for its dbar components.
+    for its dbar components.  ``core`` is called once with all live points
+    and yields ``(sl, values)`` for consecutive row blocks ``sl`` of them
+    (:func:`hsconvex.domain.row_blocks`); each block is written into the
+    output as it comes, so only the output and one block's temporaries are
+    alive at once.
     """
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
-        zz = np.atleast_2d(z)
+        zz = z.reshape(-1, z.shape[-1])
         rho = np.asarray(domain.rho(zz))
-        out = np.zeros(zz.shape[:-1] + shape, dtype=complex)
-        live = (rho < eps) & (rho > floor)
-        if np.any(live):
-            out[live] = core(zz[live], rho[live])
-        return out[0] if z.ndim == 1 else out
+        out = np.zeros(rho.shape + shape, dtype=complex)
+        live = np.flatnonzero((rho < eps) & (rho > floor))
+        rho = rho[live]
+        if live.size:
+            for sl, values in core(zz[live], rho):
+                out[live[sl]] = values
+        return out[0] if z.ndim == 1 else out.reshape(z.shape[:-1] + shape)
     return evaluate
+
+
+def _per_block(fn):
+    """A collar core that applies fn(z, rho) to each row block on its own."""
+    def core(z, rho):
+        for sl in row_blocks(z.shape[0]):
+            yield sl, fn(z[sl], rho[sl])
+    return core
 
 
 def extend_by_symmetry(domain, f, m, eps=None):
@@ -141,12 +156,16 @@ def extend_by_symmetry(domain, f, m, eps=None):
                     / math.prod(map(math.factorial, alpha)))
         return out
 
-    def dbar_core(zl, rho):
-        zs, dstar = symmetric_point_dbar(domain, zl)   # dstar: (M, j, k)
-        dz = zl - zs
+    def f_core(zl, rho):
+        for sl, zs, _ in symmetric_point_dbar(domain, zl):
+            yield sl, f0(zl[sl], zs) * chi(rho[sl])
+
+    def dbar_block(z, rho, zs, dstar):
+        # dstar: (B, j, k)
+        dz = z - zs
         # telescoped jet term: sum_k dbar_j z*_k sum_{|a|=m-1} f^(a+e_k)(z*)
         # (z - z*)^a / a!
-        jet_term = np.zeros_like(zl)
+        jet_term = np.zeros_like(z)
         for alpha in top:
             mono = np.prod(dz ** np.array(alpha), axis=-1) / \
                 math.prod(map(math.factorial, alpha))
@@ -156,13 +175,18 @@ def extend_by_symmetry(domain, f, m, eps=None):
                 jet_term[:, :] += (f.d(ak, zs) * mono)[:, None] * \
                     dstar[:, :, k]
         # cutoff ramp: f0 * chi'(rho) * dbar rho
-        g = np.asarray(domain.grad(zl))
-        ramp = (f0(zl, zs) * chi.deriv(rho))[:, None] * np.conj(g)
+        g = np.asarray(domain.grad(z))
+        ramp = (f0(z, zs) * chi.deriv(rho))[:, None] * np.conj(g)
         return jet_term * chi(rho)[:, None] + ramp
 
-    f_eval = _on_collar(
-        domain, lambda z, rho: f0(z, symmetric_point(domain, z)) * chi(rho),
-        eps)
+    def dbar_core(zl, rho):
+        # one reflection call for all live points (its radial Newton start
+        # is batch-wide), then the jet, ramp and cutoff of each row block
+        # as the reflection hands it over
+        for sl, zs, dstar in symmetric_point_dbar(domain, zl):
+            yield sl, dbar_block(zl[sl], rho[sl], zs, dstar)
+
+    f_eval = _on_collar(domain, f_core, eps)
     dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,))
     return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
                         support_height=eps, domain=domain)
@@ -223,9 +247,10 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             + (f0 * chi_out.deriv(rl))[:, None] * g
 
     f_eval = _on_collar(
-        domain, lambda z, rho: blend(z, rho)[0] * chi_out(rho), eps)
-    dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,),
-                           floor=0.0)
+        domain, _per_block(lambda z, rho: blend(z, rho)[0] * chi_out(rho)),
+        eps)
+    dbar_eval = _on_collar(domain, _per_block(dbar_core), eps,
+                           shape=(domain.n,), floor=0.0)
     return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
                         support_height=eps, domain=domain)
 
@@ -237,11 +262,19 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
 def shell_defect(cont, shell: ShellGrid):
     """Shell points, gradients and dbar-defect weights of a continuation.
 
-    The weights are the density of dbar f ^ (Leray form) times d(mu).
+    The weights are the density of dbar f ^ (Leray form) times d(mu).  The
+    dbar field is one ``dbar_eval`` call over the whole collar (computed
+    block by block inside, see ``_on_collar``); its Leray pairing then runs
+    over row blocks, so the form coefficients of only one block are alive
+    at once.  Each weight depends on its own row alone.
     """
     pts, g, w_mu, _ = shell.flat()
-    dens = pair_dbar_with_leray(cont.domain, cont.dbar_eval(pts), pts)
-    return pts, g, dens * w_mu
+    dbar = cont.dbar_eval(pts)
+    dw = np.empty(pts.shape[0], dtype=complex)
+    for sl in row_blocks(pts.shape[0]):
+        dw[sl] = pair_dbar_with_leray(cont.domain, dbar[sl], pts[sl]) \
+            * w_mu[sl]
+    return pts, g, dw
 
 
 def pac_reconstruct(cont, shell: ShellGrid, z):
@@ -250,13 +283,34 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
     Quadrature of the paired volume density against the kernel over the
     shell; boundary frames are oriented outward-first, so the exterior
     Stokes identity carries a minus sign folded in here.
+
+    The dbar weights come from :func:`shell_defect`; the kernel contraction
+    -sum dw den^(-n) then runs over row blocks of the shell nodes, so the
+    (B, m) kernel temporaries of only one block are alive at once.  The
+    rows are added one after another into a running total, which enters
+    each block's accumulate along axis 0 as its first row.  That is the
+    order numpy's axis-0 sum takes for m >= 2 points, so the value does not
+    depend on the block size and, for m >= 2, equals the one-block sum bit
+    for bit (numpy sums a single column pairwise instead).
     """
     pts, g, dw = shell_defect(cont, shell)
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zz = np.atleast_2d(z)
-    den = pairing(g, pts)[:, None] - g @ zz.T
-    vals = -np.sum(dw[:, None] * den ** (-cont.domain.n), axis=0)
+    total = np.zeros(zz.shape[0], dtype=complex)
+    for sl in row_blocks(dw.shape[0]):
+        start, stop = sl.start, min(sl.stop, dw.shape[0])
+        # the BLAS multiplies a lone row on another kernel, whose last bits
+        # differ, so a one-row block takes its products from two rows
+        lo = max(0, min(start, stop - 2))
+        den = pairing(g[sl], pts[sl])[:, None] \
+            - (g[lo:stop] @ zz.T)[start - lo:]
+        # the ufunc, not the operator: numpy may multiply a large temporary
+        # operand in place with the operands swapped, and for one point the
+        # order decides the last bits, so the block size would too
+        terms = np.multiply(dw[sl, None], den ** (-cont.domain.n))
+        total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
+    vals = -total
     return vals[0] if single else vals
 
 
@@ -291,7 +345,7 @@ def dbar_region_mass(cont, centers, l, eta, eps, resolution, rho_min=0.0,
                                      eps, resolution, rho_min=rho_min,
                                      rho_max=rho_max)
     dbar = cont.dbar_eval(np.concatenate([s.points for s in samples]))
-    mag2 = np.sum(np.abs(dbar) ** 2, axis=-1)
+    mag2 = sum_last(np.abs(dbar) ** 2)
     ends = np.cumsum([s.size for s in samples])
     return np.array([koranyi.region_integrate(
         s, m2 * np.abs(s.rho) ** (-2.0 * l), weight="nu")

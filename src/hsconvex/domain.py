@@ -37,6 +37,7 @@ __all__ = [
     "row_blocks",
     "pairing",
     "real_dot",
+    "sum_last",
 ]
 
 
@@ -57,14 +58,29 @@ class ProjectionError(RuntimeError):
 # small complex/real linear algebra helpers shared across the package
 # ---------------------------------------------------------------------------
 
+def sum_last(x):
+    """``np.sum(x, axis=-1)``, unrolled when the last axis has length 2.
+
+    Every domain here has n = 2, and numpy's reduction machinery costs more
+    than the two additions it performs.  ``(0.0 + x0) + x1`` is bit for bit
+    what ``np.sum`` returns, signed zeros included: numpy's sum starts from
+    +0.0, so (-0.0, -0.0) sums to +0.0.  (Only when two NaNs of different
+    payloads meet in one complex part may the payload differ.)
+    """
+    x = np.asarray(x)
+    if x.shape[-1] == 2:
+        return (0.0 + x[..., 0]) + x[..., 1]
+    return np.sum(x, axis=-1)
+
+
 def pairing(g, v):
     """C-bilinear pairing <g, v> = sum_j g_j v_j over the last axis."""
-    return np.sum(np.asarray(g) * np.asarray(v), axis=-1)
+    return sum_last(np.asarray(g) * np.asarray(v))
 
 
 def real_dot(u, v):
     """Real inner product of C^n = R^(2n): Re sum_j u_j conj(v_j)."""
-    return np.real(np.sum(np.asarray(u) * np.conj(v), axis=-1))
+    return np.real(sum_last(np.asarray(u) * np.conj(v)))
 
 
 def as_real(v):
@@ -143,7 +159,7 @@ def ball(eps_shell=0.1, validate=True):
 
     def rho(z):
         z = np.asarray(z, dtype=complex)
-        return np.sum(np.abs(z) ** 2, axis=-1) - 1.0
+        return sum_last(np.abs(z) ** 2) - 1.0
 
     def grad(z):
         return np.conj(np.asarray(z, dtype=complex))
@@ -174,7 +190,7 @@ def ellipsoid(c1=2.0, c2=1.0, eps_shell=0.1, validate=True):
 
     def rho(z):
         z = np.asarray(z, dtype=complex)
-        return np.sum(c * np.abs(z) ** 2, axis=-1) - 1.0
+        return sum_last(c * np.abs(z) ** 2) - 1.0
 
     def grad(z):
         return c * np.conj(np.asarray(z, dtype=complex))
@@ -200,7 +216,7 @@ def perturbed_ball(beta=0.1, eps_shell=0.1, validate=True):
 
     def rho(z):
         z = np.asarray(z, dtype=complex)
-        return (np.sum(np.abs(z) ** 2, axis=-1)
+        return (sum_last(np.abs(z) ** 2)
                 + beta * np.real(z[..., 0] ** 2) - 1.0)
 
     def grad(z):
@@ -365,26 +381,41 @@ def radial_level(domain, dirs, t, max_iter=60):
 
     Newton in r from r = 1; the catalog domains are strongly convex with the
     origin interior, so rho is strictly increasing in r near the shell.
+
+    Each iteration runs over row blocks (:func:`row_blocks`): a first pass
+    evaluates rho block by block, then a second builds the gradient, slope
+    and step of each block, so the points and gradients of only one block
+    are alive at once.  The stop test stays batch-wide (every row within
+    1e-13), so the iteration count, and with it each row's result, is the
+    one whole-batch call's whatever the block size.  The final residual is
+    checked block by block; :class:`ProjectionError` carries its maximum
+    over the batch.
     """
     dirs = np.asarray(dirs, dtype=complex)
-    r = np.full(dirs.shape[:-1], 1.0, dtype=float)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), r.shape)
+    shape = dirs.shape[:-1]
+    dirs = dirs.reshape(-1, dirs.shape[-1])
+    r = np.full(dirs.shape[0], 1.0, dtype=float)
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
+    blocks = row_blocks(r.size)
+    val = np.empty_like(r)
     for _ in range(max_iter):
-        pts = r[..., None] * dirs
-        val = np.asarray(domain.rho(pts)) - t_arr
+        for sl in blocks:
+            val[sl] = np.asarray(domain.rho(r[sl, None] * dirs[sl])) \
+                - t_arr[sl]
         if np.all(np.abs(val) < 1e-13):
             break
-        g = np.asarray(domain.grad(pts))
-        slope = 2.0 * np.real(pairing(g, dirs))
-        slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
-        step = val / slope
-        step = np.clip(step, -0.2, 0.2)
-        r = r - step
-    resid = np.abs(np.asarray(domain.rho(r[..., None] * dirs)) - t_arr)
-    if not np.all(resid < 1e-10):
+        for sl in blocks:
+            d = dirs[sl]
+            g = np.asarray(domain.grad(r[sl, None] * d))
+            slope = 2.0 * np.real(pairing(g, d))
+            slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
+            r[sl] -= np.clip(val[sl] / slope, -0.2, 0.2)
+    worst = [np.abs(np.asarray(domain.rho(r[sl, None] * dirs[sl]))
+                    - t_arr[sl]).max() for sl in blocks]
+    if worst and not np.max(worst) < 1e-10:
         raise ProjectionError("radial level solve failed",
-                              residual=float(resid.max()))
-    return r
+                              residual=float(np.max(worst)))
+    return r.reshape(shape)
 
 
 def random_unit_directions(rng, m, n):
@@ -447,23 +478,34 @@ def _project_certified(domain, z, t=0.0):
     :func:`row_blocks`: the block's nearest points and their certified KKT
     matrices, so no more than one block's matrices are alive at once.  The
     first block that fails raises, before later blocks are projected.
+
+    The radial Newton start is one whole-batch :func:`radial_level` call,
+    since its stop test is batch-wide and per-block calls would move the
+    start's last bits.  Only its radii outlive it: each block rebuilds its
+    unit directions, row for row as the whole batch had them.
     """
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
-    if domain.exact_project is not None:
-        xi = np.asarray(domain.exact_project(pts, t), dtype=complex)
-    else:
-        # one whole-batch call: radial_level stops on a batch-wide test, so
-        # blocking it would move the start's last bits
-        dirs = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-        xi = radial_level(domain, dirs, t)[:, None] * dirs
+    blocks = row_blocks(pts.shape[0])
+    if domain.exact_project is None:
+        dirs = np.empty_like(pts)
+        for sl in blocks:
+            dirs[sl] = _unit_rows(pts[sl])
+        radii = radial_level(domain, dirs, t)
         del dirs    # freed before the blocks run
-    for sl in row_blocks(pts.shape[0]):
-        xi_block = xi[sl]
+    for sl in blocks:
         if domain.exact_project is None:
-            xi_block = _project_newton(domain, pts[sl], xi_block, t)
-        yield sl, xi_block, _bordered_kkt(domain, pts[sl], xi_block, t)
+            xi = _project_newton(domain, pts[sl],
+                                 radii[sl, None] * _unit_rows(pts[sl]), t)
+        else:
+            xi = np.asarray(domain.exact_project(pts[sl], t), dtype=complex)
+        yield sl, xi, _bordered_kkt(domain, pts[sl], xi, t)
+
+
+def _unit_rows(pts):
+    """Each row of pts scaled to unit length."""
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
 def _project_newton(domain, pts, start, t):
@@ -572,8 +614,7 @@ def symmetric_point(domain, z):
     """Reflection across the boundary: z* = 2 pr(z) - z.
 
     Test oracle for the z* of :func:`symmetric_point_dbar`, and the
-    reflection behind ``Continuation.f_eval`` and the finite-difference
-    ``continuation._dbar_reflection``.
+    reflection behind the finite-difference ``continuation._dbar_reflection``.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
@@ -650,7 +691,7 @@ def _bordered_kkt(domain, pts, xi, t=0.0):
 
 
 def symmetric_point_dbar(domain, z):
-    """Reflection across the boundary with its dbar, one projection a point.
+    """Reflection across the boundary with its dbar, one row block at a time.
 
     Differentiating the projection's KKT system xi + lam grad(rho)(xi) = z,
     rho(xi) = 0 gives the bordered system of :func:`_bordered_kkt`,
@@ -661,19 +702,28 @@ def symmetric_point_dbar(domain, z):
     2 xi - z and z is holomorphic, d(z*_k)/d(zbar_j) = dxi_k/dx_j +
     i dxi_k/dy_j.  Points past the reach raise :class:`ProjectionError`.
 
-    Each row block is solved with the matrices its projection certified,
-    so only one block's matrices are alive at once.  Returns ``(z*, D)`` of
-    shapes (M, n) and (M, n, n) with ``D[m, j, k] = d(z*_k)/d(zbar_j)`` at
-    point m.
+    Yields ``(sl, z*, D)`` for the row blocks ``sl`` of
+    :func:`_project_certified`: each block is solved with the matrices its
+    projection certified, and its z* (B, n) and ``D[m, j, k] =
+    d(z*_k)/d(zbar_j)`` (B, n, n) are handed on before the next block is
+    projected, so a caller that consumes a block at a time keeps no
+    whole-batch output.  The radial Newton start is still one whole-batch
+    call (its stop test is batch-wide), so a row's values do not depend on
+    the block size.
     """
     pts = np.atleast_2d(np.asarray(z, dtype=complex))
-    n = pts.shape[1]
-    rhs = np.eye(2 * n + 1, 2 * n)
-    zs = np.empty_like(pts)
-    dbar = np.empty(pts.shape + (n,), dtype=complex)
     for sl, xi, kkt in _project_certified(domain, pts):
-        sol = np.linalg.solve(kkt, rhs)[:, :2 * n]
-        dxi = as_complex(np.swapaxes(sol, 1, 2))
-        zs[sl] = 2.0 * xi - pts[sl]
-        dbar[sl] = dxi[:, 0::2] + 1j * dxi[:, 1::2]
-    return zs, dbar
+        dbar = _reflection_dbar(kkt)
+        del kkt     # freed before the next block is projected
+        yield sl, 2.0 * xi - pts[sl], dbar
+
+
+def _reflection_dbar(kkt):
+    """D[m, j, k] = d(z*_k)/d(zbar_j) from certified KKT matrices.
+
+    ``kkt`` has shape (B, 2n + 1, 2n + 1); see :func:`symmetric_point_dbar`.
+    """
+    d = kkt.shape[-1] - 1
+    sol = np.linalg.solve(kkt, np.eye(d + 1, d))[:, :d]
+    dxi = as_complex(np.swapaxes(sol, 1, 2))
+    return dxi[:, 0::2] + 1j * dxi[:, 1::2]

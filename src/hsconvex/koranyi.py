@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import boundary_point_data, pairing, project_boundary, \
-    real_hessian
+    real_hessian, sum_last
 from .homtype import BoundaryGrid, qdist
 
 __all__ = [
@@ -372,7 +372,7 @@ def area_internal(domain, f, p, eta=DEFAULT_ETA, eps=None, centers=None,
         grads = np.stack([np.asarray(f.d(tuple(np.eye(n, dtype=int)[j]),
                                           sample.points))
                           for j in range(n)], axis=-1)
-        inner = region_integrate(sample, np.sum(np.abs(grads) ** 2, axis=-1),
+        inner = region_integrate(sample, sum_last(np.abs(grads) ** 2),
                                  weight="nu")
         lhs += centers.w_sigma[i] * inner ** (p / 2.0)
     fv = np.abs(np.asarray(f(centers.nodes))) ** p

@@ -109,20 +109,28 @@ class PolynomialCn:
         z1 = np.empty(size, dtype=complex)
         z2 = np.empty(size, dtype=complex)
         row = np.empty(size, dtype=complex)
+        prod = np.empty(size, dtype=complex)
         for s in range(0, zf.shape[0], _HORNER_BLOCK):
             m = min(_HORNER_BLOCK, zf.shape[0] - s)
-            b1, b2, r, o = z1[:m], z2[:m], row[:m], out[s: s + m]
+            b1, b2, r, t = z1[:m], z2[:m], row[:m], prod[:m]
+            o = out[s: s + m]
             b1[:] = zf[s: s + m, 0]
             b2[:] = zf[s: s + m, 1]
+            # every product goes to the separate buffer t: numpy multiplies
+            # a single complex element in place on another path, whose last
+            # bit can differ, so a point evaluated alone would not match
+            # the same point in a batch
             for i in range(c.shape[0] - 1, -1, -1):
-                np.multiply(o, b1, out=o)
+                if tops[i] >= 0:
+                    r.fill(c[i, tops[i]])
+                    for j in range(tops[i] - 1, -1, -1):
+                        np.multiply(r, b2, out=t)
+                        np.add(t, c[i, j], out=r)
+                np.multiply(o, b1, out=t)
                 if tops[i] < 0:
-                    continue
-                r.fill(c[i, tops[i]])
-                for j in range(tops[i] - 1, -1, -1):
-                    np.multiply(r, b2, out=r)
-                    r += c[i, j]
-                o += r
+                    o[:] = t
+                else:
+                    np.add(t, r, out=o)
         return out.reshape(shape)
 
     def naive_eval(self, z):

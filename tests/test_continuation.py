@@ -154,6 +154,100 @@ class TestSymmetryBeyondBall:
         assert 0 < sum(rows["_bordered_kkt"]) <= live
 
 
+# row blocks of 1, 7 and 8193 rows against one block that covers the batch
+_ORACLE_BLOCKS = (1, 7, 8193)
+
+
+def _one_block_and(block, fn, monkeypatch):
+    """fn() with row blocks of ``block`` rows, then with one block."""
+    monkeypatch.setattr(dom, "_ROW_BLOCK", block)
+    blocked = fn()
+    monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
+    return blocked, fn()
+
+
+def _oracle_shell(d, block):
+    # 8193-row blocks run on 24 levels of 1,372 nodes (four blocks and a
+    # partial fifth), the smaller blocks on 6 levels of 108 nodes
+    if block > 1000:
+        return forms.build_shell_grid(d, 0.1, 1200, n_bands=8,
+                                      nodes_per_band=3)
+    return forms.build_shell_grid(d, 0.1, 80, n_bands=3, nodes_per_band=2)
+
+
+def _criterion_6_points():
+    rng = np.random.default_rng(3)
+    return 0.55 * dom.random_unit_directions(rng, 12, 2) * \
+        rng.uniform(0.1, 1.0, (12, 1))
+
+
+def _oracle_continuation(name, f=corpus.monomial((2, 1))):
+    # the global continuation on the ball, the symmetry one elsewhere
+    d = dom.from_catalog(name)
+    if name == "ball":
+        p_seq = taylor_sections(lambda a: 0.3 ** sum(a) * (1 - 0.5j) ** a[1],
+                                [2, 4, 8, 16])
+        return cn.extend_by_global(d, p_seq, eps=0.1)
+    return cn.extend_by_symmetry(d, f, m=3, eps=0.1)
+
+
+class TestBlockedCollar:
+    """The collar evaluators in row blocks equal one block, bit for bit."""
+
+    @pytest.mark.parametrize("name,f", [
+        ("ellipsoid", corpus.monomial((2, 1))),
+        ("ellipsoid", corpus.exp_function((1.0, 2.0))),
+        ("perturbed_ball", corpus.monomial((2, 1))),
+        ("perturbed_ball", corpus.exp_function((1.0, 2.0))),
+        ("ball", None)])
+    @pytest.mark.parametrize("block", _ORACLE_BLOCKS)
+    def test_dbar_eval(self, name, f, block, monkeypatch):
+        # points on both sides of the collar's outer edge
+        cont = _oracle_continuation(name, f)
+        m = 2 * block + 47
+        pts = dom.random_shell_points(cont.domain, np.random.default_rng(m),
+                                      m, (0.0, 0.12))
+        blocked, whole = _one_block_and(
+            block, lambda: cont.dbar_eval(pts), monkeypatch)
+        assert np.array_equal(blocked, whole)
+        live = np.any(whole != 0, axis=1)
+        assert live.any() and not live.all()
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "perturbed_ball", "ball"])
+    @pytest.mark.parametrize("block", _ORACLE_BLOCKS)
+    def test_shell_defect_and_pac_reconstruct(self, name, block,
+                                              monkeypatch):
+        cont = _oracle_continuation(name)
+        shell = _oracle_shell(cont.domain, block)
+        assert shell.size > 2 * block
+        zs = _criterion_6_points()
+
+        def run():
+            # the criterion-6 points, and one of them alone
+            return (cn.shell_defect(cont, shell)[2],
+                    cn.pac_reconstruct(cont, shell, zs),
+                    cn.pac_reconstruct(cont, shell, zs[0]))
+
+        blocked, whole = _one_block_and(block, run, monkeypatch)
+        for b, w in zip(blocked, whole):
+            assert np.array_equal(b, w)
+
+    def test_pac_reconstruct_peak_memory(self, ellipsoid, traced_peak_mib):
+        # the collar workload's ellipsoid job: 127,776 collar nodes and 8
+        # probes.  With the dbar field, its Leray pairing and the kernel
+        # contraction over the whole collar at once the call peaked at
+        # 49.8 MiB above its inputs; in row blocks it reads 21.1 MiB
+        shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
+                                       nodes_per_band=3)
+        assert shell.size == 127776
+        cont = cn.extend_by_symmetry(ellipsoid, corpus.monomial((2, 1)),
+                                     m=3, eps=0.1)
+        zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8,
+                                              2)
+        peak = traced_peak_mib(lambda: cn.pac_reconstruct(cont, shell, zs))
+        assert peak <= 24.0
+
+
 class TestGlobalContinuation:
     def test_constant_sequence_dbar_vanishes_inside(self, ball, rng):
         p = PolynomialCn({(0, 0): 1.0})

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +27,13 @@ _level = st.floats(-0.1, 0.1)
 def _collar_point(domain, v, t):
     d = dom.as_complex(np.asarray(v) / np.linalg.norm(v))[None]
     return dom.radial_level(domain, d, t)[:, None] * d
+
+
+def _reflect(domain, z):
+    """(z*, D) of symmetric_point_dbar over the whole batch."""
+    blocks = list(dom.symmetric_point_dbar(domain, z))
+    return (np.concatenate([zs for _, zs, _ in blocks]),
+            np.concatenate([d for _, _, d in blocks]))
 
 
 def _fd_dz(domain, z, h=1e-5):
@@ -207,7 +216,7 @@ class TestRowBlocks:
 
         def run(block):
             monkeypatch.setattr(dom, "_ROW_BLOCK", block)
-            return (*dom.symmetric_point_dbar(d, pts),
+            return (*_reflect(d, pts),
                     dom.project_boundary(d, pts, 0.0),
                     dom.project_boundary(d, pts, 0.05))
 
@@ -224,7 +233,7 @@ class TestRowBlocks:
         with pytest.raises(dom.ProjectionError, match=_PAST_REACH) as alone:
             dom.project_boundary(ellipsoid, pts[b + 3:b + 4])
         assert np.allclose(alone.value.last_iterate, [0.0, 1.0])
-        for fn in (dom.project_boundary, dom.symmetric_point_dbar):
+        for fn in (dom.project_boundary, _reflect):
             with pytest.raises(dom.ProjectionError, match=_PAST_REACH) as info:
                 fn(ellipsoid, pts)
             assert str(info.value) == str(alone.value)
@@ -233,12 +242,117 @@ class TestRowBlocks:
 
     def test_dbar_peak_memory(self, ellipsoid, traced_peak_mib):
         # 65,536 collar points: 65.2 MiB with every point's KKT matrix alive
-        # at once, 20.0 MiB in row blocks
+        # at once, 20.0 MiB in row blocks with whole-batch outputs, 9.4 MiB
+        # with the blocks handed on as they come
         pts = dom.random_shell_points(ellipsoid, np.random.default_rng(0),
                                       65536, (-0.1, 0.1))
-        peak = traced_peak_mib(lambda: dom.symmetric_point_dbar(ellipsoid,
-                                                                pts))
-        assert peak <= 32.0
+        peak = traced_peak_mib(lambda: collections.deque(
+            dom.symmetric_point_dbar(ellipsoid, pts), maxlen=0))
+        assert peak <= 16.0
+
+
+# row blocks of 1, 7 and 8193 rows, each on a batch of two blocks and a
+# partial third, against one block that covers the batch
+_ORACLE_BLOCKS = (1, 7, 8193)
+
+
+def _oracle_batch(block):
+    return 2 * block + 47
+
+
+class TestBlockedRadialLevel:
+    """radial_level in row blocks equals one block, bit for bit."""
+
+    @staticmethod
+    def _batch(d, m):
+        rng = np.random.default_rng(m)
+        dirs = dom.random_unit_directions(rng, m, 2)
+        ts = rng.uniform(-0.1, 0.5, m)
+        # on the ellipsoid rho(e2) = 0: this row starts converged, the
+        # others take up to several Newton steps from r = 1
+        dirs[0], ts[0] = [0.0, 1.0], 0.0
+        return dirs, ts
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("block", _ORACLE_BLOCKS)
+    def test_blocked_equals_one_block(self, name, block, monkeypatch):
+        d = _catalog(name)
+        m = _oracle_batch(block)
+        dirs, ts = self._batch(d, m)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", block)
+        blocked = dom.radial_level(d, dirs, ts)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", m)
+        assert np.array_equal(blocked, dom.radial_level(d, dirs, ts))
+
+    def test_rows_converge_at_different_iterations(self, ellipsoid):
+        dirs, ts = self._batch(ellipsoid, 61)
+        assert dom.radial_level(ellipsoid, dirs[:1], ts[:1],
+                                max_iter=0)[0] == 1.0
+        with pytest.raises(dom.ProjectionError):
+            dom.radial_level(ellipsoid, dirs, ts, max_iter=1)
+
+    @pytest.mark.parametrize("block", _ORACLE_BLOCKS)
+    def test_failure_residual_is_the_batch_maximum(self, ellipsoid, block,
+                                                   monkeypatch):
+        # two unreachable levels in different blocks: r moves at most 0.2 a
+        # step, so 60 steps fall far short of r ~ 100; the residual is the
+        # larger of the two, whatever the blocks
+        m = _oracle_batch(block)
+        dirs, ts = self._batch(ellipsoid, m)
+        ts[1], ts[-1] = 1e4, 2e4
+
+        def residual(rows):
+            monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
+            with pytest.raises(dom.ProjectionError,
+                               match="radial level solve failed") as info:
+                dom.radial_level(ellipsoid, dirs, ts)
+            return info.value.residual
+
+        whole = residual(m)
+        assert whole > 1e4
+        assert residual(block) == whole
+
+
+class TestSumLast:
+    """sum_last is np.sum over the last axis, bit for bit."""
+
+    _VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e308,
+               -5e-324)
+
+    @staticmethod
+    def _same_bits(x):
+        with np.errstate(all="ignore"):
+            ours, ref = dom.sum_last(x), np.sum(x, axis=-1)
+        return np.array_equal(np.asarray(ours).view(np.int64),
+                              np.asarray(ref).view(np.int64))
+
+    def test_real_pairs(self):
+        x = np.array(list(itertools.product(self._VALUES, repeat=2)))
+        assert self._same_bits(x)
+        assert self._same_bits(x[::3])            # strided rows
+        assert self._same_bits(x.reshape(-1, 1, 3, 2))
+
+    def test_complex_pairs(self):
+        parts = np.array(list(itertools.product(self._VALUES, repeat=4)))
+        x = np.empty((len(parts), 2), dtype=complex)
+        x.real, x.imag = parts[:, 0::2], parts[:, 1::2]
+        assert self._same_bits(x)
+        assert self._same_bits(x[:, None, :])
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        for x in (np.array([-0.0, -0.0]), np.array([-0.0 - 0.0j] * 2)):
+            s = dom.sum_last(x)
+            assert np.signbit(np.real(s)) == np.signbit(np.sum(x).real)
+            assert not np.signbit(np.real(s))
+
+    def test_other_lengths_fall_back(self):
+        rng = np.random.default_rng(0)
+        for shape in ((50, 3), (50, 1), (50, 4)):
+            x = rng.standard_normal(shape)
+            x[0] = np.inf
+            x[1, 0] = np.nan
+            assert self._same_bits(x)
+            assert self._same_bits(x + 1j * rng.standard_normal(shape))
 
 
 class TestSymmetricPoint:
@@ -274,7 +388,7 @@ class TestReflectionDerivative:
     def test_matches_fd_oracle(self, name, v, t):
         d = _catalog(name)
         z = _collar_point(d, v, t)
-        zs, D = dom.symmetric_point_dbar(d, z)
+        zs, D = _reflect(d, z)
         assert np.array_equal(zs, dom.symmetric_point(d, z))
         assert np.abs(D - cn._dbar_reflection(d, z)).max() <= 1e-6
 
@@ -285,7 +399,7 @@ class TestReflectionDerivative:
         d = _catalog(name)
         xi = dom.project_boundary(d, _collar_point(d, v, t))
         assert np.abs(dom.project_boundary(d, xi) - xi).max() <= 1e-9
-        xs, D = dom.symmetric_point_dbar(d, xi)
+        xs, D = _reflect(d, xi)
         assert np.abs(xs - xi).max() <= 1e-9
         # on the boundary lam = 0 and dxi is the tangent projector, so
         # d(z*_k)/d(zbar_j) = -nu_j nu_k with nu the unit normal
@@ -298,8 +412,8 @@ class TestReflectionDerivative:
     def test_reflection_is_an_involution(self, name, v, t):
         d = _catalog(name)
         z = _collar_point(d, v, t)
-        zs, D = dom.symmetric_point_dbar(d, z)
-        zss, Ds = dom.symmetric_point_dbar(d, zs)
+        zs, D = _reflect(d, z)
+        zss, Ds = _reflect(d, zs)
         assert np.abs(dom.project_boundary(d, zs)
                       - dom.project_boundary(d, z)).max() <= 1e-9
         assert np.abs(zss - z).max() <= 1e-9
@@ -315,7 +429,7 @@ class TestReflectionDerivative:
         # |z| = 2 (lam >= 1/2) the Gershgorin certificate fails and the
         # eigenvalue check accepts the point
         z = r * dom.as_complex(np.asarray(v) / np.linalg.norm(v))[None]
-        _, D = dom.symmetric_point_dbar(_catalog("ball"), z)
+        _, D = _reflect(_catalog("ball"), z)
         assert np.abs(D[0] + np.outer(z[0], z[0]) / r ** 3).max() <= 1e-12
 
     def test_outside_reach_raises(self, ellipsoid, ball):
@@ -323,9 +437,8 @@ class TestReflectionDerivative:
         # past the focal point of the z1 directions (1 + 4 lam < 0 there)
         with pytest.raises(dom.ProjectionError,
                            match=r"z=\[0\. +\+0\.j 0\.4\+0\.j\]"):
-            dom.symmetric_point_dbar(ellipsoid,
-                                     np.array([[0.0, 0.4]], complex))
+            _reflect(ellipsoid, np.array([[0.0, 0.4]], complex))
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(dom.ProjectionError, match="non-finite"):
-            dom.symmetric_point_dbar(ball, np.zeros((1, 2), complex))
+            _reflect(ball, np.zeros((1, 2), complex))
 

@@ -62,6 +62,17 @@ class TestPolynomialCn:
             batch = z[: 3 * m].reshape(3, m, 2)
             assert np.array_equal(p(batch), p(z[: 3 * m]).reshape(3, m))
 
+    @pytest.mark.parametrize("kind", ["random", "empty_rows"])
+    def test_point_alone_equals_point_in_batch(self, kind):
+        # numpy multiplies one complex element in place on another path
+        # than a longer array, whose last bit can differ
+        r = np.random.default_rng(7)
+        p = pl.PolynomialCn(_poly_of_kind(kind, r, 6))
+        z = 0.3 * (r.standard_normal((200, 2))
+                   + 1j * r.standard_normal((200, 2)))
+        alone = np.concatenate([p(z[i:i + 1]) for i in range(len(z))])
+        assert np.array_equal(alone, p(z))
+
     @pytest.mark.parametrize("coeffs, n", [
         ({(1, 2, 3): 1.0}, 2), ({(1,): 1.0}, 2), ({3: 1.0}, 2),
         ({(-1, 2): 1.0}, 2), ({(0, -2): 0.0}, 2), ({(1.5, 0): 1.0}, 2),

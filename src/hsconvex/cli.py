@@ -1,11 +1,22 @@
 """Batch front-end: config-driven checks and diagnoses with file reports.
 
-Config files are INI-style (key = value under sections); every command
-writes a JSON report (deterministic: sorted keys, no timestamps) plus
-CSV tables where applicable, and appends one JSON line per step to an
-event log.  Exit codes: 0 ok, 1 check failure, 2 usage error, 3 numerical
-failure.  The thread count honored by the BLAS backing numpy can be pinned
-with HSCONVEX_THREADS, which the ``hsconvex`` package reads on import, before
+Config files are INI-style (key = value under sections).  Every command
+runs through :func:`main`, which holds one contract for all of them:
+
+* exit 0 or 1: the command ran, and its checks passed (0) or one failed
+  (1).  ``report.json`` holds the result (deterministic: sorted keys, no
+  timestamps), next to any CSV tables the command writes.
+* exit 2, usage error: a bad command line, an unreadable or invalid config,
+  or a missing or unknown corpus label.  The message goes to stderr and no
+  report is written.
+* exit 3, numerical failure: any other exception, such as a domain that
+  fails validation or a projection that does not converge.
+  ``report.json`` is ``{"command": ..., "error": ...}``.
+
+Each run that gets past the config starts an empty event log,
+``events.jsonl``, and appends one JSON line per step to it.  The thread
+count honored by the BLAS backing numpy can be pinned with
+HSCONVEX_THREADS, which the ``hsconvex`` package reads on import, before
 any of its modules loads numpy.
 """
 
@@ -20,8 +31,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import domain as domain_mod
-from . import dzyadyk, forms, homtype, koranyi, pipeline
-from .continuation import extend_by_symmetry, verify_pac
+from . import continuation, dzyadyk, forms, homtype, koranyi, pipeline
+from .sphere import split_resolution
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -29,7 +40,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
+class UsageError(ValueError):
+    """A command line the commands cannot run: exit 2, message on stderr."""
+
+
+class ConfigError(UsageError):
     pass
 
 
@@ -75,6 +90,10 @@ class RunConfig:
                                 self.shell_nodes_per_band, self.eta,
                                 self.p)):
             raise ConfigError("numeric resolution/params must be positive")
+        try:
+            split_resolution(self.shell_angular)
+        except ValueError as exc:
+            raise ConfigError(f"shell_angular: {exc}") from None
 
     def make_domain(self, validate=True):
         return domain_mod.from_catalog(self.domain_name, self.domain_params,
@@ -126,8 +145,8 @@ def _jsonable(x):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg, rep):
-    """Domain/grid/quasimetric invariant suite; exit 1 on any failure."""
+def cmd_validate(cfg, rep, function):
+    """Domain/grid/quasimetric invariant suite; fails on any failed check."""
     checks = []
 
     def record(name, passed, **extra):
@@ -135,79 +154,62 @@ def cmd_validate(cfg, rep):
                        **_jsonable(extra)})
         rep.event(check=name, passed=bool(passed))
 
+    dom = cfg.make_domain(validate=False)
     try:
-        report = None
-        dom = cfg.make_domain(validate=False)
-        try:
-            report = domain_mod.validate_domain(dom, seed=cfg.seed)
-            record("domain_convexity", True, **report)
-        except domain_mod.DomainValidationError as exc:
-            record("domain_convexity", False, witness=str(exc))
-            dom = None
-        if dom is not None:
-            grid = homtype.build_boundary_grid(dom, 0.0, cfg.boundary_nodes)
-            record("grid_weights_positive",
-                   bool(np.all(grid.w_sigma > 0) and np.all(grid.w_S > 0)))
-            coarse = homtype.build_boundary_grid(dom, 0.0,
-                                                 cfg.boundary_nodes // 4)
-            drift = abs(grid.sigma_total - coarse.sigma_total) / \
-                grid.sigma_total
-            record("surface_measure_converged", drift <= 0.01, drift=drift)
-            mc = homtype.build_boundary_grid(dom, 0.0,
-                                             max(cfg.boundary_nodes, 10000),
-                                             kind="random", seed=cfg.seed)
-            hom = homtype.check_homogeneous(mc, seed=cfg.seed)
-            record("homogeneous_dimension",
-                   abs(hom["fitted_dimension"] - dom.n) <= 0.15, **hom)
-            record("quasi_triangle",
-                   hom["quasi_triangle_constant"] <= 50.0)
-            rng = np.random.default_rng(cfg.seed)
-            w_ext = domain_mod.random_shell_points(
-                dom, rng, 2000, (1e-4 * cfg.eps, cfg.eps))
-            idx = rng.choice(grid.size, 2000)
-            qm = homtype.qm_exterior_check(dom, w_ext, grid.nodes[idx])
-            env = qm["shell_comparison"]
-            ok = env["lo"] >= 1.0 / 50 and env["hi"] <= 50
-            record("qm_exterior_envelope", ok, **env)
-            f1 = corpus_mod.monomial((1, 0))
-            val = forms.clf_reproduce(grid, f1,
-                                      np.array([0.3, 0.0], complex))
-            record("clf_reproduction",
-                   abs(val.value - 0.3) <= 1e-5, err=abs(val.value - 0.3))
-    except Exception as exc:   # numerical failure, not a check failure
-        rep.write_json("report.json", {"command": "validate",
-                                       "error": str(exc),
-                                       "checks": checks})
-        return EXIT_NUMERIC
-    payload = {"command": "validate", "domain": cfg.domain_name,
-               "params": list(cfg.domain_params), "checks": checks,
-               "passed": all(c["passed"] for c in checks)}
-    rep.write_json("report.json", payload)
-    return EXIT_OK if payload["passed"] else EXIT_CHECK
+        report = domain_mod.validate_domain(dom, seed=cfg.seed)
+    except domain_mod.DomainValidationError as exc:
+        record("domain_convexity", False, witness=str(exc))
+    else:
+        record("domain_convexity", True, **report)
+        grid = homtype.build_boundary_grid(dom, 0.0, cfg.boundary_nodes)
+        record("grid_weights_positive",
+               bool(np.all(grid.w_sigma > 0) and np.all(grid.w_S > 0)))
+        coarse = homtype.build_boundary_grid(dom, 0.0,
+                                             cfg.boundary_nodes // 4)
+        drift = abs(grid.sigma_total - coarse.sigma_total) / \
+            grid.sigma_total
+        record("surface_measure_converged", drift <= 0.01, drift=drift)
+        mc = homtype.build_boundary_grid(dom, 0.0,
+                                         max(cfg.boundary_nodes, 10000),
+                                         kind="random", seed=cfg.seed)
+        hom = homtype.check_homogeneous(mc, seed=cfg.seed)
+        record("homogeneous_dimension",
+               abs(hom["fitted_dimension"] - dom.n) <= 0.15, **hom)
+        record("quasi_triangle", hom["quasi_triangle_constant"] <= 50.0)
+        rng = np.random.default_rng(cfg.seed)
+        w_ext = domain_mod.random_shell_points(
+            dom, rng, 2000, (1e-4 * cfg.eps, cfg.eps))
+        idx = rng.choice(grid.size, 2000)
+        qm = homtype.qm_exterior_check(dom, w_ext, grid.nodes[idx])
+        env = qm["shell_comparison"]
+        ok = env["lo"] >= 1.0 / 50 and env["hi"] <= 50
+        record("qm_exterior_envelope", ok, **env)
+        f1 = corpus_mod.monomial((1, 0))
+        val = forms.clf_reproduce(grid, f1, np.array([0.3, 0.0], complex))
+        record("clf_reproduction",
+               abs(val.value - 0.3) <= 1e-5, err=abs(val.value - 0.3))
+    passed = all(c["passed"] for c in checks)
+    return {"command": "validate", "domain": cfg.domain_name,
+            "params": list(cfg.domain_params), "checks": checks,
+            "passed": passed}, passed
 
 
-def cmd_diagnose(cfg, rep, fname):
-    dom = cfg.make_domain()
+def cmd_diagnose(cfg, rep, function):
+    """Smoothness diagnosis of one corpus function; has no check of its own."""
+    if not function:
+        raise UsageError("diagnose needs a corpus function label")
     entries = {e.f.label: e for e in corpus_mod.corpus_entries()}
-    if fname not in entries:
-        print(f"unknown function {fname!r}; corpus: {sorted(entries)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    entry = entries[fname]
-    rep.event(command="diagnose", function=fname)
-    try:
-        report = pipeline.diagnose(dom, entry.f, p=cfg.p,
-                                   k_range=cfg.k_range,
-                                   l_probe=cfg.l_probe, r=cfg.r)
-    except Exception as exc:
-        rep.write_json("report.json", {"command": "diagnose",
-                                       "error": str(exc)})
-        return EXIT_NUMERIC
+    if function not in entries:
+        raise UsageError(f"unknown function {function!r}; "
+                         f"corpus: {sorted(entries)}")
+    dom = cfg.make_domain()
+    rep.event(command="diagnose", function=function)
+    report = pipeline.diagnose(dom, entries[function].f, p=cfg.p,
+                               k_range=cfg.k_range, l_probe=cfg.l_probe,
+                               r=cfg.r)
     payload = report.to_jsonable()
     payload["command"] = "diagnose"
-    floor_flag = report.slope_points < len(report.k_list)
-    payload["quadrature_floor"] = bool(floor_flag)
-    rep.write_json("report.json", payload)
+    payload["quadrature_floor"] = report.slope_points < len(report.k_list)
     rows = []
     for k in report.k_list:
         rows.append([k, repr(report.sup_errors[k]), repr(report.lp_errors[k])]
@@ -216,14 +218,14 @@ def cmd_diagnose(cfg, rep, fname):
     rep.write_csv("ek_table.csv",
                   ["k", "sup_error", "lp_error"]
                   + [f"partial_sum_l{l}" for l in cfg.l_probe], rows)
-    return EXIT_OK
+    return payload, True
 
 
 # kernel approximant degrees whose certificates `kernel` reports
 KERNEL_DEGREES = (8, 16, 32, 64)
 
 
-def cmd_kernel(cfg, rep):
+def cmd_kernel(cfg, rep, function):
     dom = cfg.make_domain()
     rows = []
     certs = {}
@@ -238,36 +240,33 @@ def cmd_kernel(cfg, rep):
         rep.event(command="kernel", k=int(k))
     cfar = [float(r[1]) for r in rows]
     slope = float(np.polyfit(np.log(KERNEL_DEGREES), np.log(cfar), 1)[0])
-    payload = {"command": "kernel", "k_values": list(KERNEL_DEGREES),
-               "rows": [[r[0], float(r[1]), float(r[2]), r[3], r[4]]
-                        for r in rows],
-               "c_far_log_slope": slope, "certificates": certs}
-    rep.write_json("report.json", payload)
     rep.write_csv("c_far_trend.csv",
                   ["k", "C_far", "C_near", "n_far", "n_near"], rows)
-    return EXIT_OK if slope <= 0.1 else EXIT_CHECK
+    return {"command": "kernel", "k_values": list(KERNEL_DEGREES),
+            "rows": [[r[0], float(r[1]), float(r[2]), r[3], r[4]]
+                     for r in rows],
+            "c_far_log_slope": slope, "certificates": certs}, slope <= 0.1
 
 
-def cmd_continuation(cfg, rep):
+def cmd_continuation(cfg, rep, function):
     dom = cfg.make_domain()
     f = corpus_mod.monomial((2, 1))
-    cont = extend_by_symmetry(dom, f, m=3, eps=cfg.eps)
+    cont = continuation.extend_by_symmetry(dom, f, m=3, eps=cfg.eps)
     shell = forms.build_shell_grid(dom, cfg.eps, cfg.shell_angular,
                                    n_bands=cfg.shell_bands,
                                    nodes_per_band=cfg.shell_nodes_per_band)
     rng = np.random.default_rng(cfg.seed)
     zs = 0.5 * domain_mod.random_unit_directions(rng, 8, dom.n)
-    out = verify_pac(cont, shell, zs, f)
+    out = continuation.verify_pac(cont, shell, zs, f)
     rep.event(command="continuation", nodes=shell.size)
-    payload = {"command": "continuation", "function": f.label,
-               "shell_nodes": shell.size,
-               "max_rel_err": out["max_rel_err"],
-               "rel_err": _jsonable(out["rel_err"])}
-    rep.write_json("report.json", payload)
-    return EXIT_OK if out["max_rel_err"] <= 1e-2 else EXIT_CHECK
+    return {"command": "continuation", "function": f.label,
+            "shell_nodes": shell.size,
+            "max_rel_err": out["max_rel_err"],
+            "rel_err": _jsonable(out["rel_err"])}, \
+        out["max_rel_err"] <= 1e-2
 
 
-def cmd_area(cfg, rep):
+def cmd_area(cfg, rep, function):
     dom = cfg.make_domain()
     grid = homtype.build_boundary_grid(dom, 0.0, 3000)
     # the small quasiball indicators concentrate their area-functional mass
@@ -283,24 +282,25 @@ def cmd_area(cfg, rep):
                                         centers=centers, eta=cfg.eta,
                                         eps=cfg.eps)
     rep.event(command="area", members=len(fam))
-    payload = {"command": "area", "ratios": out["ratios"],
-               "spread": out["spread"],
-               "monotone_blowup": out["monotone_blowup"]}
-    rep.write_json("report.json", payload)
     i1, i2 = koranyi.area_Il(dom, np.stack([g_const, 2.0 * g_const]), 1,
                              centers.nodes[0], grid, eta=cfg.eta, eps=cfg.eps)
     homog_ok = abs(i2 - 2.0 * i1) <= 1e-10 * max(i2, 1.0)
     ok = out["spread"] <= 50 and not out["monotone_blowup"] and homog_ok
-    return EXIT_OK if ok else EXIT_CHECK
+    return {"command": "area", "ratios": out["ratios"],
+            "spread": out["spread"],
+            "monotone_blowup": out["monotone_blowup"]}, ok
+
+
+COMMANDS = {"validate": cmd_validate, "diagnose": cmd_diagnose,
+            "kernel": cmd_kernel, "continuation": cmd_continuation,
+            "area": cmd_area}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="hsconvex",
         description="batch checks for the convex-domain Hardy-Sobolev kit")
-    ap.add_argument("command",
-                    choices=["validate", "diagnose", "kernel",
-                             "continuation", "area"])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("config", help="INI-style config file")
     ap.add_argument("function", nargs="?",
                     help="corpus function label (diagnose)")
@@ -311,22 +311,18 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out) if args.out else cfg.output_dir
-    rep = Reporter(out_dir)
-    if args.command == "validate":
-        return cmd_validate(cfg, rep)
-    if args.command == "diagnose":
-        if not args.function:
-            print("diagnose needs a corpus function label", file=sys.stderr)
-            return EXIT_USAGE
-        return cmd_diagnose(cfg, rep, args.function)
-    if args.command == "kernel":
-        return cmd_kernel(cfg, rep)
-    if args.command == "continuation":
-        return cmd_continuation(cfg, rep)
-    if args.command == "area":
-        return cmd_area(cfg, rep)
-    return EXIT_USAGE
+    rep = Reporter(Path(args.out) if args.out else cfg.output_dir)
+    try:
+        payload, passed = COMMANDS[args.command](cfg, rep, args.function)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:   # numerical failure, not a check failure
+        rep.write_json("report.json", {"command": args.command,
+                                       "error": str(exc)})
+        return EXIT_NUMERIC
+    rep.write_json("report.json", payload)
+    return EXIT_OK if passed else EXIT_CHECK
 
 
 if __name__ == "__main__":

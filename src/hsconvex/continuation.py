@@ -299,12 +299,11 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
     zz = np.atleast_2d(z)
     total = np.zeros(zz.shape[0], dtype=complex)
     for sl in row_blocks(dw.shape[0]):
-        start, stop = sl.start, min(sl.stop, dw.shape[0])
         # the BLAS multiplies a lone row on another kernel, whose last bits
         # differ, so a one-row block takes its products from two rows
-        lo = max(0, min(start, stop - 2))
+        lo = max(0, min(sl.start, sl.stop - 2))
         den = pairing(g[sl], pts[sl])[:, None] \
-            - (g[lo:stop] @ zz.T)[start - lo:]
+            - (g[lo:sl.stop] @ zz.T)[sl.start - lo:]
         # the ufunc, not the operator: numpy may multiply a large temporary
         # operand in place with the operands swapped, and for one point the
         # order decides the last bits, so the block size would too

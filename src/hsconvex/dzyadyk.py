@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 T_QUANT_STEP = np.pi / 64.0
+LUNE_TOL = 1e-9     # closure slack of lune membership
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Lune:
     """Region bounded by the bigger arc of |lambda| = R and a chord through 1.
 
     The chord has direction e^{it}; the lune is the side containing 0, which
-    requires sin(t) > 0.  Membership is closed up to ``tol``.
+    requires sin(t) > 0.  Membership is closed up to ``LUNE_TOL``.
     """
 
     t: float
@@ -58,9 +59,10 @@ class Lune:
         lam = np.asarray(lam, dtype=complex)
         return np.real((lam - 1.0) * np.exp(1j * (0.5 * np.pi - self.t)))
 
-    def contains(self, lam, tol=1e-9):
+    def contains(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        return (np.abs(lam) <= self.R + tol) & (self.side(lam) <= tol)
+        return (np.abs(lam) <= self.R + LUNE_TOL) & \
+            (self.side(lam) <= LUNE_TOL)
 
     def chord_span(self):
         """Chord parameters s with 1 + s e^{it} on the circle |lambda| = R."""

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exterior
-from .domain import pairing, project_boundary
+from .domain import pairing, project_boundary, row_blocks
 from .sphere import angular_mesh, random_angular_mesh, surface_nodes
 
 __all__ = [
@@ -88,8 +88,8 @@ class BoundaryGrid:
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.size, size=min(256, self.size), replace=False)
         peaks = []
-        for start in range(0, idx.size, _DIAMETER_ROWS):
-            rows = idx[start:start + _DIAMETER_ROWS]
+        for sl in row_blocks(idx.size, _DIAMETER_ROWS):
+            rows = idx[sl]
             d = np.abs(self.pair_self[rows, None]
                        - self.grad[rows] @ self.nodes.T)
             peaks.append(d.max())
@@ -310,8 +310,7 @@ def maximal_function(grid, a, n_levels=12, at=None):
     radii = grid.diameter() * 2.0 ** (-np.arange(n_levels, dtype=float))
     aw = a * grid.w_sigma
     out = a[idx]
-    for start in range(0, idx.size, 256):
-        sl = slice(start, start + 256)
+    for sl in row_blocks(idx.size, 256):
         d = grid_qdist(grid, grid.nodes[idx[sl]])    # (C, N)
         for r in radii:
             mask = d < r
@@ -330,8 +329,7 @@ def maximal_function_brute(grid, a):
     a = np.abs(np.asarray(a, dtype=float))
     aw = a * grid.w_sigma
     out = np.empty(grid.size)
-    for start in range(0, grid.size, 64):
-        sl = slice(start, start + 64)
+    for sl in row_blocks(grid.size, 64):
         d = grid_qdist(grid, grid.nodes[sl])
         order = np.argsort(d, axis=1)
         num = np.cumsum(np.take_along_axis(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import boundary_point_data, pairing, project_boundary, \
-    real_hessian, sum_last
+    real_hessian, row_blocks, sum_last
 from .homtype import BoundaryGrid, qdist
 
 __all__ = [
@@ -398,8 +398,7 @@ def _area_values(domain, sample, gw, l, grid, kern_buf):
     """
     n = domain.n
     phi = np.empty((gw.shape[0], sample.size), dtype=complex)
-    for start in range(0, sample.size, _KERNEL_ROWS):
-        sl = slice(start, start + _KERNEL_ROWS)
+    for sl in row_blocks(sample.size, _KERNEL_ROWS):
         tau = sample.points[sl]
         gt = np.asarray(domain.grad(tau))
         kern = kern_buf[:tau.shape[0]]
@@ -476,8 +475,7 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
 
 
 def region_comparison_samples(domain, n_centers=40, eta=DEFAULT_ETA, eps=None,
-                             resolution=None, seed=5, per_region=40,
-                             grid=None):
+                              seed=5, per_region=40, grid=None):
     """(tau, centers, boundary w) triples for the region comparison estimate.
 
     The centres' regions come from one bank; the per-region subsets are
@@ -488,8 +486,7 @@ def region_comparison_samples(domain, n_centers=40, eta=DEFAULT_ETA, eps=None,
     if grid is None:
         raise ValueError("need a boundary grid to draw centers from")
     idx = rng.choice(grid.size, size=min(n_centers, grid.size), replace=False)
-    samples = sample_regions(domain, grid.nodes[idx], "external", eta, eps,
-                             resolution)
+    samples = sample_regions(domain, grid.nodes[idx], "external", eta, eps)
     taus, cents, ws = [], [], []
     for sample in samples:
         take = rng.choice(sample.size, size=min(per_region, sample.size),

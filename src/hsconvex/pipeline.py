@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .continuation import dbar_region_mass, shell_defect
-from .domain import pairing
+from .domain import pairing, row_blocks
 from .dzyadyk import build_Kglob
 from .forms import ShellGrid, multi_indices
 from .homtype import BoundaryGrid, build_boundary_grid, maximal_function
@@ -58,11 +58,8 @@ class PolynomialCn:
     """Complex polynomial in (z1, z2) over a multi-index coefficient map."""
 
     coeffs: dict
-    n: int = 2
 
     def __post_init__(self):
-        if self.n != 2:
-            raise ValueError(f"PolynomialCn is bivariate; got n={self.n}")
         coeffs = {}
         for k, v in self.coeffs.items():
             key = k if isinstance(k, tuple) else (k,)
@@ -110,12 +107,12 @@ class PolynomialCn:
         z2 = np.empty(size, dtype=complex)
         row = np.empty(size, dtype=complex)
         prod = np.empty(size, dtype=complex)
-        for s in range(0, zf.shape[0], _HORNER_BLOCK):
-            m = min(_HORNER_BLOCK, zf.shape[0] - s)
+        for sl in row_blocks(zf.shape[0], _HORNER_BLOCK):
+            m = sl.stop - sl.start
             b1, b2, r, t = z1[:m], z2[:m], row[:m], prod[:m]
-            o = out[s: s + m]
-            b1[:] = zf[s: s + m, 0]
-            b2[:] = zf[s: s + m, 1]
+            o = out[sl]
+            b1[:] = zf[sl, 0]
+            b2[:] = zf[sl, 1]
             # every product goes to the separate buffer t: numpy multiplies
             # a single complex element in place on another path, whose last
             # bit can differ, so a point evaluated alone would not match
@@ -204,7 +201,7 @@ def _assemble(domain, kglob, c, g, w, harm=None):
                 key = (b1, b2)
                 coeffs[key] = coeffs.get(key, 0.0) + \
                     D[m] * float(math.comb(m, b1)) * mom
-    return PolynomialCn(coeffs, n=n)
+    return PolynomialCn(coeffs)
 
 
 # phase harmonics kept by the reduced projector, and the relative size of
@@ -379,7 +376,7 @@ class SmoothnessReport:
 
 
 def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
-             m_jet=4, r=None):
+             r=None):
     """Build the dyadic sequence, error fields, slope and verdicts for f.
 
     Entire functions project directly from an offset surface; functions that
@@ -431,7 +428,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
         label=f.label, k_list=k_list, sup_errors=sups, lp_errors=lps,
         fields=fields, slope=slope, slope_points=len(usable),
         partial_sums=partial, verdicts=verdicts,
-        meta={"method": method, "p": p, "r": r, "m_jet": m_jet,
+        meta={"method": method, "p": p, "r": r, "m_jet": 4,
               "grid_size": nodes.shape[0]})
 
 

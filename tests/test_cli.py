@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hsconvex import cli
+from hsconvex import cli, continuation
+from hsconvex import domain as dom
 
 
 BASE_CFG = """\
@@ -49,6 +50,75 @@ class TestConfig:
         rc = cli.main(["diagnose", str(cfg_file), "nope"])
         assert rc == cli.EXIT_USAGE
         assert "corpus" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("angular", [0, 8])
+    def test_too_few_shell_angles_is_usage_error(self, tmp_path, capsys,
+                                                 angular):
+        cfg = tmp_path / "shell.cfg"
+        cfg.write_text(BASE_CFG.replace(
+            "boundary_nodes = 4000",
+            f"boundary_nodes = 4000\nshell_angular = {angular}")
+            .format(out=tmp_path / "out"))
+        assert cli.main(["continuation", str(cfg)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "shell_angular" in err
+        assert not (tmp_path / "out").exists()
+
+
+NONCONVEX_CFG = """\
+[domain]
+name = perturbed_ball
+params = 1.5
+eps = 0.1
+
+[output]
+dir = {out}
+"""
+
+
+class TestExitContract:
+    """Exit 1 is a failed check; every other failure is exit 3 with a report."""
+
+    def test_nonconvex_domain(self, tmp_path, capsys):
+        cfg = tmp_path / "nonconvex.cfg"
+        cfg.write_text(NONCONVEX_CFG.format(out=tmp_path / "out"))
+        out = tmp_path / "v"
+        assert cli.main(["validate", str(cfg), "--out", str(out)]) == \
+            cli.EXIT_CHECK
+        rep = json.loads((out / "report.json").read_text())
+        assert not rep["passed"]
+        assert "Hessian" in rep["checks"][0]["witness"]
+        for argv in (["diagnose", str(cfg), "z1"], ["kernel", str(cfg)],
+                     ["continuation", str(cfg)], ["area", str(cfg)]):
+            out = tmp_path / argv[0]
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_NUMERIC
+            rep = json.loads((out / "report.json").read_text())
+            assert sorted(rep) == ["command", "error"]
+            assert rep["command"] == argv[0] and "Hessian" in rep["error"]
+            assert (out / "events.jsonl").read_text() == ""
+        assert capsys.readouterr().err == ""
+
+    def test_projection_error_mid_command(self, cfg_file, tmp_path,
+                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise dom.ProjectionError("Newton did not converge")
+
+        monkeypatch.setattr(continuation, "verify_pac", fail)
+        out = tmp_path / "c"
+        assert cli.main(["continuation", str(cfg_file),
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert json.loads((out / "report.json").read_text()) == {
+            "command": "continuation", "error": "Newton did not converge"}
+
+    def test_unknown_label_writes_no_report(self, cfg_file, tmp_path):
+        out = tmp_path / "d"
+        assert cli.main(["diagnose", str(cfg_file), "nope",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert cli.main(["diagnose", str(cfg_file),
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == ["events.jsonl"]
+        assert (out / "events.jsonl").read_text() == ""
 
 
 class TestValidate:

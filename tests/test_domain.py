@@ -102,7 +102,7 @@ class TestEval:
             lambda z: np.conj(np.asarray(z) - 2.0),
             ball.hess_mixed, ball.hess_holo, 0.1, validate=False)
         with pytest.raises(dom.DomainValidationError):
-            dom.validate_domain(shifted, fd_check=False)
+            dom.validate_domain(shifted)
 
 
 class TestProjection:

@@ -78,8 +78,9 @@ class TestPolynomialCn:
         ({(-1, 2): 1.0}, 2), ({(0, -2): 0.0}, 2), ({(1.5, 0): 1.0}, 2),
         ({(1, 0): 1.0}, 3)])
     def test_rejects_bad_multi_index_or_dimension(self, coeffs, n):
+        # n is the dimension of the points: the polynomial is bivariate
         with pytest.raises(ValueError):
-            pl.PolynomialCn(coeffs, n=n)
+            pl.PolynomialCn(coeffs)(np.zeros((1, n), complex))
 
     def test_degree(self):
         p = pl.PolynomialCn({(2, 1): 1.0, (0, 0): 5.0, (1, 3): 0.0})

@@ -19,6 +19,8 @@ Configs and the bk shape are read from ``perfbench/`` and not changed.
 Prints one ``<sha256>  <job>/<file>`` line per file, sorted, so checking
 that two trees write the same bytes is one ``diff`` of their outputs.  The
 event logs carry no report data and are not hashed.
+A job that exits 2 (usage) or 3 (numerical failure) stops the tool with
+a non-zero exit status that names the job, and nothing is printed.
 """
 
 import hashlib
@@ -62,10 +64,13 @@ def main(argv):
             cfg.write_text(text)
             out = Path(tmp) / slug
             if kind == "bk":
-                job.bk_shape(cli.RunConfig(str(cfg)), out)
+                code = job.bk_shape(cli.RunConfig(str(cfg)), out)
             else:
-                cli.main([command, str(cfg)] + ([function] if function else [])
-                         + ["--out", str(out)])
+                code = cli.main([command, str(cfg)]
+                                + ([function] if function else [])
+                                + ["--out", str(out)])
+            if code in (cli.EXIT_USAGE, cli.EXIT_NUMERIC):
+                raise SystemExit(f"{job_id}: exit {code}")
             for path in sorted(out.iterdir()):
                 if path.suffix in (".json", ".csv"):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()

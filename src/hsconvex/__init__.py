@@ -22,7 +22,6 @@ if _os.environ.get("HSCONVEX_THREADS"):
 
 from .domain import (
     DomainSpec,
-    BoundaryPointData,
     ball,
     ellipsoid,
     perturbed_ball,
@@ -78,7 +77,7 @@ from .corpus import build_corpus, CorpusEntry
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainSpec", "BoundaryPointData", "ball", "ellipsoid", "perturbed_ball",
+    "DomainSpec", "ball", "ellipsoid", "perturbed_ball",
     "from_catalog", "project_boundary", "symmetric_point",
     "BoundaryGrid", "build_boundary_grid", "qdist", "quasiball",
     "check_homogeneous", "qm_exterior_check", "maximal_function",

@@ -14,10 +14,12 @@ runs through :func:`main`, which holds one contract for all of them:
   ``report.json`` is ``{"command": ..., "error": ...}``.
 
 Each run that gets past the config starts an empty event log,
-``events.jsonl``, and appends one JSON line per step to it.  The thread
-count honored by the BLAS backing numpy can be pinned with
-HSCONVEX_THREADS, which the ``hsconvex`` package reads on import, before
-any of its modules loads numpy.
+``events.jsonl``, and appends one JSON line per step to it; it first
+deletes an earlier run's ``report.json`` and CSV tables, so no report in
+the output directory is older than the log.  The thread count honored by
+the BLAS backing numpy can be pinned with HSCONVEX_THREADS, which the
+``hsconvex`` package reads on import, before any of its modules loads
+numpy.
 """
 
 import argparse
@@ -103,11 +105,16 @@ class RunConfig:
 class Reporter:
     """Deterministic JSON/CSV writers plus a JSON-lines event log."""
 
+    # the report files the commands write, besides the event log
+    OUTPUTS = ("report.json", "ek_table.csv", "c_far_trend.csv")
+
     def __init__(self, out_dir):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
+        for name in self.OUTPUTS:
+            (self.out / name).unlink(missing_ok=True)
         self._log = self.out / "events.jsonl"
-        self._log.write_text("")        # a run's log never shows older runs
+        self._log.write_text("")
         self._steps = 0
 
     def event(self, **kv):

@@ -105,17 +105,21 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
     and yields ``(sl, values)`` for consecutive row blocks ``sl`` of them
     (:func:`hsconvex.domain.row_blocks`); each block is written into the
     output as it comes, so only the output and one block's temporaries are
-    alive at once.
+    alive at once.  When every point is live, as on a collar shell, the core
+    runs on the points themselves, with no copy of them.
     """
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
         zz = z.reshape(-1, z.shape[-1])
         rho = np.asarray(domain.rho(zz))
         out = np.zeros(rho.shape + shape, dtype=complex)
-        live = np.flatnonzero((rho < eps) & (rho > floor))
-        rho = rho[live]
-        if live.size:
-            for sl, values in core(zz[live], rho):
+        mask = (rho < eps) & (rho > floor)
+        if mask.all():
+            for sl, values in core(zz, rho):
+                out[sl] = values
+        elif mask.any():
+            live = np.flatnonzero(mask)
+            for sl, values in core(zz[live], rho[live]):
                 out[live[sl]] = values
         return out[0] if z.ndim == 1 else out.reshape(z.shape[:-1] + shape)
     return evaluate
@@ -351,8 +355,8 @@ def dbar_region_mass(cont, centers, l, eta, eps, resolution, rho_min=0.0,
         for s, m2 in zip(samples, np.split(mag2, ends[:-1]))])
 
 
-def sobolev_functional(cont, l, p, eta=koranyi.DEFAULT_ETA, eps=None,
-                       centers=None, resolution=None):
+def sobolev_functional(cont, l, p, centers, eta=koranyi.DEFAULT_ETA,
+                       eps=None, resolution=None):
     """Sobolev-characterization mass of a continuation.
 
     Integral over boundary centers of (region integral of
@@ -361,8 +365,6 @@ def sobolev_functional(cont, l, p, eta=koranyi.DEFAULT_ETA, eps=None,
     integrals are one :func:`dbar_region_mass` call.
     """
     eps = cont.support_height if eps is None else float(eps)
-    if centers is None:
-        raise ValueError("need a center grid")
     inner = dbar_region_mass(cont, centers.nodes, l, eta, eps, resolution)
     total = 0.0
     for w, mass in zip(centers.w_sigma, inner.tolist()):

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DomainSpec",
-    "BoundaryPointData",
     "DomainValidationError",
     "ProjectionError",
     "ball",
@@ -30,7 +29,6 @@ __all__ = [
     "project_boundary",
     "symmetric_point",
     "symmetric_point_dbar",
-    "boundary_point_data",
     "unit_frame",
     "radial_level",
     "random_shell_points",
@@ -131,23 +129,6 @@ class DomainSpec:
         """
         return (self.name, self.n, tuple(float(p) for p in self.params),
                 float(self.eps_shell))
-
-
-@dataclass(frozen=True)
-class BoundaryPointData:
-    """A point on a level surface with its adapted frames.
-
-    ``normal`` is the unit complex normal (equal to the real outward unit
-    normal as a vector), ``tangent_frame`` is a real-orthonormal basis of the
-    (2n-1)-dimensional real tangent space ordered so that (normal, frame) is
-    positively oriented, and ``ct_frame`` spans the complex tangent space.
-    """
-
-    xi: np.ndarray
-    level: float
-    normal: np.ndarray
-    tangent_frame: np.ndarray   # (2n-1, n) complex rows
-    ct_frame: np.ndarray        # (n-1, n) complex rows
 
 
 # ---------------------------------------------------------------------------
@@ -567,40 +548,12 @@ def _project_newton(domain, pts, start, t):
     return xi
 
 
-def boundary_point_data(domain, xi):
-    """Assemble frames at a surface point; see :class:`BoundaryPointData`."""
-    xi = np.asarray(xi, dtype=complex)
-    lvl = float(domain.rho(xi))
-    g = np.asarray(domain.grad(xi))
-    gn = np.linalg.norm(g)
-    if gn < 1e-12:
-        raise ProjectionError(f"degenerate gradient at xi={xi}")
-    nu = np.conj(g) / gn
-    ct = _complex_tangent_basis(g)
-    frame = [1j * nu]
-    for u in ct:
-        frame.extend([u, 1j * u])
-    return BoundaryPointData(xi=xi, level=lvl, normal=nu,
-                             tangent_frame=np.array(frame),
-                             ct_frame=ct)
-
-
-def _complex_tangent_basis(g):
-    """Hermitian-orthonormal basis of {v : <g, v> = 0} (C-bilinear pairing)."""
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[-1]
-    # v is pairing-orthogonal to g iff v is Hermitian-orthogonal to conj(g)
-    a = np.conj(g) / np.linalg.norm(g)
-    M = np.concatenate([a[:, None], np.eye(n, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(M)
-    basis = q[:, 1:n].T
-    return basis
-
-
 def unit_frame(g):
     """|g|, unit normal conj(g)/|g| and complex tangent (-g2, g1)/|g|, n = 2.
 
     ``g`` (N, 2) are holomorphic gradients; a vanishing one raises ValueError.
+    The approach-region sampler builds its own tangent, of another phase
+    (``koranyi._ray_ladder``); the phase places its sample points.
     """
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn < 1e-12):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import pairing, radial_level, random_unit_directions, \
-    unit_frame
+from .domain import pairing, radial_level, random_shell_points, \
+    random_unit_directions, unit_frame
 
 __all__ = [
     "Lune",
@@ -81,10 +81,7 @@ def lune_radius(domain):
     """
     eps = domain.eps_shell
     rng = np.random.default_rng(3)
-    dirs = random_unit_directions(rng, _LUNE_SAMPLES, domain.n)
-    ts = rng.uniform(1e-4 * eps, eps, size=_LUNE_SAMPLES)
-    r = radial_level(domain, dirs, ts)
-    xi = r[:, None] * dirs
+    xi = random_shell_points(domain, rng, _LUNE_SAMPLES, (1e-4 * eps, eps))
     g = np.asarray(domain.grad(xi))
     c = pairing(g, xi)
     zdirs = random_unit_directions(rng, _LUNE_SAMPLES, domain.n)

@@ -158,15 +158,11 @@ class ShellGrid:
     weights from the coarea factorization d(mu) = d(sigma_t) dt / |grad rho|.
     """
 
-    domain: object
-    eps: float
     levels: np.ndarray     # (L,)
-    w_t: np.ndarray        # (L,)
     nodes: np.ndarray      # (L, N, n)
     grad: np.ndarray       # (L, N, n)
     w_sigma: np.ndarray    # (L, N)
     w_mu: np.ndarray       # (L, N)
-    resolution: tuple
 
     @property
     def size(self):
@@ -205,7 +201,6 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
         all_grad.append(g)
         all_wsig.append(w_sigma)
         all_wmu.append(wt * w_sigma / grad_norm)
-    return ShellGrid(domain=domain, eps=eps, levels=levels, w_t=weights,
-                     nodes=np.array(all_nodes), grad=np.array(all_grad),
-                     w_sigma=np.array(all_wsig), w_mu=np.array(all_wmu),
-                     resolution=mesh.resolution + (n_bands, nodes_per_band))
+    return ShellGrid(levels=levels, nodes=np.array(all_nodes),
+                     grad=np.array(all_grad), w_sigma=np.array(all_wsig),
+                     w_mu=np.array(all_wmu))

@@ -48,14 +48,12 @@ class BoundaryGrid:
     """
 
     domain: object
-    level: float
     nodes: np.ndarray      # (N, n)
     grad: np.ndarray       # (N, n)
     w_sigma: np.ndarray    # (N,)
     w_S: np.ndarray        # (N,)
     density: np.ndarray    # (N,)
     pair_self: np.ndarray  # (N,)
-    resolution: tuple
 
     @property
     def size(self):
@@ -118,9 +116,8 @@ def build_boundary_grid(domain, t=0.0, resolution=10000, kind="product",
     if np.any(density <= 0):
         raise ValueError("non-positive Leray density; orientation broken")
     w_s = density * w_sigma
-    return BoundaryGrid(domain=domain, level=float(t), nodes=nodes, grad=g,
-                        w_sigma=w_sigma, w_S=w_s, density=density,
-                        pair_self=pairing(g, nodes), resolution=mesh.resolution)
+    return BoundaryGrid(domain=domain, nodes=nodes, grad=g, w_sigma=w_sigma,
+                        w_S=w_s, density=density, pair_self=pairing(g, nodes))
 
 
 def qdist(domain, w, z):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import boundary_point_data, pairing, project_boundary, \
+from .domain import ProjectionError, pairing, project_boundary, \
     real_hessian, row_blocks, sum_last
 from .homtype import BoundaryGrid, qdist
 
@@ -38,14 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegionSample:
-    kind: str              # "internal" | "external"
     center: np.ndarray
-    eta: float
-    eps: float
     points: np.ndarray    # (M, n)
     rho: np.ndarray       # (M,)
     weights: np.ndarray   # (M,) Lebesgue volume weights
-    meta: dict
 
     @property
     def size(self):
@@ -60,8 +56,7 @@ def _resolution_tuple(resolution):
     """(n_levels, per_level, n_r, n_theta, n_b); (12, 3, 8, 8, 8) for None.
 
     The third entry, ``n_r``, is unused: every member interval of a ray gets
-    ``_RADIAL_GAUSS`` Gauss-Legendre nodes, and ``meta["resolution"]``
-    records that count in its place.
+    ``_RADIAL_GAUSS`` Gauss-Legendre nodes.
     """
     if resolution is None:
         return (12, 3, 8, 8, 8)
@@ -116,9 +111,15 @@ def _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
     bound and, per ray, its height, imaginary-normal offset and cell weight
     (each height cell's n_b * n_th rays in (b, angle) order).
     """
-    bp = boundary_point_data(domain, z)
-    nu, u = bp.normal, bp.ct_frame[0]
-    gn = float(np.linalg.norm(np.asarray(domain.grad(z))))
+    g = np.asarray(domain.grad(z))
+    gn = float(np.linalg.norm(g))
+    if gn < 1e-12:
+        raise ProjectionError(f"degenerate gradient at xi={z}")
+    nu = np.conj(g) / gn
+    # the complex tangent u (<g, u> = 0): the second column of the QR of
+    # [nu | I]; its phase differs from domain.unit_frame's tangent
+    u = np.linalg.qr(np.concatenate(
+        [nu[:, None], np.eye(domain.n, dtype=complex)], axis=1))[0][:, 1]
     lam = 0.5 * float(np.linalg.eigvalsh(real_hessian(domain, z))[-1])
     if kind == "external" and eta * lam >= 0.85:
         raise ValueError(
@@ -284,12 +285,8 @@ def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
     tau = tau.reshape(-1, domain.n)
     rho = np.asarray(domain.rho(tau))
     pt_off = live_off * _RADIAL_GAUSS
-    return [RegionSample(kind=kind, center=z, eta=float(eta), eps=eps,
-                         points=tau[p0:p1], rho=rho[p0:p1],
-                         weights=w[p0:p1],
-                         meta={"resolution": (n_levels, per_level,
-                                              _RADIAL_GAUSS, n_th, n_b),
-                               "rho_min": lo_cut, "rho_max": hi_cut})
+    return [RegionSample(center=z, points=tau[p0:p1], rho=rho[p0:p1],
+                         weights=w[p0:p1])
             for z, p0, p1 in zip(centers, pt_off[:-1], pt_off[1:])]
 
 
@@ -354,16 +351,15 @@ def region_volume_profile(sample, thresholds):
 # area integrals
 # ---------------------------------------------------------------------------
 
-def area_internal(domain, f, p, eta=DEFAULT_ETA, eps=None, centers=None,
+def area_internal(domain, f, p, centers, eta=DEFAULT_ETA, eps=None,
                   resolution=None):
     """Internal square-function mass against the boundary p-mass.
 
     Left side: integral over centers of (region integral of |df|^2 against
     d(mu)/|rho|^(n-1))^(p/2); right side: boundary integral of |f|^p on the
-    same center grid.  Both returned for ratio reporting.
+    same center grid (a :class:`BoundaryGrid`).  Both returned for ratio
+    reporting.
     """
-    if centers is None:
-        raise ValueError("need a center grid (BoundaryGrid)")
     n = domain.n
     lhs = 0.0
     samples = sample_regions(domain, centers.nodes, "internal", eta, eps,
@@ -470,21 +466,19 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     monotone_blowup = bool(np.all(np.diff(ratios) > 0)
                            and ratios[-1] > 10 * ratios[0])
     return {"ratios": ratios.tolist(), "spread": spread,
-            "monotone_blowup": monotone_blowup,
-            "n_centers": int(centers.size)}
+            "monotone_blowup": monotone_blowup}
 
 
-def region_comparison_samples(domain, n_centers=40, eta=DEFAULT_ETA, eps=None,
-                              seed=5, per_region=40, grid=None):
+def region_comparison_samples(domain, grid, n_centers=40, eta=DEFAULT_ETA,
+                              eps=None, seed=5, per_region=40):
     """(tau, centers, boundary w) triples for the region comparison estimate.
 
-    The centres' regions come from one bank; the per-region subsets are
-    drawn centre by centre after it, in the order a per-centre loop draws
-    them (sampling consumes no random numbers).
+    Centres and boundary points w are nodes of ``grid``.  The centres'
+    regions come from one bank; the per-region subsets are drawn centre by
+    centre after it, in the order a per-centre loop draws them (sampling
+    consumes no random numbers).
     """
     rng = np.random.default_rng(seed)
-    if grid is None:
-        raise ValueError("need a boundary grid to draw centers from")
     idx = rng.choice(grid.size, size=min(n_centers, grid.size), replace=False)
     samples = sample_regions(domain, grid.nodes[idx], "external", eta, eps)
     taus, cents, ws = [], [], []

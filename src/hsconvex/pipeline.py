@@ -351,7 +351,6 @@ class SmoothnessReport:
     k_list: list
     sup_errors: dict
     lp_errors: dict
-    fields: dict
     slope: float
     slope_points: int
     partial_sums: dict          # l -> trajectory array
@@ -426,7 +425,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
         verdicts[l] = verdict_from_trajectory(traj)
     return SmoothnessReport(
         label=f.label, k_list=k_list, sup_errors=sups, lp_errors=lps,
-        fields=fields, slope=slope, slope_points=len(usable),
+        slope=slope, slope_points=len(usable),
         partial_sums=partial, verdicts=verdicts,
         meta={"method": method, "p": p, "r": r, "m_jet": 4,
               "grid_size": nodes.shape[0]})

@@ -28,7 +28,6 @@ __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
 class AngularMesh:
     dirs: np.ndarray       # (N, 2) complex unit directions
     weights: np.ndarray    # (N,) quadrature weights for the S^3 measure
-    resolution: tuple      # (n_alpha, n_phi1, n_phi2)
 
     @property
     def size(self):
@@ -59,8 +58,7 @@ def angular_mesh(resolution):
 
     A, dirs = _hopf_directions(a, p1, p2)
     W = np.broadcast_to(wa[:, None, None] * w1 * w2, A.shape)
-    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy(),
-                       resolution=(na, np1, np2))
+    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy())
 
 
 def _hopf_directions(a, p1, p2):
@@ -119,8 +117,7 @@ def graded_angular_mesh(n_phi2=12, alpha_floor=3e-3, phi_floor=1e-4,
     A, dirs = _hopf_directions(a_nodes, p_nodes, p2)
     W = (a_w[:, None, None] * np.cos(A) * np.sin(A)
          * p_w[None, :, None] * w2)
-    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy(),
-                       resolution=(a_nodes.size, p_nodes.size, n_phi2))
+    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy())
 
 
 def random_angular_mesh(n, seed=0):
@@ -134,7 +131,7 @@ def random_angular_mesh(n, seed=0):
     """
     dirs = random_unit_directions(np.random.default_rng(seed), int(n), 2)
     w = np.full(int(n), 2.0 * np.pi ** 2 / int(n))
-    return AngularMesh(dirs=dirs, weights=w, resolution=(int(n),))
+    return AngularMesh(dirs=dirs, weights=w)
 
 
 def radial_graph_jacobian(r, dirs, g):

@@ -87,20 +87,24 @@ def test_criterion_3_homogeneous_type(ball, ellipsoid):
                        for v in results.values()) + " (limit 50)")
 
 
-def test_criterion_4_quasimetric_lemmas(ball):
+def _quasimetric_shape(domain):
+    """Criterion 4's shell and region comparisons: (passed, detail).
+
+    Off the ball, pr(w) in the shell comparison is the Newton projection.
+    """
     envs = {"shell_comparison": [], "region_comparison": []}
     in_range = True
     for res, seed in ((9000, 2), (16000, 5)):
-        grid = homtype.build_boundary_grid(ball, 0.0, res, kind="random",
+        grid = homtype.build_boundary_grid(domain, 0.0, res, kind="random",
                                            seed=seed)
         rng = np.random.default_rng(seed)
-        w = dom.random_shell_points(ball, rng, 10000, (1e-4, 0.1))
+        w = dom.random_shell_points(domain, rng, 10000, (1e-4, 0.1))
         idx = rng.choice(grid.size, 10000)
-        rep = homtype.qm_exterior_check(ball, w, grid.nodes[idx])
+        rep = homtype.qm_exterior_check(domain, w, grid.nodes[idx])
         tau, cent, w2 = koranyi.region_comparison_samples(
-            ball, n_centers=60, eta=0.25, eps=0.1, grid=grid, seed=seed,
+            domain, n_centers=60, eta=0.25, eps=0.1, grid=grid, seed=seed,
             per_region=170)
-        rep.update(homtype.qm_exterior_check(ball, tau=tau,
+        rep.update(homtype.qm_exterior_check(domain, tau=tau,
                                              tau_center=cent, w2=w2))
         for key in envs:
             env = rep[key]
@@ -108,11 +112,15 @@ def test_criterion_4_quasimetric_lemmas(ball):
         in_range &= all(rep[k]["min"] >= 1 / 50 and rep[k]["max"] <= 50
                         for k in envs)
     stable = all(abs(v[1] - v[0]) / v[0] <= 0.30 for v in envs.values())
-    report(4, in_range and stable,
-           "envelopes "
-           + ", ".join(f"{k.split('_')[0]}: {v[0]:.2f}->{v[1]:.2f}"
-                       for k, v in envs.items())
-           + " within [1/50, 50], drift <= 30%")
+    return (in_range and stable,
+            "envelopes "
+            + ", ".join(f"{k.split('_')[0]}: {v[0]:.2f}->{v[1]:.2f}"
+                        for k, v in envs.items())
+            + " within [1/50, 50], drift <= 30%")
+
+
+def test_criterion_4_quasimetric_lemmas(ball):
+    report(4, *_quasimetric_shape(ball))
 
 
 def test_criterion_5_kernel_certificates(ball):
@@ -137,34 +145,41 @@ def test_criterion_5_kernel_certificates(ball):
            f"exact-kernel oracle C_far={oracle['C_far']}")
 
 
-def test_criterion_6_pac_reconstruction(ball):
+def _pac_shape(domain):
+    """Criterion 6's reconstructions and doubling ratio: (passed, detail).
+
+    Off the ball, every collar node is projected by the Newton iteration.
+    """
     t0 = time.time()
     rng = np.random.default_rng(3)
     zs = 0.55 * dom.random_unit_directions(rng, 12, 2) * \
         rng.uniform(0.1, 1.0, (12, 1))
-    shell_fine = forms.build_shell_grid(ball, 0.1, 6000, n_bands=8,
+    shell_fine = forms.build_shell_grid(domain, 0.1, 6000, n_bands=8,
                                         nodes_per_band=3)
     assert shell_fine.size >= 1e5
     worst = 0.0
     for f in (corpus.monomial((0, 0)), corpus.monomial((1, 0)),
               corpus.monomial((2, 1))):
-        cont = cn.extend_by_symmetry(ball, f, m=3, eps=0.1)
+        cont = cn.extend_by_symmetry(domain, f, m=3, eps=0.1)
         rep = cn.verify_pac(cont, shell_fine, zs, f)
         worst = max(worst, rep["max_rel_err"])
     # resolution-doubling ratio on the inexact-jet entry
     f = corpus.monomial((2, 1))
-    cont = cn.extend_by_symmetry(ball, f, m=3, eps=0.1)
-    shell_coarse = forms.build_shell_grid(ball, 0.1, 3000, n_bands=8,
+    cont = cn.extend_by_symmetry(domain, f, m=3, eps=0.1)
+    shell_coarse = forms.build_shell_grid(domain, 0.1, 3000, n_bands=8,
                                           nodes_per_band=2)
     e_coarse = cn.verify_pac(cont, shell_coarse, zs, f)["max_rel_err"]
     e_fine = cn.verify_pac(cont, shell_fine, zs, f)["max_rel_err"]
     ratio = e_coarse / max(e_fine, 1e-300)
     elapsed = time.time() - t0
-    ok = worst <= 1e-2 and ratio >= 1.4 and elapsed <= 300.0
-    report(6, ok,
-           f"corpus-poly rel err {worst:.2e} (tol 1e-2) at "
-           f"{shell_fine.size} shell nodes; doubling ratio {ratio:.1f} "
-           f"(>=1.4); {elapsed:.0f}s (limit 300)")
+    return (worst <= 1e-2 and ratio >= 1.4 and elapsed <= 300.0,
+            f"corpus-poly rel err {worst:.2e} (tol 1e-2) at "
+            f"{shell_fine.size} shell nodes; doubling ratio {ratio:.1f} "
+            f"(>=1.4); {elapsed:.0f}s (limit 300)")
+
+
+def test_criterion_6_pac_reconstruction(ball):
+    report(6, *_pac_shape(ball))
 
 
 def test_criterion_7_sobolev_consistency(ball, labeled_corpus):
@@ -351,6 +366,16 @@ def _boundary_pole(domain):
     xi0 = dom.radial_level(domain, e1[None, :], 0.0)[0] * e1
     g = domain.grad(xi0)
     return xi0, g / dom.pairing(xi0, g)
+
+
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_criterion_4_quasimetric_lemmas_curved(name):
+    report(f"4 [{name}]", *_quasimetric_shape(CURVED[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_criterion_6_pac_reconstruction_curved(name):
+    report(f"6 [{name}]", *_pac_shape(CURVED[name]()))
 
 
 @pytest.mark.parametrize("name", sorted(CURVED))

@@ -180,6 +180,27 @@ class TestEventLog:
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert log.read_text() == ""
 
+    @pytest.mark.parametrize("then", ["usage", "numeric"])
+    def test_no_stale_outputs(self, cfg_file, tmp_path, then):
+        # a run starts without an earlier run's report and tables: a usage
+        # error leaves only its empty log, a numerical failure only its
+        # error report; files the CLI does not write stay
+        out = tmp_path / "o"
+        assert cli.main(["kernel", str(cfg_file), "--out", str(out)]) == \
+            cli.EXIT_OK
+        (out / "notes.txt").write_text("kept")
+        if then == "usage":
+            assert cli.main(["diagnose", str(cfg_file), "nope",
+                             "--out", str(out)]) == cli.EXIT_USAGE
+            left = ["events.jsonl", "notes.txt"]
+        else:
+            bad = tmp_path / "nonconvex.cfg"
+            bad.write_text(NONCONVEX_CFG.format(out=out))
+            assert cli.main(["kernel", str(bad)]) == cli.EXIT_NUMERIC
+            assert "error" in json.loads((out / "report.json").read_text())
+            left = ["events.jsonl", "notes.txt", "report.json"]
+        assert sorted(p.name for p in out.iterdir()) == left
+
 
 class TestOtherCommands:
     def test_kernel_trend(self, cfg_file, tmp_path):

@@ -85,30 +85,6 @@ class TestSymmetryContinuation:
 
 
 class TestSymmetryBeyondBall:
-    @pytest.mark.parametrize("name", ["ellipsoid", "perturbed_ball"])
-    def test_pac_reconstruction_criterion_6_shape(self, name):
-        # criterion 6 (points, monomials, shells, limits) on the domains
-        # whose projection is the Newton iteration, not a closed form
-        d = dom.from_catalog(name)
-        rng = np.random.default_rng(3)
-        zs = 0.55 * dom.random_unit_directions(rng, 12, 2) * \
-            rng.uniform(0.1, 1.0, (12, 1))
-        shell_fine = forms.build_shell_grid(d, 0.1, 6000, n_bands=8,
-                                            nodes_per_band=3)
-        assert shell_fine.size >= 1e5
-        worst = 0.0
-        for f in (corpus.monomial((0, 0)), corpus.monomial((1, 0)),
-                  corpus.monomial((2, 1))):
-            cont = cn.extend_by_symmetry(d, f, m=3, eps=0.1)
-            worst = max(worst,
-                        cn.verify_pac(cont, shell_fine, zs, f)["max_rel_err"])
-        shell_coarse = forms.build_shell_grid(d, 0.1, 3000, n_bands=8,
-                                              nodes_per_band=2)
-        e_coarse = cn.verify_pac(cont, shell_coarse, zs, f)["max_rel_err"]
-        e_fine = cn.verify_pac(cont, shell_fine, zs, f)["max_rel_err"]
-        assert worst <= 1e-2
-        assert e_coarse / max(e_fine, 1e-300) >= 1.4
-
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
     def test_reflection_derivative_doubling_ratio(self, name):
         # criterion 6's points at jet order m = 2, where the jet term that
@@ -236,7 +212,8 @@ class TestBlockedCollar:
         # the collar workload's ellipsoid job: 127,776 collar nodes and 8
         # probes.  With the dbar field, its Leray pairing and the kernel
         # contraction over the whole collar at once the call peaked at
-        # 49.8 MiB above its inputs; in row blocks it reads 21.1 MiB
+        # 49.8 MiB above its inputs; in row blocks it read 21.1 MiB, and
+        # 16.4 MiB once the all-live collar is no longer copied
         shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
                                        nodes_per_band=3)
         assert shell.size == 127776
@@ -245,7 +222,7 @@ class TestBlockedCollar:
         zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8,
                                               2)
         peak = traced_peak_mib(lambda: cn.pac_reconstruct(cont, shell, zs))
-        assert peak <= 24.0
+        assert peak <= 18.0
 
 
 class TestGlobalContinuation:

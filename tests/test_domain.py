@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hsconvex import continuation as cn
 from hsconvex import domain as dom
+from hsconvex import koranyi
 
 CATALOG = ("ball", "ellipsoid", "perturbed_ball")
 
@@ -51,10 +52,14 @@ def _fd_dz(domain, z, h=1e-5):
     return out
 
 
-def _point_data(domain, z):
-    """Frames at the projection of one point."""
-    xi = dom.project_boundary(domain, z[None])[0]
-    return dom.boundary_point_data(domain, xi)
+def _project(domain, z):
+    """Nearest boundary point of one point."""
+    return dom.project_boundary(domain, z[None])[0]
+
+
+def _normal(domain, xi):
+    """Unit normal conj(g)/|g| at one point, as the Leray density frames it."""
+    return dom.unit_frame(np.asarray(domain.grad(xi))[None])[1][0]
 
 
 def fd_gradient(domain, z, h=1e-6):
@@ -107,17 +112,17 @@ class TestEval:
 
 class TestProjection:
     def test_ball_outside(self, ball):
-        bp = _point_data(ball, np.array([1.2, 0.0], complex))
-        assert np.allclose(bp.xi, [1.0, 0.0], atol=1e-10)
+        xi = _project(ball, np.array([1.2, 0.0], complex))
+        assert np.allclose(xi, [1.0, 0.0], atol=1e-10)
 
     def test_ball_inside(self, ball):
-        bp = _point_data(ball, np.array([0.9, 0.0], complex))
-        assert np.allclose(bp.xi, [1.0, 0.0], atol=1e-10)
+        xi = _project(ball, np.array([0.9, 0.0], complex))
+        assert np.allclose(xi, [1.0, 0.0], atol=1e-10)
 
     def test_ellipsoid_vs_dense_argmin(self, ellipsoid):
         z = np.array([0.8, 0.0], complex)
-        bp = _point_data(ellipsoid, z)
-        assert np.allclose(bp.xi, [1 / np.sqrt(2), 0.0], atol=1e-8)
+        xi = _project(ellipsoid, z)
+        assert np.allclose(xi, [1 / np.sqrt(2), 0.0], atol=1e-8)
         # dense boundary sampling oracle
         th = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
         cand = np.stack([np.cos(th) / np.sqrt(2), np.sin(th)], axis=-1)
@@ -125,15 +130,21 @@ class TestProjection:
                                      ))[:, None]
         # oracle along the real (z1, z2) slice through z
         vals = np.abs(cand[:, 0] - 0.8) ** 2 + np.abs(cand[:, 1]) ** 2
-        assert np.sum(np.abs(z - bp.xi) ** 2) <= vals.min() + 1e-8
+        assert np.sum(np.abs(z - xi) ** 2) <= vals.min() + 1e-8
 
     def test_point_data_invariants(self, perturbed):
-        bp = _point_data(perturbed, np.array([1.0 + 0.1j, 0.2], complex))
-        assert abs(perturbed.rho(bp.xi)) <= 1e-10
-        assert abs(np.linalg.norm(bp.normal) - 1.0) <= 1e-12
-        g = perturbed.grad(bp.xi)
-        for v in bp.ct_frame:
-            assert abs(np.sum(g * v)) <= 1e-8
+        # the frame the approach-region sampler builds at a projected point:
+        # unit normal and unit complex tangent, Hermitian-orthogonal
+        xi = _project(perturbed, np.array([1.0 + 0.1j, 0.2], complex))
+        assert abs(perturbed.rho(xi)) <= 1e-10
+        nu, u = koranyi._ray_ladder(perturbed, xi, "external", 0.25, 0.1,
+                                    1e-3, 0.1, 12, 3, 8, 8)[:2]
+        g = perturbed.grad(xi)
+        assert abs(np.linalg.norm(nu) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        assert abs(np.vdot(nu, u)) <= 1e-12
+        assert abs(np.sum(g * u)) <= 1e-8
+        assert np.abs(nu - np.conj(g) / np.linalg.norm(g)).max() <= 1e-15
 
     def test_idempotence(self, perturbed, rng):
         pts = dom.random_shell_points(perturbed, rng, 10, (0.01, 0.09))
@@ -365,8 +376,8 @@ class TestSymmetricPoint:
         assert np.allclose(zs, [0.0, 0.95], atol=1e-10)
 
     def test_perturbed_distance_symmetry(self, perturbed):
-        bp = _point_data(perturbed, np.array([1.0, 0.1], complex))
-        z = bp.xi + 0.05 * bp.normal
+        xi = _project(perturbed, np.array([1.0, 0.1], complex))
+        z = xi + 0.05 * _normal(perturbed, xi)
         zs = dom.symmetric_point(perturbed, z)
         pr = dom.project_boundary(perturbed, z[None])[0]
         assert abs(np.linalg.norm(zs - pr) - np.linalg.norm(z - pr)) <= 1e-8
@@ -403,7 +414,7 @@ class TestReflectionDerivative:
         assert np.abs(xs - xi).max() <= 1e-9
         # on the boundary lam = 0 and dxi is the tangent projector, so
         # d(z*_k)/d(zbar_j) = -nu_j nu_k with nu the unit normal
-        nu = dom.boundary_point_data(d, xi[0]).normal
+        nu = _normal(d, xi[0])
         assert np.abs(D[0] + np.outer(nu, nu)).max() <= 1e-9
 
     @pytest.mark.parametrize("name", CATALOG)

@@ -87,12 +87,14 @@ class TestLerayDensity:
         assert grid.density.min() > 0
 
     def test_orientation_flip(self, ball):
-        bp = dom.boundary_point_data(ball, np.array([1.0, 0.0], complex))
-        form = exterior.leray_form(ball.grad(bp.xi), ball.hess_mixed(bp.xi))
-        flipped = bp.tangent_frame[[1, 0, 2]]
-        v1 = exterior.evaluate(form, bp.tangent_frame[None])[0]
-        v2 = exterior.evaluate(form, flipped[None])[0]
-        assert v2 == pytest.approx(-v1)
+        # the tangent frame (i nu, u, i u) that grid_leray_density evaluates
+        xi = np.array([1.0, 0.0], complex)
+        _, nu, u = dom.unit_frame(ball.grad(xi)[None])
+        frame = np.concatenate([1j * nu, u, 1j * u])
+        form = exterior.leray_form(ball.grad(xi), ball.hess_mixed(xi))
+        v1 = exterior.evaluate(form, frame[None])[0]
+        v2 = exterior.evaluate(form, frame[[1, 0, 2]][None])[0]
+        assert v1 != 0 and v2 == pytest.approx(-v1)
 
 
 class TestKernel:

@@ -7,6 +7,16 @@ from hsconvex import corpus, domain as dom, forms, homtype, koranyi
 E1 = np.array([1.0, 0.0], complex)
 
 
+def _frame(domain, z):
+    """Unit normal and a unit complex tangent at one boundary point.
+
+    The tangent's phase is not the sampler's; what these tests read of it
+    (|a|, regions swept over every tangential angle) does not depend on it.
+    """
+    _, nu, u = dom.unit_frame(np.asarray(domain.grad(z))[None])
+    return nu[0], u[0]
+
+
 @pytest.fixture(scope="module")
 def ext_sample(ball):
     return koranyi.sample_region(ball, E1, "external", eta=0.25, eps=0.1)
@@ -20,9 +30,9 @@ def int_sample(ball):
 class TestSampler:
     def test_external_membership_exact(self, ball, ext_sample):
         s = ext_sample
-        bp = dom.boundary_point_data(ball, E1)
-        a = (s.points - E1) @ np.conj(bp.ct_frame[0])
-        t = (s.points - E1) @ np.conj(bp.normal)
+        nu, u = _frame(ball, E1)
+        a = (s.points - E1) @ np.conj(u)
+        t = (s.points - E1) @ np.conj(nu)
         assert np.all(s.rho > 0) and np.all(s.rho < 0.1)
         assert np.all(np.abs(a) ** 2 < 0.25 * s.rho)
         assert np.all(np.abs(t.imag) < 0.25 * s.rho)
@@ -75,15 +85,18 @@ class TestSampler:
                                           "rho_max": 0.05})):
             s = koranyi.sample_region(domain, z, "external", eta=0.25,
                                       eps=0.1, **band)
-            bp = dom.boundary_point_data(domain, z)
-            u, nu = bp.ct_frame[0], bp.normal
+            nu, u = _frame(domain, z)
             d = s.points.reshape(-1, 4, domain.n) - z
             a = d @ np.conj(u)
             t = d[:, 0] @ np.conj(nu)
             r = np.abs(a)
             half = (r[:, -1] - r[:, 0]) / (xg[-1] - xg[0])
             got = np.stack([r.mean(axis=1) - half, r.mean(axis=1) + half], 1)
-            eta, lo, hi = s.eta, s.meta["rho_min"], s.meta["rho_max"]
+            # the sampler's height band: the call's own rho_min/rho_max,
+            # else its floor eps 2^-n_levels and its top eps
+            eta = 0.25
+            lo = band.get("rho_min", 0.1 * 2.0 ** -12)
+            hi = band.get("rho_max", 0.1)
             r_max = np.sqrt(eta * hi) * 1.000001
             for k in range(t.size):
                 v = np.exp(1j * np.angle(a[k, 0])) * u
@@ -113,8 +126,7 @@ class TestSampler:
     def test_model_region_inclusion_sweep(self, ball, ext_sample):
         # normal-form coordinates at e1: w_n = <grad, z - e1>; the model
         # region has |w'|^2 < c eta Re(w_n), |Im w_n| < c eta Re(w_n)
-        bp = dom.boundary_point_data(ball, E1)
-        phi = np.stack([np.conj(bp.ct_frame[0]), ball.grad(E1)])
+        phi = np.stack([np.conj(_frame(ball, E1)[1]), ball.grad(E1)])
         w = (ext_sample.points - E1) @ phi.T
         re_n, im_n = w[:, 1].real, w[:, 1].imag
         tang = np.abs(w[:, 0])
@@ -129,8 +141,7 @@ class TestRegionIntegrate:
         # independent restriction oracle: frame-aligned midpoint boxes over
         # (tangential re/im, height, imaginary offset); volume-preserving
         # coordinates, so the masked cell sum estimates the region measure
-        bp = dom.boundary_point_data(ball, E1)
-        u, nu = bp.ct_frame[0], bp.normal
+        nu, u = _frame(ball, E1)
         na, ns, nb = 90, 70, 70
         amax, smax, bmax = 0.2, 0.055, 0.03
         ar = (np.arange(na) + 0.5) * 2 * amax / na - amax
@@ -387,8 +398,7 @@ def _same_sample(a, b):
     return (np.array_equal(a.points, b.points)
             and np.array_equal(a.rho, b.rho)
             and np.array_equal(a.weights, b.weights)
-            and a.meta == b.meta and a.kind == b.kind and a.eta == b.eta
-            and a.eps == b.eps and np.array_equal(a.center, b.center))
+            and np.array_equal(a.center, b.center))
 
 
 def _first_error(fn, items):

@@ -7,18 +7,25 @@ integrals, pseudoanalytic continuations with the reconstruction identity, and
 the dyadic polynomial-approximation smoothness diagnostic, all at desk scale
 on a catalog of concrete domains (n = 2).
 
-``HSCONVEX_THREADS`` pins the thread count of the BLAS backing numpy.  It is
-read when this package is imported, so it takes effect only where nothing
-imported numpy before ``hsconvex``, as in the ``hsconvex`` command.
+``HSCONVEX_THREADS`` pins the thread count of the BLAS backing numpy; with
+it and the BLAS's own thread variables (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``) all unset, the BLAS runs one
+thread, so a default run writes the report bytes of a one-thread run.  It
+is read when this package is imported, so it takes effect only where
+nothing imported numpy before ``hsconvex``, as in the ``hsconvex`` command.
 """
 
 # the variables must reach the BLAS before numpy loads, and the submodule
 # imports below load numpy
 import os as _os
 
-if _os.environ.get("HSCONVEX_THREADS"):
-    for _v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_v, _os.environ["HSCONVEX_THREADS"])
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_threads = _os.environ.get("HSCONVEX_THREADS")
+if not _threads and not any(_os.environ.get(_v) for _v in _BLAS_VARS):
+    _threads = "1"
+if _threads:
+    for _v in _BLAS_VARS:
+        _os.environ.setdefault(_v, _threads)
 
 from .domain import (
     DomainSpec,

@@ -161,7 +161,6 @@ class ShellGrid:
     levels: np.ndarray     # (L,)
     nodes: np.ndarray      # (L, N, n)
     grad: np.ndarray       # (L, N, n)
-    w_sigma: np.ndarray    # (L, N)
     w_mu: np.ndarray       # (L, N)
 
     @property
@@ -193,14 +192,12 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
          for m in range(1, n_bands + 1)], nodes_per_band)
     levels, weights = levels[::-1].copy(), weights[::-1].copy()
 
-    all_nodes, all_grad, all_wsig, all_wmu = [], [], [], []
+    all_nodes, all_grad, all_wmu = [], [], []
     for t, wt in zip(levels, weights):
         nodes, w_sigma, g = surface_nodes(domain, mesh, t)
         grad_norm = 2.0 * np.linalg.norm(g, axis=-1)
         all_nodes.append(nodes)
         all_grad.append(g)
-        all_wsig.append(w_sigma)
         all_wmu.append(wt * w_sigma / grad_norm)
     return ShellGrid(levels=levels, nodes=np.array(all_nodes),
-                     grad=np.array(all_grad), w_sigma=np.array(all_wsig),
-                     w_mu=np.array(all_wmu))
+                     grad=np.array(all_grad), w_mu=np.array(all_wmu))

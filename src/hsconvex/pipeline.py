@@ -181,22 +181,25 @@ def _assemble(domain, kglob, c, g, w, harm=None):
         for _ in range(n - 1):
             D = np.convolve(D, lam_c)
         gs, cs = g[sel], c[sel]
-        # powers of the gradient components and of 1/c
+        # powers of the first gradient component; those of the second are
+        # rebuilt along each degree by the same products, one alive at once,
+        # from a contiguous copy of the component (a strided read is slower)
         p1 = np.ones((deg + 1, gs.shape[0]), dtype=complex)
-        p2 = np.ones((top2 + 1, gs.shape[0]), dtype=complex)
         for m in range(1, deg + 1):
             p1[m] = p1[m - 1] * gs[:, 0]
-        for m in range(1, top2 + 1):
-            p2[m] = p2[m - 1] * gs[:, 1]
+        g2 = gs[:, 1].copy()
         base = w[sel] / cs ** n
         hs = None if harm is None else harm[sel]
         for m in range(min(deg, D.size - 1) + 1):
             if D[m] == 0:
                 continue
             wm = base / cs ** m
+            p2 = np.ones(gs.shape[0], dtype=complex)
             for b2 in range(min(m, top2) + 1):
+                if b2:
+                    p2 = p2 * g2
                 b1 = m - b2
-                term = wm * p1[b1] * p2[b2]
+                term = wm * p1[b1] * p2
                 mom = np.sum(term if hs is None else term * hs[:, b2])
                 key = (b1, b2)
                 coeffs[key] = coeffs.get(key, 0.0) + \
@@ -225,31 +228,34 @@ def project_direct_reduced(domain, f, k_list, r):
     slit correction inside the offset surface is O(t_off^(1+s)), below the
     approximation budget.
     """
-    eps = domain.eps_shell
-    out = []
-    for k in k_list:
-        t_off = 2.0 ** (-k) * eps
-        alpha_floor = max(5e-4, 0.2 * np.sqrt(t_off))
-        phi_floor = max(5e-6, 0.2 * t_off)
-        n_phi2 = 12
-        deg_hint = domain.n * int(np.ceil(2 ** k / domain.n))
-        mesh = graded_angular_mesh(n_phi2=n_phi2, alpha_floor=alpha_floor,
-                                   phi_floor=phi_floor, deg_hint=deg_hint)
-        n2 = mesh.size // n_phi2
-        grid = build_boundary_grid(domain, t_off, mesh=mesh)
-        w = np.asarray(f(grid.nodes)) * grid.density * grid.w_sigma
-        F = np.fft.fft(w.reshape(n2, n_phi2), axis=1)
-        mag = np.abs(F)
-        hi_bins = mag[:, _HARM_CAP + 1: n_phi2 - _HARM_CAP]
-        if hi_bins.max() > _HARM_TOL * max(mag.max(), 1e-300):
-            raise ValueError("boundary data has phase harmonics beyond "
-                             f"{_HARM_CAP}; use the generic projector")
-        q0 = slice(0, None, n_phi2)
-        g0 = grid.grad[q0]
-        kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
-        out.append(_assemble(domain, kglob, pairing(g0, grid.nodes[q0]), g0,
-                             np.ones(n2), harm=F[:, : _HARM_CAP + 1]))
-    return out
+    # one level per call, so a level's mesh and grid are freed before the
+    # next level's are built
+    return [_reduced_level(domain, f, k, r) for k in k_list]
+
+
+def _reduced_level(domain, f, k, r):
+    """The degree-2^k polynomial of :func:`project_direct_reduced`."""
+    t_off = 2.0 ** (-k) * domain.eps_shell
+    alpha_floor = max(5e-4, 0.2 * np.sqrt(t_off))
+    phi_floor = max(5e-6, 0.2 * t_off)
+    n_phi2 = 12
+    deg_hint = domain.n * int(np.ceil(2 ** k / domain.n))
+    mesh = graded_angular_mesh(n_phi2=n_phi2, alpha_floor=alpha_floor,
+                               phi_floor=phi_floor, deg_hint=deg_hint)
+    n2 = mesh.size // n_phi2
+    grid = build_boundary_grid(domain, t_off, mesh=mesh)
+    w = np.asarray(f(grid.nodes)) * grid.density * grid.w_sigma
+    F = np.fft.fft(w.reshape(n2, n_phi2), axis=1)
+    mag = np.abs(F)
+    hi_bins = mag[:, _HARM_CAP + 1: n_phi2 - _HARM_CAP]
+    if hi_bins.max() > _HARM_TOL * max(mag.max(), 1e-300):
+        raise ValueError("boundary data has phase harmonics beyond "
+                         f"{_HARM_CAP}; use the generic projector")
+    q0 = slice(0, None, n_phi2)
+    g0 = grid.grad[q0]
+    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
+    return _assemble(domain, kglob, pairing(g0, grid.nodes[q0]), g0,
+                     np.ones(n2), harm=F[:, : _HARM_CAP + 1])
 
 
 def projection_resolution(degree):

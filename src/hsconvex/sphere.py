@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import radial_level, random_unit_directions, real_dot
+from .domain import (radial_level, random_unit_directions, real_dot,
+                     row_blocks)
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
            "radial_graph_jacobian", "gauss_legendre_segments"]
@@ -56,17 +57,21 @@ def angular_mesh(resolution):
     w1 = 2.0 * np.pi / np1
     w2 = 2.0 * np.pi / np2
 
-    A, dirs = _hopf_directions(a, p1, p2)
-    W = np.broadcast_to(wa[:, None, None] * w1 * w2, A.shape)
-    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy())
+    return AngularMesh(dirs=_hopf_directions(a, p1, p2),
+                       weights=np.repeat(wa * w1 * w2, np1 * np2))
 
 
 def _hopf_directions(a, p1, p2):
-    """Angle grid A and directions (cos a e^{i p1}, sin a e^{i p2}), (N, 2)."""
-    A, P1, P2 = np.meshgrid(a, p1, p2, indexing="ij")
-    dirs = np.stack([np.cos(A) * np.exp(1j * P1), np.sin(A) * np.exp(1j * P2)],
-                    axis=-1)
-    return A, dirs.reshape(-1, 2)
+    """Directions (cos a e^{i p1}, sin a e^{i p2}) of the (a, p1, p2) grid.
+
+    The trig runs on the 1-D axes and is broadcast into the (N, 2) result,
+    which holds each node's value of the elementwise formula on the full
+    angle grid.
+    """
+    dirs = np.empty((a.size, p1.size, p2.size, 2), dtype=complex)
+    dirs[..., 0] = (np.cos(a)[:, None] * np.exp(1j * p1)[None, :])[..., None]
+    dirs[..., 1] = np.sin(a)[:, None, None] * np.exp(1j * p2)[None, None, :]
+    return dirs.reshape(-1, 2)
 
 
 def gauss_legendre_segments(segments, q):
@@ -114,10 +119,9 @@ def graded_angular_mesh(n_phi2=12, alpha_floor=3e-3, phi_floor=1e-4,
     p2 = 2.0 * np.pi * np.arange(n_phi2) / n_phi2
     w2 = 2.0 * np.pi / n_phi2
 
-    A, dirs = _hopf_directions(a_nodes, p_nodes, p2)
-    W = (a_w[:, None, None] * np.cos(A) * np.sin(A)
-         * p_w[None, :, None] * w2)
-    return AngularMesh(dirs=dirs, weights=W.reshape(-1).copy())
+    w_a = a_w * np.cos(a_nodes) * np.sin(a_nodes)
+    return AngularMesh(dirs=_hopf_directions(a_nodes, p_nodes, p2),
+                       weights=np.repeat(np.outer(w_a, p_w) * w2, n_phi2))
 
 
 def random_angular_mesh(n, seed=0):
@@ -151,12 +155,24 @@ def radial_graph_jacobian(r, dirs, g):
 
 
 def surface_nodes(domain, mesh, t=0.0):
-    """Nodes and surface-measure weights of the level set rho = t."""
+    """Nodes, surface-measure weights and gradients of the level set rho = t.
+
+    The radii come from one whole-batch :func:`radial_level` call, whose
+    stop test is batch-wide; nodes, gradients and the surface Jacobian are
+    then filled over row blocks (:func:`hsconvex.domain.row_blocks`), so the
+    Jacobian's temporaries of only one block are alive at once.  Each row's
+    arithmetic does not depend on its block.
+    """
     if domain.n != 2:
         raise NotImplementedError("surface meshes are implemented for n = 2")
     dirs = mesh.dirs
     r = radial_level(domain, dirs, t)
-    nodes = r[:, None] * dirs
-    g = np.asarray(domain.grad(nodes))
-    w_sigma = mesh.weights * radial_graph_jacobian(r, dirs, g)
+    nodes = np.empty_like(dirs)
+    g = np.empty_like(dirs)
+    w_sigma = np.empty(r.shape)
+    for sl in row_blocks(r.size):
+        nodes[sl] = r[sl, None] * dirs[sl]
+        g[sl] = domain.grad(nodes[sl])
+        w_sigma[sl] = mesh.weights[sl] * radial_graph_jacobian(
+            r[sl], dirs[sl], g[sl])
     return nodes, w_sigma, g

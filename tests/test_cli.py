@@ -269,3 +269,28 @@ print(seen)
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[['1', '1', '1']]"
+
+
+def test_default_threads_write_one_thread_bytes(tmp_path):
+    # with none of the thread variables set, kernel writes the bytes of a
+    # HSCONVEX_THREADS=1 run (the BLAS would otherwise take every core)
+    import hsconvex
+
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text(BASE_CFG.replace("name = ball", "name = ellipsoid")
+                   .format(out=tmp_path / "unused"))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "HSCONVEX_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(hsconvex.__file__).parents[1])
+    files = []
+    for name, extra in (("unset", {}), ("one", {"HSCONVEX_THREADS": "1"})):
+        out = tmp_path / name
+        run = subprocess.run(
+            [sys.executable, "-m", "hsconvex.cli", "kernel", str(cfg),
+             "--out", str(out)], env={**env, **extra},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        files.append([(out / f).read_bytes()
+                      for f in ("report.json", "c_far_trend.csv")])
+    assert files[0] == files[1]

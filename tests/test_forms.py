@@ -260,6 +260,21 @@ class TestGridLerayDensity:
         assert np.array_equal(blocked,
                               exterior.grid_leray_density(d, nodes, g))
 
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("m", [1, 9000])
+    def test_equals_form_engine(self, name, m):
+        # the covector matrices written straight from the frame against the
+        # exterior-algebra engine on the stacked frame, bit for bit
+        d = dom.from_catalog(name)
+        nodes = dom.random_shell_points(d, np.random.default_rng(m), m,
+                                        (-0.1, 0.1))
+        g = d.grad(nodes)
+        _, nu, u = dom.unit_frame(g)
+        frames = np.stack([1j * nu, u, 1j * u], axis=1)
+        form = exterior.leray_form(g, d.hess_mixed(nodes))
+        assert np.array_equal(exterior.grid_leray_density(d, nodes, g),
+                              np.real(exterior.evaluate(form, frames)))
+
     def test_peak_memory(self, ball, traced_peak_mib):
         # the 221,760-node pole-graded mesh: 130.3 MiB with every node's
         # form coefficients alive at once, 6.0 MiB in row blocks

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +152,86 @@ class TestHarmonicAssembly:
             assert max(abs(v) for v in diff) <= 1e-13 * scale
 
 
+def _two_table_assemble(domain, kglob, c, g, w, harm=None):
+    """The moment assembler with a power table for each gradient component."""
+    n = domain.n
+    deg = kglob.j * n
+    top2 = deg if harm is None else harm.shape[1] - 1
+    coeffs = {}
+    for sel, T in kglob.groups(c):
+        lam_c = T.lambda_coeffs()
+        D = lam_c
+        for _ in range(n - 1):
+            D = np.convolve(D, lam_c)
+        gs, cs = g[sel], c[sel]
+        p1 = np.ones((deg + 1, gs.shape[0]), dtype=complex)
+        p2 = np.ones((top2 + 1, gs.shape[0]), dtype=complex)
+        for m in range(1, deg + 1):
+            p1[m] = p1[m - 1] * gs[:, 0]
+        for m in range(1, top2 + 1):
+            p2[m] = p2[m - 1] * gs[:, 1]
+        base = w[sel] / cs ** n
+        hs = None if harm is None else harm[sel]
+        for m in range(min(deg, D.size - 1) + 1):
+            if D[m] == 0:
+                continue
+            wm = base / cs ** m
+            for b2 in range(min(m, top2) + 1):
+                b1 = m - b2
+                term = wm * p1[b1] * p2[b2]
+                mom = np.sum(term if hs is None else term * hs[:, b2])
+                coeffs[(b1, b2)] = coeffs.get((b1, b2), 0.0) + \
+                    D[m] * float(math.comb(m, b1)) * mom
+    return pl.PolynomialCn(coeffs)
+
+
+class TestAssembleOracle:
+    """One gradient power table against two, bit for bit."""
+
+    @staticmethod
+    def _same(domain, kglob, c, g, w, harm=None):
+        got = pl._assemble(domain, kglob, c, g, w, harm=harm)
+        want = _two_table_assemble(domain, kglob, c, g, w, harm=harm)
+        assert got.coeffs and got.coeffs == want.coeffs
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_ball_direct_grid(self, ball, k):
+        # the grid and kernel of diagnose's direct projection at level k
+        from hsconvex.dzyadyk import build_Kglob
+
+        grid = homtype.build_boundary_grid(ball, 2.0 ** (-k) * 0.1,
+                                           pl.projection_resolution(32))
+        kglob = build_Kglob(ball, 2 ** k, r=6.0, moment_exact="half")
+        w = corpus.exp_function((1.0, 2.0))(grid.nodes) * grid.w_S
+        self._same(ball, kglob, grid.pair_self, grid.grad, w)
+
+    def test_perturbed_groups(self, perturbed):
+        from hsconvex.dzyadyk import build_Kglob
+
+        grid = homtype.build_boundary_grid(perturbed, 0.0125,
+                                           pl.projection_resolution(8))
+        kglob = build_Kglob(perturbed, 8, r=6.0, moment_exact="half")
+        assert len(list(kglob.groups(grid.pair_self))) > 1
+        w = corpus.monomial((2, 1))(grid.nodes) * grid.w_S
+        self._same(perturbed, kglob, grid.pair_self, grid.grad, w)
+
+    def test_harmonic_branch(self, perturbed):
+        # the reduced projector's inputs at level 3
+        from hsconvex.dzyadyk import build_Kglob
+        from hsconvex.sphere import graded_angular_mesh
+
+        mesh = graded_angular_mesh(n_phi2=12, alpha_floor=0.2 * 0.0125 ** 0.5,
+                                   phi_floor=0.2 * 0.0125, deg_hint=8)
+        grid = homtype.build_boundary_grid(perturbed, 0.0125, mesh=mesh)
+        w = (corpus.power_function(1.5)(grid.nodes) * grid.density
+             * grid.w_sigma)
+        harm = np.fft.fft(w.reshape(-1, 12), axis=1)[:, :4]
+        col = slice(0, None, 12)
+        kglob = build_Kglob(perturbed, 8, r=6.0, moment_exact="half")
+        self._same(perturbed, kglob, grid.pair_self[col], grid.grad[col],
+                   np.ones(harm.shape[0]), harm=harm)
+
+
 class TestProjectViaContinuation:
     def test_zero_defect_zero_polynomial(self, ball):
         contz = cn.Continuation(
@@ -249,6 +331,14 @@ class TestDiagnose:
         for k in rep1.k_list:
             assert rep2.sup_errors[k] == pytest.approx(
                 2.0 * rep1.sup_errors[k], rel=1e-6)
+
+    def test_peak_memory(self, ball, traced_peak_mib):
+        # 88.2 MiB with whole-mesh trig, Jacobian and two gradient power
+        # tables; 65.2 with per-axis trig, row blocks and one table
+        f = corpus.monomial((0, 0), label="1")
+        peak = traced_peak_mib(
+            lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
+        assert peak <= 72.0
 
     def test_verdict_monotone_in_l(self, ball):
         f = corpus.power_function(0.6)

@@ -6,14 +6,20 @@ by parameter name; the bk-shape job in ``perfbench/job.py`` calls package
 functions with keywords and reads ``RunConfig`` attributes.  The rest of
 this suite never runs them, so a renamed or deleted function, parameter or
 config attribute would otherwise go unnoticed until a benchmark run.  The
-files are loaded by path and only read.
+files are loaded by path and only read.  The last test runs the
+golden-bytes check of ``tools/golden_hashes.py``, which reads the
+benchmark's job list.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -125,3 +131,15 @@ def test_benchmark_job_config_attributes_exist(tmp_path):
     path.write_text("[domain]\nname = ball\n")
     cfg = RunConfig(str(path))
     assert not [n for n in sorted(names) if not hasattr(cfg, n)]
+
+
+def test_golden_bytes_at_seed_0():
+    # every report and CSV of the 34-file golden set hashes as stored in
+    # tools/golden/seed0.sha256; the tool exits 3 when the interpreter,
+    # numpy or BLAS differ from the stored header, where bytes say nothing
+    tool = PERFBENCH.parent / "tools" / "golden_hashes.py"
+    out = subprocess.run([sys.executable, str(tool), "--check", "0"],
+                         capture_output=True, text=True, timeout=600)
+    if out.returncode == 3:
+        pytest.skip(out.stdout.strip())
+    assert out.returncode == 0, out.stdout + out.stderr

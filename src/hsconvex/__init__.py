@@ -51,7 +51,6 @@ from .forms import (
     build_shell_grid,
     clf_kernel,
     clf_reproduce,
-    pair_dbar_with_leray,
 )
 from .dzyadyk import Lune, lune_of, build_T, build_Kglob, validate_Kglob
 from .koranyi import (
@@ -89,7 +88,7 @@ __all__ = [
     "BoundaryGrid", "build_boundary_grid", "qdist", "quasiball",
     "check_homogeneous", "qm_exterior_check", "maximal_function",
     "HoloFunction", "ShellGrid", "build_shell_grid", "clf_kernel",
-    "clf_reproduce", "pair_dbar_with_leray", "Lune", "lune_of", "build_T",
+    "clf_reproduce", "Lune", "lune_of", "build_T",
     "build_Kglob", "validate_Kglob", "RegionSample", "sample_region",
     "region_integrate", "area_internal", "area_Il", "check_area_inequality",
     "Continuation", "Cutoff", "extend_by_symmetry", "extend_by_global",

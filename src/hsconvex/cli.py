@@ -13,9 +13,10 @@ runs through :func:`main`, which holds one contract for all of them:
   fails validation or a projection that does not converge.
   ``report.json`` is ``{"command": ..., "error": ...}``.
 
-Each run that gets past the config starts an empty event log,
-``events.jsonl``, and appends one JSON line per step to it; it first
-deletes an earlier run's ``report.json`` and CSV tables, so no report in
+Each run that gets past the config starts a new event log,
+``events.jsonl``, whose first line records the thread variables in effect,
+numpy's version and the BLAS, and appends one JSON line per step to it; it
+first deletes an earlier run's ``report.json`` and CSV tables, so no report in
 the output directory is older than the log.  The thread count honored by
 the BLAS backing numpy can be pinned with HSCONVEX_THREADS, which the
 ``hsconvex`` package reads on import, before any of its modules loads
@@ -25,12 +26,15 @@ numpy.
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import _BLAS_VARS
 from . import corpus as corpus_mod
 from . import domain as domain_mod
 from . import continuation, dzyadyk, forms, homtype, koranyi, pipeline
@@ -102,8 +106,21 @@ class RunConfig:
                                        eps_shell=self.eps, validate=validate)
 
 
+def environment():
+    """The thread variables in effect, numpy's version and its BLAS."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"threads": {v: os.environ.get(v)
+                        for v in ("HSCONVEX_THREADS",) + _BLAS_VARS},
+            "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
 class Reporter:
-    """Deterministic JSON/CSV writers plus a JSON-lines event log."""
+    """Deterministic JSON/CSV writers plus a JSON-lines event log.
+
+    The log's first line records the run's environment (:func:`environment`),
+    which the report bytes may depend on but do not hold.
+    """
 
     # the report files the commands write, besides the event log
     OUTPUTS = ("report.json", "ek_table.csv", "c_far_trend.csv")
@@ -116,6 +133,7 @@ class Reporter:
         self._log = self.out / "events.jsonl"
         self._log.write_text("")
         self._steps = 0
+        self.event(environment=environment())
 
     def event(self, **kv):
         with open(self._log, "a") as fh:
@@ -214,7 +232,7 @@ def cmd_diagnose(cfg, rep, function):
     report = pipeline.diagnose(dom, entries[function].f, p=cfg.p,
                                k_range=cfg.k_range, l_probe=cfg.l_probe,
                                r=cfg.r)
-    payload = report.to_jsonable()
+    payload = _jsonable(dataclasses.asdict(report))
     payload["command"] = "diagnose"
     payload["quadrature_floor"] = report.slope_points < len(report.k_list)
     rows = []

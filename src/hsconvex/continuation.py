@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import (pairing, row_blocks, sum_last, symmetric_point,
-                     symmetric_point_dbar)
-from .forms import ShellGrid, multi_indices, pair_dbar_with_leray
+from .domain import pairing, row_blocks, sum_last, symmetric_point_dbar
+from .exterior import volume_density
+from .forms import ShellGrid, multi_indices
 from . import koranyi
 
 __all__ = [
@@ -72,29 +72,6 @@ class Continuation:
     dbar_eval: Callable            # points (M, n) -> (M, n) components
     support_height: float
     domain: object
-
-
-def _dbar_reflection(domain, z, h=1e-5):
-    """Test oracle: dbar of the reflection map z* by central differences.
-
-    Eight extra projections per point; the continuation itself uses the
-    closed form of :func:`hsconvex.domain.symmetric_point_dbar`.  Returns an
-    array D with D[..., j, k] = d(z*_k)/d(zbar_j).
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    n = domain.n
-    out = np.empty(z.shape[:-1] + (n, n), dtype=complex)
-    for j in range(n):
-        ex = np.zeros(n, complex)
-        ex[j] = h
-        ey = np.zeros(n, complex)
-        ey[j] = 1j * h
-        sx = (symmetric_point(domain, z + ex)
-              - symmetric_point(domain, z - ex)) / (2 * h)
-        sy = (symmetric_point(domain, z + ey)
-              - symmetric_point(domain, z - ey)) / (2 * h)
-        out[..., j, :] = 0.5 * (sx + 1j * sy)
-    return out
 
 
 def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
@@ -268,16 +245,17 @@ def shell_defect(cont, shell: ShellGrid):
 
     The weights are the density of dbar f ^ (Leray form) times d(mu).  The
     dbar field is one ``dbar_eval`` call over the whole collar (computed
-    block by block inside, see ``_on_collar``); its Leray pairing then runs
-    over row blocks, so the form coefficients of only one block are alive
-    at once.  Each weight depends on its own row alone.
+    block by block inside, see ``_on_collar``); its Leray pairing
+    (:func:`hsconvex.exterior.volume_density`, with the gradients the shell
+    holds) then runs over row blocks, so the form coefficients of only one
+    block are alive at once.  Each weight depends on its own row alone.
     """
     pts, g, w_mu, _ = shell.flat()
     dbar = cont.dbar_eval(pts)
     dw = np.empty(pts.shape[0], dtype=complex)
     for sl in row_blocks(pts.shape[0]):
-        dw[sl] = pair_dbar_with_leray(cont.domain, dbar[sl], pts[sl]) \
-            * w_mu[sl]
+        dw[sl] = volume_density(dbar[sl], g[sl],
+                                cont.domain.hess_mixed(pts[sl])) * w_mu[sl]
     return pts, g, dw
 
 

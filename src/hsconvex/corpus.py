@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import radial_level
 from .forms import HoloFunction, multi_indices
-from .sphere import radial_graph_jacobian
+from .sphere import AngularMesh, hopf_directions, surface_nodes
 
 __all__ = [
     "CorpusEntry",
@@ -188,17 +187,14 @@ def _level_quadrature(domain, t):
     phi = np.unique(np.concatenate([p_sing, p_reg]))
     phi = np.concatenate([-phi[::-1], phi])
 
-    A, PH = np.meshgrid(alph, phi, indexing="ij")
-    dirs = np.empty(A.shape + (2,), dtype=complex)
-    dirs[..., 0] = np.cos(A) * np.exp(1j * PH)
-    dirs[..., 1] = np.sin(A)
-    rr = radial_level(domain, dirs.reshape(-1, 2), t).reshape(A.shape)
-    pts = rr[..., None] * dirs
-
-    g = np.asarray(domain.grad(pts))
-    jac = radial_graph_jacobian(rr, dirs, g) * np.cos(A) * np.sin(A)
-    z = np.stack([pts[..., 0], np.abs(pts[..., 1]).astype(complex)], axis=-1)
-    return alph, phi, z, jac
+    # the phi_2 = 0 slice of the Hopf grid, weighted by the S^3 density
+    mesh = AngularMesh(dirs=hopf_directions(alph, phi, np.zeros(1)),
+                       weights=np.repeat(np.cos(alph) * np.sin(alph),
+                                         phi.size))
+    pts, jac, _ = surface_nodes(domain, mesh, t)
+    shape = (alph.size, phi.size)
+    z = np.stack([pts[:, 0], np.abs(pts[:, 1]).astype(complex)], axis=-1)
+    return alph, phi, z.reshape(shape + (2,)), jac.reshape(shape)
 
 
 def oracle_labels(domain, f):

@@ -365,9 +365,9 @@ def radial_level(domain, dirs, t, max_iter=60):
     and step of each block, so the points and gradients of only one block
     are alive at once.  The stop test stays batch-wide (every row within
     1e-13), so the iteration count, and with it each row's result, is the
-    one whole-batch call's whatever the block size.  The final residual is
-    checked block by block; :class:`ProjectionError` carries its maximum
-    over the batch.
+    one whole-batch call's whatever the block size.  The final residual
+    check reads the last rho pass, which is the returned radii's, and
+    :class:`ProjectionError` carries its maximum over the batch.
     """
     dirs = np.asarray(dirs, dtype=complex)
     shape = dirs.shape[:-1]
@@ -376,11 +376,13 @@ def radial_level(domain, dirs, t, max_iter=60):
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
     blocks = row_blocks(r.size)
     val = np.empty_like(r)
-    for _ in range(max_iter):
+    # max_iter Newton steps, each after a residual pass; the pass after the
+    # last step is the final check's
+    for it in range(max_iter + 1):
         for sl in blocks:
             val[sl] = np.asarray(domain.rho(r[sl, None] * dirs[sl])) \
                 - t_arr[sl]
-        if np.all(np.abs(val) < 1e-13):
+        if it == max_iter or np.all(np.abs(val) < 1e-13):
             break
         for sl in blocks:
             d = dirs[sl]
@@ -388,11 +390,10 @@ def radial_level(domain, dirs, t, max_iter=60):
             slope = 2.0 * np.real(pairing(g, d))
             slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
             r[sl] -= np.clip(val[sl] / slope, -0.2, 0.2)
-    worst = [np.abs(np.asarray(domain.rho(r[sl, None] * dirs[sl]))
-                    - t_arr[sl]).max() for sl in blocks]
-    if worst and not np.max(worst) < 1e-10:
+    worst = np.abs(val).max(initial=0.0)
+    if not worst < 1e-10:
         raise ProjectionError("radial level solve failed",
-                              residual=float(np.max(worst)))
+                              residual=float(worst))
     return r.reshape(shape)
 
 
@@ -568,8 +569,8 @@ def unit_frame(g):
 def symmetric_point(domain, z):
     """Reflection across the boundary: z* = 2 pr(z) - z.
 
-    Test oracle for the z* of :func:`symmetric_point_dbar`, and the
-    reflection behind the finite-difference ``continuation._dbar_reflection``.
+    Test oracle for the z* of :func:`symmetric_point_dbar`; the tests take
+    its central differences as the oracle of that function's dbar.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1

@@ -285,15 +285,17 @@ class KernelApproximant:
 
     As a polynomial in z the degree is at most jn, with jn >= k > (j-1)n.
     Approximants are cached per quantized chord angle (the coefficients vary
-    continuously in t, so nearby angles share one fit).
+    continuously in t, so nearby angles share one fit).  ``pinned`` fits
+    pin the first j // 2 Taylor orders of T_j (the projectors' fits);
+    others fit freely.
     """
 
     domain: object
     k: int
     r: float
     R: float
-    j: int = 0
-    moment_exact: object = None
+    pinned: bool = False
+    j: int = field(init=False)
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -307,8 +309,9 @@ class KernelApproximant:
     def approximant_for(self, tq):
         key = (self.j, round(tq / T_QUANT_STEP))
         if key not in self.cache:
-            self.cache[key] = build_T(self.j, self.r, Lune(t=tq, R=self.R),
-                                      moment_exact=self.moment_exact)
+            self.cache[key] = build_T(
+                self.j, self.r, Lune(t=tq, R=self.R),
+                moment_exact=self.j // 2 if self.pinned else None)
         return self.cache[key]
 
     def groups(self, c):
@@ -334,19 +337,15 @@ class KernelApproximant:
         return {k: v.cert for k, v in self.cache.items()}
 
 
-def build_Kglob(domain, k, r=2.0, moment_exact=None):
+def build_Kglob(domain, k, r=2.0, pinned=False):
     """Kernel approximant of degree k with rate parameter r.
 
-    The lunes have the radius of :func:`lune_radius`.
-    ``moment_exact="half"`` pins half the Taylor coefficients (the pipeline
-    projector default); an integer pins that many orders; None fits freely.
+    The lunes have the radius of :func:`lune_radius`.  ``pinned`` pins half
+    the Taylor orders of each fit (the pipeline projectors' choice); the
+    default fits freely.
     """
-    R = lune_radius(domain)
-    j = int(math.ceil(k / domain.n))
-    if moment_exact == "half":
-        moment_exact = j // 2
-    return KernelApproximant(domain=domain, k=int(k), r=float(r), R=float(R),
-                             moment_exact=moment_exact)
+    return KernelApproximant(domain=domain, k=int(k), r=float(r),
+                             R=float(lune_radius(domain)), pinned=pinned)
 
 
 def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, exact=None):

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import exterior
 from .domain import pairing
 from .homtype import BoundaryGrid
 from .sphere import angular_mesh, gauss_legendre_segments, surface_nodes
@@ -31,9 +30,12 @@ __all__ = [
     "build_shell_grid",
     "clf_kernel",
     "clf_reproduce",
-    "pair_dbar_with_leray",
     "multi_indices",
 ]
+
+
+# the highest derivative order a HoloFunction hands out
+MAX_ORDER = 8
 
 
 class SingularKernelError(ZeroDivisionError):
@@ -53,7 +55,6 @@ class HoloFunction:
     deriv: Optional[Callable] = None
     validity: float = 0.0
     label: str = ""
-    max_order: int = 8
 
     def __call__(self, z):
         return self.eval(np.asarray(z, dtype=complex))
@@ -62,10 +63,10 @@ class HoloFunction:
         if self.deriv is None:
             raise ValueError(f"function {self.label!r} has no derivative data")
         alpha = tuple(int(a) for a in alpha)
-        if sum(alpha) > self.max_order:
+        if sum(alpha) > MAX_ORDER:
             raise ValueError(
                 f"derivative order {sum(alpha)} exceeds available "
-                f"{self.max_order} for {self.label!r}")
+                f"{MAX_ORDER} for {self.label!r}")
         return self.deriv(alpha, np.asarray(z, dtype=complex))
 
 
@@ -131,19 +132,6 @@ def clf_reproduce(grid: BoundaryGrid, f, z):
     return CLFValue(value=complex(total), degraded=bool(degraded))
 
 
-def pair_dbar_with_leray(domain, dbar, xi):
-    """Scalar density g with (sum c_j dzbar_j) ^ omega = g d(mu) at xi.
-
-    ``dbar`` holds the components d f / d zbar_j, shape (..., n); ``xi`` the
-    matching points.  Evaluates the top-degree form on the standard real
-    basis, whose Lebesgue volume element is 1.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    g = np.asarray(domain.grad(xi))
-    a = np.asarray(domain.hess_mixed(xi))
-    return exterior.volume_density(np.asarray(dbar, dtype=complex), g, a)
-
-
 # ---------------------------------------------------------------------------
 # shell grids
 # ---------------------------------------------------------------------------
@@ -192,12 +180,13 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
          for m in range(1, n_bands + 1)], nodes_per_band)
     levels, weights = levels[::-1].copy(), weights[::-1].copy()
 
-    all_nodes, all_grad, all_wmu = [], [], []
-    for t, wt in zip(levels, weights):
-        nodes, w_sigma, g = surface_nodes(domain, mesh, t)
-        grad_norm = 2.0 * np.linalg.norm(g, axis=-1)
-        all_nodes.append(nodes)
-        all_grad.append(g)
-        all_wmu.append(wt * w_sigma / grad_norm)
-    return ShellGrid(levels=levels, nodes=np.array(all_nodes),
-                     grad=np.array(all_grad), w_mu=np.array(all_wmu))
+    # each level is written into its slot as it comes, so no second copy
+    # of the whole grid is alive at once
+    shape = (levels.size, mesh.size, domain.n)
+    nodes = np.empty(shape, dtype=complex)
+    grad = np.empty(shape, dtype=complex)
+    w_mu = np.empty(shape[:2])
+    for i, (t, wt) in enumerate(zip(levels, weights)):
+        nodes[i], w_sigma, grad[i] = surface_nodes(domain, mesh, t)
+        w_mu[i] = wt * w_sigma / (2.0 * np.linalg.norm(grad[i], axis=-1))
+    return ShellGrid(levels=levels, nodes=nodes, grad=grad, w_mu=w_mu)

@@ -213,8 +213,8 @@ _HARM_CAP = 3
 _HARM_TOL = 1e-7
 
 
-def project_direct_reduced(domain, f, k_list, r):
-    """Offset-surface projections on pole-graded meshes, one level per k.
+def project_direct_reduced(domain, f, k, r):
+    """Degree-2^k polynomial from an offset surface on a pole-graded mesh.
 
     The catalog domains are invariant under rotating the second coordinate's
     phase, and the boundary-singular corpus data have only a few phase
@@ -228,13 +228,6 @@ def project_direct_reduced(domain, f, k_list, r):
     slit correction inside the offset surface is O(t_off^(1+s)), below the
     approximation budget.
     """
-    # one level per call, so a level's mesh and grid are freed before the
-    # next level's are built
-    return [_reduced_level(domain, f, k, r) for k in k_list]
-
-
-def _reduced_level(domain, f, k, r):
-    """The degree-2^k polynomial of :func:`project_direct_reduced`."""
     t_off = 2.0 ** (-k) * domain.eps_shell
     alpha_floor = max(5e-4, 0.2 * np.sqrt(t_off))
     phi_floor = max(5e-6, 0.2 * t_off)
@@ -252,9 +245,8 @@ def _reduced_level(domain, f, k, r):
         raise ValueError("boundary data has phase harmonics beyond "
                          f"{_HARM_CAP}; use the generic projector")
     q0 = slice(0, None, n_phi2)
-    g0 = grid.grad[q0]
-    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
-    return _assemble(domain, kglob, pairing(g0, grid.nodes[q0]), g0,
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
+    return _assemble(domain, kglob, grid.pair_self[q0], grid.grad[q0],
                      np.ones(n2), harm=F[:, : _HARM_CAP + 1])
 
 
@@ -282,7 +274,7 @@ def project_direct(domain, f, k, r=None, resolution=None):
             f"{f.label!r} is not holomorphic across the offset surface "
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
     r = 2.0 if r is None else float(r)
-    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
     if resolution is None:
         resolution = projection_resolution(2 ** k)
     grid = build_boundary_grid(domain, t_off, resolution)
@@ -300,7 +292,7 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None):
     constructions of the dual polynomial agree within their budgets).
     """
     r = 2.0 if r is None else float(r)
-    kglob = build_Kglob(domain, 2 ** k, r=r, moment_exact="half")
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
     pts, g, dw = shell_defect(cont, shell)
     return _assemble(domain, kglob, pairing(g, pts), g, -dw)
 
@@ -363,22 +355,6 @@ class SmoothnessReport:
     verdicts: dict              # l -> verdict string
     meta: dict = field(default_factory=dict)
 
-    def to_jsonable(self):
-        return {
-            "label": self.label,
-            "k_list": list(self.k_list),
-            "sup_errors": {str(k): float(v)
-                           for k, v in self.sup_errors.items()},
-            "lp_errors": {str(k): float(v) for k, v in self.lp_errors.items()},
-            "slope": float(self.slope),
-            "slope_points": int(self.slope_points),
-            "partial_sums": {str(l): [float(x) for x in v]
-                             for l, v in self.partial_sums.items()},
-            "verdicts": dict(self.verdicts),
-            "meta": {k: v for k, v in self.meta.items()
-                     if isinstance(v, (str, int, float, bool, list))},
-        }
-
 
 def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
              r=None):
@@ -400,16 +376,14 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     proj_resolution = projection_resolution(2 ** max(k_list))
     f_vals = np.asarray(f(nodes))
     fields, sups, lps = {}, {}, {}
-    if method == "offset":
-        # boundary-singular corpus entries: offset projection with the slit
-        # correction O(t_off^(1+s)) below budget, on pole-graded meshes
-        p_seq = project_direct_reduced(domain, f, k_list, r=r)
-        pks = dict(zip(k_list, p_seq))
     for k in k_list:
         if method == "direct":
             pk = project_direct(domain, f, k, r=r, resolution=proj_resolution)
         else:
-            pk = pks[k]
+            # boundary-singular corpus entries: offset projection with the
+            # slit correction O(t_off^(1+s)) below budget, on pole-graded
+            # meshes
+            pk = project_direct_reduced(domain, f, k, r=r)
         e = np.abs(f_vals - pk(nodes))
         fields[k] = e
         sups[k] = float(e.max())

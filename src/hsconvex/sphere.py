@@ -22,7 +22,8 @@ from .domain import (radial_level, random_unit_directions, real_dot,
                      row_blocks)
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
-           "radial_graph_jacobian", "gauss_legendre_segments"]
+           "radial_graph_jacobian", "gauss_legendre_segments",
+           "hopf_directions"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ def angular_mesh(resolution):
     w1 = 2.0 * np.pi / np1
     w2 = 2.0 * np.pi / np2
 
-    return AngularMesh(dirs=_hopf_directions(a, p1, p2),
+    return AngularMesh(dirs=hopf_directions(a, p1, p2),
                        weights=np.repeat(wa * w1 * w2, np1 * np2))
 
 
-def _hopf_directions(a, p1, p2):
+def hopf_directions(a, p1, p2):
     """Directions (cos a e^{i p1}, sin a e^{i p2}) of the (a, p1, p2) grid.
 
     The trig runs on the 1-D axes and is broadcast into the (N, 2) result,
@@ -120,7 +121,7 @@ def graded_angular_mesh(n_phi2=12, alpha_floor=3e-3, phi_floor=1e-4,
     w2 = 2.0 * np.pi / n_phi2
 
     w_a = a_w * np.cos(a_nodes) * np.sin(a_nodes)
-    return AngularMesh(dirs=_hopf_directions(a_nodes, p_nodes, p2),
+    return AngularMesh(dirs=hopf_directions(a_nodes, p_nodes, p2),
                        weights=np.repeat(np.outer(w_a, p_w) * w2, n_phi2))
 
 

@@ -35,6 +35,17 @@ def cfg_file(tmp_path):
     return path
 
 
+THREAD_VARS = ("HSCONVEX_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def _events(out):
+    """The lines of a run's event log after its environment line."""
+    lines = (out / "events.jsonl").read_text().splitlines()
+    assert sorted(json.loads(lines[0])) == ["environment", "step"]
+    return lines[1:]
+
+
 class TestConfig:
     def test_malformed_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -96,7 +107,7 @@ class TestExitContract:
             rep = json.loads((out / "report.json").read_text())
             assert sorted(rep) == ["command", "error"]
             assert rep["command"] == argv[0] and "Hessian" in rep["error"]
-            assert (out / "events.jsonl").read_text() == ""
+            assert _events(out) == []
         assert capsys.readouterr().err == ""
 
     def test_projection_error_mid_command(self, cfg_file, tmp_path,
@@ -118,7 +129,7 @@ class TestExitContract:
         assert cli.main(["diagnose", str(cfg_file),
                          "--out", str(out)]) == cli.EXIT_USAGE
         assert sorted(p.name for p in out.iterdir()) == ["events.jsonl"]
-        assert (out / "events.jsonl").read_text() == ""
+        assert _events(out) == []
 
 
 class TestValidate:
@@ -171,14 +182,29 @@ class TestEventLog:
         out = tmp_path / "e"
         assert cli.main(["kernel", str(cfg_file), "--out", str(out)]) == \
             cli.EXIT_OK
-        log = out / "events.jsonl"
-        assert log.read_text().splitlines() == [
+        # step 0 is the environment line
+        assert _events(out) == [
             json.dumps({"command": "kernel", "k": k, "step": i})
-            for i, k in enumerate((8, 16, 32, 64))]
-        # a run that logs nothing leaves an empty log, not the previous one
+            for i, k in enumerate((8, 16, 32, 64), start=1)]
+        # a run that logs nothing leaves only its environment line, not the
+        # previous log
         assert cli.main(["diagnose", str(cfg_file), "nope",
                          "--out", str(out)]) == cli.EXIT_USAGE
-        assert log.read_text() == ""
+        assert _events(out) == []
+
+    def test_environment_line_reads_back(self, cfg_file, tmp_path):
+        import numpy as np
+
+        out = tmp_path / "e"
+        assert cli.main(["diagnose", str(cfg_file), "nope",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        first = json.loads(
+            (out / "events.jsonl").read_text().splitlines()[0])
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert first == {"step": 0, "environment": {
+            "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+            "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}}
 
     @pytest.mark.parametrize("then", ["usage", "numeric"])
     def test_no_stale_outputs(self, cfg_file, tmp_path, then):
@@ -271,6 +297,25 @@ print(seen)
     assert out.stdout.strip() == "[['1', '1', '1']]"
 
 
+def test_environment_line_records_threads_in_effect(tmp_path, cfg_file):
+    # with none of the thread variables set, the log records the one-thread
+    # default the package put in effect, not the empty environment
+    import hsconvex
+
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(hsconvex.__file__).parents[1])
+    out = tmp_path / "sub"
+    run = subprocess.run(
+        [sys.executable, "-m", "hsconvex.cli", "diagnose", str(cfg_file),
+         "nope", "--out", str(out)], env=env, capture_output=True,
+        text=True, timeout=120)
+    assert run.returncode == cli.EXIT_USAGE, run.stderr
+    first = json.loads((out / "events.jsonl").read_text().splitlines()[0])
+    assert first["environment"]["threads"] == {
+        "HSCONVEX_THREADS": None, "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def test_default_threads_write_one_thread_bytes(tmp_path):
     # with none of the thread variables set, kernel writes the bytes of a
     # HSCONVEX_THREADS=1 run (the BLAS would otherwise take every core)
@@ -279,9 +324,7 @@ def test_default_threads_write_one_thread_bytes(tmp_path):
     cfg = tmp_path / "kernel.cfg"
     cfg.write_text(BASE_CFG.replace("name = ball", "name = ellipsoid")
                    .format(out=tmp_path / "unused"))
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "HSCONVEX_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = str(Path(hsconvex.__file__).parents[1])
     files = []
     for name, extra in (("unset", {}), ("one", {"HSCONVEX_THREADS": "1"})):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex import continuation as cn, corpus, domain as dom, forms, homtype
+from hsconvex import continuation as cn, corpus, domain as dom, exterior, \
+    forms, homtype
 from hsconvex.pipeline import PolynomialCn, taylor_sections
 
 
@@ -207,6 +208,25 @@ class TestBlockedCollar:
         blocked, whole = _one_block_and(block, run, monkeypatch)
         for b, w in zip(blocked, whole):
             assert np.array_equal(b, w)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    def test_shell_defect_reads_the_shells_gradients(self, name):
+        # the Leray pairing takes the gradients the shell grid holds; the
+        # weights equal those of pairing with domain.grad evaluated at the
+        # shell nodes once more, bit for bit
+        d = dom.from_catalog(name)
+        cont = cn.extend_by_symmetry(d, corpus.monomial((2, 1)), m=3,
+                                     eps=0.1)
+        shell = forms.build_shell_grid(d, 0.1, 600, n_bands=4,
+                                       nodes_per_band=2)
+        pts, _, dw = cn.shell_defect(cont, shell)
+        w_mu = shell.flat()[2]
+        dbar = cont.dbar_eval(pts)
+        want = np.empty_like(dw)
+        for sl in dom.row_blocks(pts.shape[0]):
+            want[sl] = exterior.volume_density(
+                dbar[sl], d.grad(pts[sl]), d.hess_mixed(pts[sl])) * w_mu[sl]
+        assert np.array_equal(dw, want)
 
     def test_pac_reconstruct_peak_memory(self, ellipsoid, traced_peak_mib):
         # the collar workload's ellipsoid job: 127,776 collar nodes and 8

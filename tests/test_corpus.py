@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsconvex import corpus, domain as dom, forms
+from hsconvex import corpus, domain as dom, forms, sphere
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,8 @@ def test_each_level_solved_once_per_call(ball, monkeypatch):
         solves.append(t)
         return dom.radial_level(domain, dirs, t)
 
-    monkeypatch.setattr(corpus, "radial_level", counted)
+    # the level quadrature's nodes come from sphere.surface_nodes
+    monkeypatch.setattr(sphere, "radial_level", counted)
     labels = corpus.oracle_labels(ball, corpus.log_function())
     assert len(labels) == 8
     assert solves == [-ball.eps_shell * 4.0 ** -i for i in (3, 4, 5)]

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsconvex import continuation as cn
 from hsconvex import domain as dom
 from hsconvex import koranyi
 
@@ -37,10 +37,17 @@ def _reflect(domain, z):
             np.concatenate([d for _, _, d in blocks]))
 
 
-def _fd_dz(domain, z, h=1e-5):
-    """A[..., j, k] = d(z*_k)/dz_j of the reflection by central differences."""
+def _fd_reflection(domain, z, h=1e-5):
+    """(A, D) with A[..., j, k] = d(z*_k)/dz_j and D[..., j, k] =
+    d(z*_k)/d(zbar_j) of the reflection, from one set of central
+    differences of symmetric_point along x_j and y_j.
+
+    The oracle of the closed form of symmetric_point_dbar: eight extra
+    projections per point.
+    """
     n = domain.n
-    out = np.empty(z.shape[:-1] + (n, n), dtype=complex)
+    dz = np.empty(z.shape[:-1] + (n, n), dtype=complex)
+    dzbar = np.empty_like(dz)
     for j in range(n):
         ex = np.zeros(n, complex)
         ex[j] = h
@@ -48,8 +55,9 @@ def _fd_dz(domain, z, h=1e-5):
               - dom.symmetric_point(domain, z - ex)) / (2 * h)
         sy = (dom.symmetric_point(domain, z + 1j * ex)
               - dom.symmetric_point(domain, z - 1j * ex)) / (2 * h)
-        out[..., j, :] = 0.5 * (sx - 1j * sy)
-    return out
+        dz[..., j, :] = 0.5 * (sx - 1j * sy)
+        dzbar[..., j, :] = 0.5 * (sx + 1j * sy)
+    return dz, dzbar
 
 
 def _project(domain, z):
@@ -302,6 +310,47 @@ class TestBlockedRadialLevel:
         with pytest.raises(dom.ProjectionError):
             dom.radial_level(ellipsoid, dirs, ts, max_iter=1)
 
+    @staticmethod
+    def _counted(d):
+        """d with its rho and grad calls counted."""
+        calls = collections.Counter()
+
+        def rho(z):
+            calls["rho"] += 1
+            return d.rho(z)
+
+        def grad(z):
+            calls["grad"] += 1
+            return d.grad(z)
+        return dataclasses.replace(d, rho=rho, grad=grad), calls
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_converged_solve_reuses_last_residuals(self, name):
+        # one block: each Newton step is one grad pass and follows one rho
+        # pass, and one more rho pass sees convergence; the final check
+        # reads that pass instead of evaluating rho once more
+        d = _catalog(name)
+        spied, calls = self._counted(d)
+        dirs, ts = self._batch(d, 61)
+        r = dom.radial_level(spied, dirs, ts)
+        assert calls["grad"] >= 2
+        assert calls["rho"] == calls["grad"] + 1
+        assert np.abs(d.rho(r[:, None] * dirs) - ts).max() < 1e-13
+
+    def test_stopped_solve_checks_fresh_residuals(self, ellipsoid):
+        # stopped at max_iter, the last step moved r after its rho pass, so
+        # one more pass checks the returned radii
+        spied, calls = self._counted(ellipsoid)
+        dirs, ts = self._batch(ellipsoid, 61)
+        with pytest.raises(dom.ProjectionError) as info:
+            dom.radial_level(spied, dirs, ts, max_iter=1)
+        assert (calls["rho"], calls["grad"]) == (2, 1)
+        val = ellipsoid.rho(dirs) - ts
+        slope = 2.0 * np.real(dom.pairing(ellipsoid.grad(dirs), dirs))
+        r1 = 1.0 - np.clip(val / slope, -0.2, 0.2)
+        assert info.value.residual == \
+            np.abs(ellipsoid.rho(r1[:, None] * dirs) - ts).max()
+
     @pytest.mark.parametrize("block", _ORACLE_BLOCKS)
     def test_failure_residual_is_the_batch_maximum(self, ellipsoid, block,
                                                    monkeypatch):
@@ -401,7 +450,7 @@ class TestReflectionDerivative:
         z = _collar_point(d, v, t)
         zs, D = _reflect(d, z)
         assert np.array_equal(zs, dom.symmetric_point(d, z))
-        assert np.abs(D - cn._dbar_reflection(d, z)).max() <= 1e-6
+        assert np.abs(D - _fd_reflection(d, z)[1]).max() <= 1e-6
 
     @pytest.mark.parametrize("name", CATALOG)
     @given(v=_direction, t=_level)
@@ -430,7 +479,8 @@ class TestReflectionDerivative:
         assert np.abs(zss - z).max() <= 1e-9
         # z** = z has zero dbar: D(z) A(z*) + conj(A(z)) D(z*) = 0 with
         # A = d(z*)/dz by central differences
-        res = D[0] @ _fd_dz(d, zs)[0] + np.conj(_fd_dz(d, z)[0]) @ Ds[0]
+        res = D[0] @ _fd_reflection(d, zs)[0][0] \
+            + np.conj(_fd_reflection(d, z)[0][0]) @ Ds[0]
         assert np.abs(res).max() <= 1e-5
 
     @given(v=_direction, r=st.floats(0.2, 4.0))

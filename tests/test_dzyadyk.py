@@ -85,6 +85,20 @@ class TestBuildT:
 
 
 class TestKglob:
+    def test_pinned_fits_pin_half_the_orders(self, ball):
+        # the approximant computes j = ceil(k / n) once; pinned fits pin
+        # j // 2 Taylor orders, free fits none (build_T records -1)
+        for k in (8, 16):
+            free = dzyadyk.build_Kglob(ball, k, r=2.0)
+            pinned = dzyadyk.build_Kglob(ball, k, r=2.0, pinned=True)
+            assert free.j == pinned.j == k // 2
+            tq = np.pi / 2
+            assert pinned.approximant_for(tq).cert["moment_exact"] == \
+                k // 4
+            assert free.approximant_for(tq).cert["moment_exact"] == -1
+        with pytest.raises(TypeError):
+            dzyadyk.KernelApproximant(ball, 8, 2.0, 1.05, j=3)
+
     def test_center_value(self, ball):
         kg = dzyadyk.build_Kglob(ball, 8, r=0.5)
         xi = np.array([[1.0, 0.0]], complex)

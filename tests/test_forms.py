@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -97,6 +98,18 @@ class TestLerayDensity:
         assert v1 != 0 and v2 == pytest.approx(-v1)
 
 
+def test_derivative_order_is_capped():
+    # every corpus function hands out derivatives up to order 8; the cap is
+    # a module constant, not a field a caller could set
+    f = corpus.monomial((2, 1), label="m")
+    assert f.d((8, 0), np.zeros(2)) == 0
+    with pytest.raises(ValueError,
+                       match="derivative order 9 exceeds available 8 for 'm'"):
+        f.d((5, 4), np.zeros(2))
+    assert "max_order" not in {fl.name for fl in
+                               dataclasses.fields(forms.HoloFunction)}
+
+
 class TestKernel:
     def test_ball_center(self, ball):
         assert forms.clf_kernel(ball, np.array([1.0, 0], complex),
@@ -193,18 +206,24 @@ class TestReproduce:
 
 
 class TestPairing:
+    """volume_density: dbar data paired with the Leray form at a point."""
+
+    @staticmethod
+    def _pair(domain, dbar, xi):
+        return exterior.volume_density(dbar, domain.grad(xi),
+                                       domain.hess_mixed(xi))
+
     def test_zero(self, ball):
         xi = np.array([1.0, 0.0], complex)
-        assert forms.pair_dbar_with_leray(ball, np.zeros(2, complex), xi) == 0
+        assert self._pair(ball, np.zeros(2, complex), xi) == 0
 
     def test_linearity(self, ball, rng):
         xi = np.array([0.6, 0.8], complex)
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a, b = 1.3 - 0.2j, -0.7 + 1j
-        lhs = forms.pair_dbar_with_leray(ball, a * u + b * v, xi)
-        rhs = a * forms.pair_dbar_with_leray(ball, u, xi) + \
-            b * forms.pair_dbar_with_leray(ball, v, xi)
+        lhs = self._pair(ball, a * u + b * v, xi)
+        rhs = a * self._pair(ball, u, xi) + b * self._pair(ball, v, xi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_permutation_oracle_components(self, ball):
@@ -239,6 +258,38 @@ class TestShellGrid:
                                         nodes_per_band=2)
             v.append(sg.volume)
         assert abs(v[1] - v[0]) / v[1] <= 0.01
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    def test_equals_list_and_stack(self, name):
+        # the levels written into preallocated arrays against the levels
+        # collected in lists and stacked, bit for bit
+        from hsconvex.sphere import (angular_mesh, gauss_legendre_segments,
+                                     surface_nodes)
+
+        d = dom.from_catalog(name)
+        sg = forms.build_shell_grid(d, 0.1, 500, n_bands=3, nodes_per_band=2)
+        mesh = angular_mesh(500)
+        levels, weights = gauss_legendre_segments(
+            [(0.1 * 2.0 ** (-m), 0.1 * 2.0 ** (-m + 1)) for m in (1, 2, 3)],
+            2)
+        nodes, grad, w_mu = [], [], []
+        for t, wt in zip(levels[::-1].copy(), weights[::-1].copy()):
+            x, w_sigma, g = surface_nodes(d, mesh, t)
+            nodes.append(x)
+            grad.append(g)
+            w_mu.append(wt * w_sigma / (2.0 * np.linalg.norm(g, axis=-1)))
+        assert np.array_equal(sg.levels, levels[::-1])
+        assert np.array_equal(sg.nodes, np.array(nodes))
+        assert np.array_equal(sg.grad, np.array(grad))
+        assert np.array_equal(sg.w_mu, np.array(w_mu))
+
+    def test_peak_memory(self, ellipsoid, traced_peak_mib):
+        # the collar workload's ellipsoid shell: an 8.8 MiB result, whose
+        # levels collected in lists and then stacked peaked at 17.9 MiB;
+        # written level by level into the result it reads 11.0 MiB
+        peak = traced_peak_mib(lambda: forms.build_shell_grid(
+            ellipsoid, 0.1, 6000, n_bands=8, nodes_per_band=3))
+        assert peak <= 12.0
 
 
 # batch sizes 1, B - 1, B, B + 1 and 2B + 17 around row blocks of B = 8

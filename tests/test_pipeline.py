@@ -137,7 +137,7 @@ class TestHarmonicAssembly:
                                    deg_hint=2 ** k)
         nodes, w_sigma, g = surface_nodes(domain, mesh, t_off)
         dens = grid_leray_density(domain, nodes, g)
-        kglob = build_Kglob(domain, 2 ** k, r=6.0, moment_exact="half")
+        kglob = build_Kglob(domain, 2 ** k, r=6.0, pinned=True)
         col = slice(0, None, n_phi2)
         for f in (corpus.monomial((2, 1)), corpus.power_function(1.5)):
             w = np.asarray(f(nodes)) * dens * w_sigma
@@ -201,7 +201,7 @@ class TestAssembleOracle:
 
         grid = homtype.build_boundary_grid(ball, 2.0 ** (-k) * 0.1,
                                            pl.projection_resolution(32))
-        kglob = build_Kglob(ball, 2 ** k, r=6.0, moment_exact="half")
+        kglob = build_Kglob(ball, 2 ** k, r=6.0, pinned=True)
         w = corpus.exp_function((1.0, 2.0))(grid.nodes) * grid.w_S
         self._same(ball, kglob, grid.pair_self, grid.grad, w)
 
@@ -210,7 +210,7 @@ class TestAssembleOracle:
 
         grid = homtype.build_boundary_grid(perturbed, 0.0125,
                                            pl.projection_resolution(8))
-        kglob = build_Kglob(perturbed, 8, r=6.0, moment_exact="half")
+        kglob = build_Kglob(perturbed, 8, r=6.0, pinned=True)
         assert len(list(kglob.groups(grid.pair_self))) > 1
         w = corpus.monomial((2, 1))(grid.nodes) * grid.w_S
         self._same(perturbed, kglob, grid.pair_self, grid.grad, w)
@@ -227,7 +227,7 @@ class TestAssembleOracle:
              * grid.w_sigma)
         harm = np.fft.fft(w.reshape(-1, 12), axis=1)[:, :4]
         col = slice(0, None, 12)
-        kglob = build_Kglob(perturbed, 8, r=6.0, moment_exact="half")
+        kglob = build_Kglob(perturbed, 8, r=6.0, pinned=True)
         self._same(perturbed, kglob, grid.pair_self[col], grid.grad[col],
                    np.ones(harm.shape[0]), harm=harm)
 

@@ -306,9 +306,14 @@ def cmd_area(cfg, rep, function):
     out = koranyi.check_area_inequality(dom, fam, l=1, p=cfg.p, grid=grid,
                                         centers=centers, eta=cfg.eta,
                                         eps=cfg.eps)
-    rep.event(command="area", members=len(fam))
     i1, i2 = koranyi.area_Il(dom, np.stack([g_const, 2.0 * g_const]), 1,
                              centers.nodes[0], grid, eta=cfg.eta, eps=cfg.eps)
+    # area_Il samples the bank's first region again (same centre and
+    # arguments), so its kernel takes that region's points times the grid
+    points = out["region_points"]
+    rep.event(command="area", members=len(fam), rays=out["rays"],
+              points=sum(points), kernel_evals=sum(points) * grid.size,
+              homogeneity_kernel_evals=points[0] * grid.size)
     homog_ok = abs(i2 - 2.0 * i1) <= 1e-10 * max(i2, 1.0)
     ok = out["spread"] <= 50 and not out["monotone_blowup"] and homog_ok
     return {"command": "area", "ratios": out["ratios"],

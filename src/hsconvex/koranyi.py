@@ -42,6 +42,7 @@ class RegionSample:
     points: np.ndarray    # (M, n)
     rho: np.ndarray       # (M,)
     weights: np.ndarray   # (M,) Lebesgue volume weights
+    rays: int             # rays probed for the region, member or not
 
     @property
     def size(self):
@@ -147,7 +148,7 @@ def _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
     s_cap = (hi_cut * 1.1 if kind == "external"
              else top * 1.05)
     # gather the (s, b, angle) rays of every height cell, each with its cell
-    # weight, so membership probing and bisection run once per bank
+    # weight, so the bank probes and bisects them in blocks of rays
     ray_s, ray_b, ray_w = [], [], []
     for m in range(n_levels + n_extra):
         hi, lo = edges[m], edges[m + 1]
@@ -177,6 +178,51 @@ def _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
             np.concatenate(ray_w))
 
 
+def _member_intervals(domain, kind, z, u, nu, s, b, theta, r_max, eta,
+                      lo_cut, hi_cut, sign):
+    """Member interval [r_lo, r_hi] along each of a block of rays.
+
+    The rays are given as in :func:`_ray_membership`, with their tangential
+    radius bounds ``r_max``; exits are monotone, and a ray with no member
+    radius gets r_lo = r_hi = 0.
+    """
+    def inside_on(idx):
+        """Membership along the rays ``idx`` as a function of the radius."""
+        return _ray_membership(domain, kind, z[idx], u[idx], nu[idx], s[idx],
+                               b[idx], theta[idx], eta, lo_cut, hi_cut, sign)
+
+    inside = inside_on(slice(None))
+    at0 = inside(np.full(r_max.size, 1e-12))
+    at_max = inside(r_max)
+    r_hi = np.where(at0 | at_max, r_max, 0.0)
+    r_lo = np.zeros(r_max.size)
+    # rays member at 0: single exit crossing in (0, r_max)
+    m0 = np.nonzero(at0 & ~at_max)[0]
+    if m0.size:
+        r_hi[m0] = _bisect_edge(inside_on(m0), np.full(m0.size, 1e-12),
+                                r_max[m0])
+    # rays not member at 0 (height floor or b-window): entry then exit
+    idx = np.nonzero(~at0)[0]
+    if idx.size:
+        inside_m1 = inside_on(idx)
+        # probe for any member radius on a coarse ladder
+        found = np.zeros(idx.size, dtype=bool)
+        r_member = np.zeros(idx.size)
+        for k in range(1, 8):
+            pr_r = r_max[idx] * (k / 8.0)
+            okp = inside_m1(pr_r)
+            newly = okp & ~found
+            r_member[newly] = pr_r[newly]
+            found |= newly
+        if np.any(found):
+            ii = idx[found]
+            rm = r_member[found]
+            inside_ii = inside_on(ii)
+            r_lo[ii] = _bisect_edge(inside_ii, rm, np.full(ii.size, 1e-12))
+            r_hi[ii] = _bisect_edge(inside_ii, rm, r_max[ii])
+    return r_lo, r_hi
+
+
 def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
                    resolution=None, rho_min=0.0, rho_max=None):
     """Approach regions at a batch of boundary points, one bank of rays.
@@ -184,18 +230,24 @@ def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
     Returns one :class:`RegionSample` per row of ``centers`` (shape (m, n)),
     in order, each equal array for array to :func:`sample_region` at that
     centre.  Each centre's frame, curvature bound, tangential radius bound
-    and ray ladder are set up on their own; then the rays of all centres
-    run the membership tests, the probe ladder, both bisections and the
-    Gauss-Legendre placement together.  Every step is elementwise per ray,
-    so a centre's rays meet the same arithmetic as in a bank of one; the
-    one exception is the internal region on a curved domain, whose
-    membership projects the whole bank at once, where
+    and ray ladder are set up on their own.  The bank's rays then run in
+    blocks of :func:`~hsconvex.domain.row_blocks`' default size, each
+    gathering its rays' centre data through a ray-to-centre index: a block
+    runs the membership tests, the probe ladder and both bisections, and
+    after every block has been probed, the Gauss-Legendre points of each
+    block's member rays are written into the bank's preallocated arrays.
+    Every step is elementwise per ray, so a centre's rays meet the same
+    arithmetic as in a bank of one or in blocks of any size; the one
+    exception is the internal region on a curved domain, whose membership
+    projects each block's rays at once, where
     :func:`~hsconvex.domain.project_boundary`'s batch-wide radial start can
     move the projection's last bits; the membership outcomes, and so the
-    samples, matched per-centre calls on every input tried.  The samples'
-    arrays are views of the bank's arrays.  ``resolution`` is
+    samples, matched per-centre calls and other block sizes on every input
+    tried.  The samples' arrays are views of the bank's arrays, and each
+    sample records how many rays its region probed.  ``resolution`` is
     (n_levels, per_level, n_r, n_theta, n_b); its ``n_r`` entry is unused,
-    each member interval getting ``_RADIAL_GAUSS`` = 4 radial nodes.
+    each member interval getting ``_RADIAL_GAUSS`` = 4 radial nodes, so
+    every sample's size is a multiple of 4.
 
     Errors: an empty ``centers`` raises ``ValueError``; so does the first
     centre, in order, whose set-up fails (``eta`` too large against its
@@ -218,76 +270,59 @@ def sample_regions(domain, centers, kind, eta=DEFAULT_ETA, eps=None,
     nus, us, r_maxs, ss, bs, ws = zip(*[
         _ray_ladder(domain, z, kind, eta, eps, lo_cut, hi_cut, n_levels,
                     per_level, n_th, n_b) for z in centers])
-    # every ray carries its centre's data
     counts = np.array([s.size for s in ss])
     ray_off = np.concatenate([[0], np.cumsum(counts)])
-    Zf, NUf, Uf = (np.repeat(np.asarray(v), counts, axis=0)
-                   for v in (centers, nus, us))
-    RMf = np.repeat(r_maxs, counts)
+    # ray -> centre index: a block gathers only its own rays' centre data
+    ray_c = np.repeat(np.arange(centers.shape[0]), counts)
+    nus, us = np.asarray(nus), np.asarray(us)
+    RMf = np.asarray(r_maxs)[ray_c]
     Sf, Bf, Wf = np.concatenate(ss), np.concatenate(bs), np.concatenate(ws)
     th = 2.0 * np.pi * (np.arange(n_th) + 0.5) / n_th
     THf = np.tile(th, Sf.size // n_th)
-    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_GAUSS)
+    blocks = row_blocks(Sf.size)
 
-    def inside_on(idx):
-        """Membership along the rays ``idx`` as a function of the radius."""
-        return _ray_membership(domain, kind, Zf[idx], Uf[idx], NUf[idx],
-                               Sf[idx], Bf[idx], THf[idx], eta, lo_cut,
-                               hi_cut, sign)
-
-    inside = inside_on(slice(None))
-    at0 = inside(np.full(Sf.size, 1e-12))
-    at_max = inside(RMf)
-    # member interval [r_lo, r_hi] along each ray (monotone exits)
-    r_hi_arr = np.where(at0 | at_max, RMf, 0.0)
-    r_lo_arr = np.zeros(Sf.size)
-    # rays member at 0: single exit crossing in (0, r_max)
-    m0 = np.nonzero(at0 & ~at_max)[0]
-    if m0.size:
-        r_hi_arr[m0] = _bisect_edge(inside_on(m0), np.full(m0.size, 1e-12),
-                                    RMf[m0])
-    # rays not member at 0 (height floor or b-window): entry then exit
-    idx = np.nonzero(~at0)[0]
-    if idx.size:
-        inside_m1 = inside_on(idx)
-        # probe for any member radius on a coarse ladder
-        found = np.zeros(idx.size, dtype=bool)
-        r_member = np.zeros(idx.size)
-        for k in range(1, 8):
-            pr_r = RMf[idx] * (k / 8.0)
-            okp = inside_m1(pr_r)
-            newly = okp & ~found
-            r_member[newly] = pr_r[newly]
-            found |= newly
-        if np.any(found):
-            ii = idx[found]
-            rm = r_member[found]
-            inside_ii = inside_on(ii)
-            r_lo_arr[ii] = _bisect_edge(inside_ii, rm,
-                                        np.full(ii.size, 1e-12))
-            r_hi_arr[ii] = _bisect_edge(inside_ii, rm, RMf[ii])
+    r_lo_arr = np.empty(Sf.size)
+    r_hi_arr = np.empty(Sf.size)
+    for sl in blocks:
+        c = ray_c[sl]
+        r_lo_arr[sl], r_hi_arr[sl] = _member_intervals(
+            domain, kind, centers[c], us[c], nus[c], Sf[sl], Bf[sl], THf[sl],
+            RMf[sl], eta, lo_cut, hi_cut, sign)
     live = r_hi_arr > r_lo_arr + 1e-14
     live_off = np.concatenate([[0], np.cumsum(live)])[ray_off]
     if np.any(np.diff(live_off) == 0):
         raise ValueError(
             f"empty {kind} region at eta={eta}, eps={eps}; resolution too "
             "coarse or band too thin")
-    rl, rh = r_lo_arr[live], r_hi_arr[live]
-    sl, bl, thl = Sf[live], Bf[live], THf[live]
-    # Gauss-Legendre in the radius on the exact member interval
-    rg = 0.5 * (rh - rl)[:, None] * xg[None, :] + \
-        0.5 * (rh + rl)[:, None]
-    wgr = 0.5 * (rh - rl)[:, None] * wg[None, :] * rg
-    a = rg * np.exp(1j * thl)[:, None]
-    tau = (Zf[live][:, None, :] + a[..., None] * Uf[live][:, None, :]
-           + (sign * sl + 1j * bl)[:, None, None] * NUf[live][:, None, :])
-    w = ((Wf[live] * (2.0 * np.pi / n_th))[:, None] * wgr).ravel()
-    tau = tau.reshape(-1, domain.n)
-    rho = np.asarray(domain.rho(tau))
+
     pt_off = live_off * _RADIAL_GAUSS
-    return [RegionSample(center=z, points=tau[p0:p1], rho=rho[p0:p1],
-                         weights=w[p0:p1])
-            for z, p0, p1 in zip(centers, pt_off[:-1], pt_off[1:])]
+    points = np.empty((pt_off[-1], domain.n), dtype=complex)
+    rho = np.empty(pt_off[-1])
+    weights = np.empty(pt_off[-1])
+    xg, wg = np.polynomial.legendre.leggauss(_RADIAL_GAUSS)
+    p0 = 0
+    for sl in blocks:
+        li = sl.start + np.nonzero(live[sl])[0]
+        c = ray_c[li]
+        rl, rh = r_lo_arr[li], r_hi_arr[li]
+        # Gauss-Legendre in the radius on the exact member interval
+        rg = 0.5 * (rh - rl)[:, None] * xg[None, :] + \
+            0.5 * (rh + rl)[:, None]
+        wgr = 0.5 * (rh - rl)[:, None] * wg[None, :] * rg
+        a = rg * np.exp(1j * THf[li])[:, None]
+        tau = (centers[c][:, None, :] + a[..., None] * us[c][:, None, :]
+               + (sign * Sf[li] + 1j * Bf[li])[:, None, None]
+               * nus[c][:, None, :])
+        p1 = p0 + li.size * _RADIAL_GAUSS
+        points[p0:p1] = tau.reshape(-1, domain.n)
+        rho[p0:p1] = domain.rho(points[p0:p1])
+        weights[p0:p1] = ((Wf[li] * (2.0 * np.pi / n_th))[:, None]
+                          * wgr).ravel()
+        p0 = p1
+    return [RegionSample(center=z, points=points[p0:p1], rho=rho[p0:p1],
+                         weights=weights[p0:p1], rays=int(n))
+            for z, p0, p1, n in zip(centers, pt_off[:-1], pt_off[1:],
+                                    counts)]
 
 
 def sample_region(domain, z, kind, eta=DEFAULT_ETA, eps=None, resolution=None,
@@ -377,7 +412,13 @@ def area_internal(domain, f, p, centers, eta=DEFAULT_ETA, eps=None,
             "ratio": float(lhs / rhs) if rhs > 0 else np.inf}
 
 
-_KERNEL_ROWS = 512    # region points per kernel chunk of the area functional
+# region points per kernel chunk of the area functional: a chunk of 32 rows
+# against a 2,916-node grid is 1.5 MB of complex values, so the matmul, the
+# subtract, the power and the matrix-vector products run in a 2 MiB L2.  Every
+# region size is a multiple of _RADIAL_GAUSS, so no chunk has an odd row
+# count (odd-row chunks went through the BLAS's odd-row tail and moved the
+# kernel's last bits on the curved domains)
+_KERNEL_ROWS = 32
 
 
 def _area_floor(domain, grid, eps):
@@ -440,7 +481,10 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     blow-up across the family order, which is assumed scale-ordered).
     Every center's region comes from one bank (:func:`sample_regions`);
     each region's kernel is built once and contracted with the whole
-    family, with the values :func:`area_Il` gives at that center.
+    family, with the values :func:`area_Il` gives at that center.  The
+    report also carries the bank's probed ray count (``rays``) and each
+    region's point count (``region_points``); a region's kernel takes
+    its points times ``grid.size`` evaluations.
     """
     if len(g_family) < 2:
         raise ValueError("need at least two family members")
@@ -466,7 +510,9 @@ def check_area_inequality(domain, g_family, l, p, grid, centers,
     monotone_blowup = bool(np.all(np.diff(ratios) > 0)
                            and ratios[-1] > 10 * ratios[0])
     return {"ratios": ratios.tolist(), "spread": spread,
-            "monotone_blowup": monotone_blowup}
+            "monotone_blowup": monotone_blowup,
+            "rays": sum(s.rays for s in samples),
+            "region_points": [s.size for s in samples]}
 
 
 def region_comparison_samples(domain, grid, n_centers=40, eta=DEFAULT_ETA,

@@ -368,8 +368,10 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     """
     # evaluation nodes and surface-measure weights graded toward the corpus
     # singular direction, so the error fields resolve the singular zone
-    # scale by scale
-    nodes, w_sigma, _ = surface_nodes(domain, graded_angular_mesh(n_phi2=12))
+    # scale by scale; the mesh's gradients are dropped at once, so they stay
+    # out of every level's peak
+    nodes, w_sigma = surface_nodes(domain,
+                                   graded_angular_mesh(n_phi2=12))[:2]
     k_list = sorted(int(k) for k in k_range)
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"

@@ -261,6 +261,30 @@ class TestOtherCommands:
         rep = json.loads((tmp_path / "a" / "report.json").read_text())
         assert rep["spread"] <= 50 and not rep["monotone_blowup"]
 
+    def test_area_event_counts(self, tmp_path):
+        # the region bank of 42 centres on the ball at seed 0, its kernel
+        # evaluations (points x 2,916 grid nodes), and the homogeneity
+        # call's, which samples the bank's first region again
+        cfg = tmp_path / "area.cfg"
+        cfg.write_text(BASE_CFG.replace("seed = 3", "seed = 0")
+                       .format(out=tmp_path / "out"))
+        out = tmp_path / "a"
+        assert cli.main(["area", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert [json.loads(e) for e in _events(out)] == [{
+            "command": "area", "members": 4, "rays": 96768,
+            "points": 24192, "kernel_evals": 70543872,
+            "homogeneity_kernel_evals": 1679616, "step": 1}]
+
+    def test_area_peak_memory(self, tmp_path, traced_peak_mib):
+        # about 41 MiB with whole-bank region probing and 512-row kernel
+        # chunks; the command's path must stay in blocks
+        cfg = tmp_path / "area.cfg"
+        cfg.write_text(BASE_CFG.replace("seed = 3", "seed = 0")
+                       .format(out=tmp_path / "out"))
+        peak = traced_peak_mib(lambda: cli.main(
+            ["area", str(cfg), "--out", str(tmp_path / "a")]))
+        assert peak <= 24.0
+
     def test_console_entry_point(self, cfg_file, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "hsconvex.cli", "validate",

@@ -291,33 +291,50 @@ class TestAreaIl:
 
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
     def test_reused_buffer_equals_fresh_chunks(self, request, name):
-        # oracle: fresh 512-row kernel chunks, one matrix-vector product
-        # per field, as before the buffer was reused
         domain = request.getfixturevalue(name)
-        grid = homtype.build_boundary_grid(domain, 0.0, 3000)
-        z = grid.nodes[5]
-        fam = np.stack([np.ones(grid.size),
-                        np.abs(grid.nodes[:, 1]) + 0.1,
-                        homtype.quasiball(grid, z, 0.3)[0].astype(float)])
-        res = (12, 3, 8, 8, 8)
-        got = koranyi.area_Il(domain, fam, 1, z, grid, eta=0.25, eps=0.1,
-                              resolution=res)
-        s = koranyi.sample_region(
-            domain, z, "external", 0.25, 0.1, res,
-            rho_min=max(grid.quasi_spacing * 0.75, 0.1 * 2.0 ** -9))
-        assert s.size > 512
-        gw = fam * grid.w_S
-        phi = np.empty((3, s.size), complex)
-        for start in range(0, s.size, 512):
-            tau = s.points[start:start + 512]
-            gt = domain.grad(tau)
-            den = dom.pairing(gt, tau)[:, None] - gt @ grid.nodes.T
-            kern = den ** -3
-            for j in range(3):
-                phi[j, start:start + 512] = kern @ gw[j]
-        want = [float(np.sqrt(max(koranyi.region_integrate(
-            s, np.abs(ph) ** 2, weight="nu_l", l=1), 0.0))) for ph in phi]
-        assert got.tolist() == want
+        got, want = _area_il_and_fresh_chunks(domain)
+        assert got == want
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    @pytest.mark.parametrize("rows", [4, 32, 512])
+    def test_kernel_rows_keep_the_bits(self, request, monkeypatch, name,
+                                       rows):
+        # any chunk height that is a multiple of 4 (every region size is)
+        # gives the 512-row oracle's values bit for bit
+        monkeypatch.setattr(koranyi, "_KERNEL_ROWS", rows)
+        got, want = _area_il_and_fresh_chunks(
+            request.getfixturevalue(name))
+        assert got == want
+
+
+def _area_il_and_fresh_chunks(domain):
+    """area_Il of three fields at one centre, and its oracle: fresh 512-row
+    kernel chunks, one matrix-vector product per field, as before the
+    chunks shared a buffer."""
+    grid = homtype.build_boundary_grid(domain, 0.0, 3000)
+    z = grid.nodes[5]
+    fam = np.stack([np.ones(grid.size),
+                    np.abs(grid.nodes[:, 1]) + 0.1,
+                    homtype.quasiball(grid, z, 0.3)[0].astype(float)])
+    res = (12, 3, 8, 8, 8)
+    got = koranyi.area_Il(domain, fam, 1, z, grid, eta=0.25, eps=0.1,
+                          resolution=res)
+    s = koranyi.sample_region(
+        domain, z, "external", 0.25, 0.1, res,
+        rho_min=max(grid.quasi_spacing * 0.75, 0.1 * 2.0 ** -9))
+    assert s.size > 512
+    gw = fam * grid.w_S
+    phi = np.empty((3, s.size), complex)
+    for start in range(0, s.size, 512):
+        tau = s.points[start:start + 512]
+        gt = domain.grad(tau)
+        den = dom.pairing(gt, tau)[:, None] - gt @ grid.nodes.T
+        kern = den ** -3
+        for j in range(3):
+            phi[j, start:start + 512] = kern @ gw[j]
+    want = [float(np.sqrt(max(koranyi.region_integrate(
+        s, np.abs(ph) ** 2, weight="nu_l", l=1), 0.0))) for ph in phi]
+    return got.tolist(), want
 
 
 class TestAreaInequality:
@@ -499,6 +516,47 @@ class TestRegionBank:
                 koranyi.sample_regions(ball, bad, "external")
 
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    @pytest.mark.parametrize("kind,kw,fine_res", [
+        ("external", {"eps": 0.1}, None),
+        ("external", {"eps": 1.0, "rho_min": 0.25, "rho_max": 0.5}, None),
+        ("internal", {"eps": 0.1}, (8, 2, 4, 8, 8))],
+        ids=["external", "band", "internal"])
+    @pytest.mark.parametrize("rows", [1, 7, 8193])
+    def test_ray_blocks_equal_one_block(self, request, monkeypatch, name,
+                                        kind, kw, fine_res, rows):
+        # blocks of 1 and 7 rays run on a small bank, so every bisection
+        # subset of the first has one ray; blocks of 8193 rays split a bank
+        # of 12 centres into 2 to 4 blocks
+        domain = request.getfixturevalue(name)
+        grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
+                                           seed=1)
+        if rows == 8193:
+            centers, res = grid.nodes[:12], fine_res
+        else:
+            centers, res = grid.nodes[:3], (6, 1, 4, 4, 2)
+        bisected = []
+        bisect = koranyi._bisect_edge
+
+        def spy(inside, lo, hi):
+            bisected.append(lo.size)
+            return bisect(inside, lo, hi)
+
+        def bank(block):
+            monkeypatch.setattr(koranyi, "row_blocks",
+                                lambda m, rows=None: dom.row_blocks(m, block))
+            return koranyi.sample_regions(domain, centers, kind, 0.25,
+                                          resolution=res, **kw)
+
+        want = bank(10 ** 9)
+        monkeypatch.setattr(koranyi, "_bisect_edge", spy)
+        got = bank(rows)
+        assert sum(s.rays for s in got) > rows
+        assert bisected and (rows != 1 or set(bisected) == {1})
+        for a, b in zip(got, want):
+            assert _same_sample(a, b) and a.rays == b.rays
+            assert a.size % koranyi._RADIAL_GAUSS == 0
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
     def test_area_inequality_equals_per_centre_area_il(self, request, name):
         domain = request.getfixturevalue(name)
         grid = homtype.build_boundary_grid(domain, 0.0, 3000)
@@ -544,3 +602,34 @@ class TestRegionBank:
             ws.append(grid.nodes[w_idx])
         for a, b in zip(got, (taus, cents, ws)):
             assert np.array_equal(a, np.concatenate(b))
+
+
+def _area_config(domain):
+    """The boundary grid, centres and height floor of ``hsconvex area``."""
+    grid = homtype.build_boundary_grid(domain, 0.0, 3000)
+    centers = homtype.stratified_centers(grid, pole=grid.nodes[17], seed=0)
+    return grid, centers, koranyi._area_floor(domain, grid, 0.1)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_area_bank(self, request, traced_peak_mib, name):
+        # 38.3, 38.0 and 41.0 MiB with whole-bank probing and placement;
+        # 11.0, 11.0 and 11.6 in ray blocks
+        domain = request.getfixturevalue(name)
+        grid, centers, floor = _area_config(domain)
+        assert centers.size >= 42
+        peak = traced_peak_mib(lambda: koranyi.sample_regions(
+            domain, centers.nodes, "external", 0.25, 0.1, rho_min=floor))
+        assert peak <= 20.0
+
+    def test_check_area_inequality(self, ball, traced_peak_mib):
+        # 38.4 MiB with the whole bank and 512-row kernel chunks; 11.2 with
+        # ray blocks and 32-row chunks
+        grid, centers, _ = _area_config(ball)
+        fam = [np.ones(grid.size)] + [
+            homtype.quasiball(grid, grid.nodes[17], delta)[0].astype(float)
+            for delta in (0.4, 0.2, 0.1)]
+        peak = traced_peak_mib(lambda: koranyi.check_area_inequality(
+            ball, fam, 1, 2.0, grid, centers, eta=0.25, eps=0.1))
+        assert peak <= 20.0

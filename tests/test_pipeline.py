@@ -340,6 +340,14 @@ class TestDiagnose:
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
         assert peak <= 72.0
 
+    def test_peak_memory_entire(self, ball, traced_peak_mib):
+        # 65.8 MiB while the eval mesh's gradients stayed alive through
+        # every level; 59.1 once they are dropped
+        f = corpus.exp_function((1.0, 2.0), label="exp(z1+2z2)")
+        peak = traced_peak_mib(
+            lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
+        assert peak <= 62.0
+
     def test_verdict_monotone_in_l(self, ball):
         f = corpus.power_function(0.6)
         rep = pl.diagnose(ball, f, k_range=range(1, 6), l_probe=(1, 2, 3))

@@ -92,10 +92,14 @@ class RunConfig:
             raise ConfigError("eps must be positive")
         if not self.k_range:
             raise ConfigError("k_range must be nonempty")
-        if any(v <= 0 for v in (self.boundary_nodes, self.shell_bands,
-                                self.shell_nodes_per_band, self.eta,
-                                self.p)):
+        if any(v <= 0 for v in (self.shell_bands, self.shell_nodes_per_band,
+                                self.eta, self.p)):
             raise ConfigError("numeric resolution/params must be positive")
+        # validate's coarse grid has boundary_nodes // 4 nodes, at least 16
+        if self.boundary_nodes < 64:
+            raise ConfigError("boundary_nodes must be at least 64")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         try:
             split_resolution(self.shell_angular)
         except ValueError as exc:

@@ -3,8 +3,9 @@
 A domain is given by a defining function rho (negative inside, zero on the
 boundary) together with its holomorphic gradient and the two complex Hessian
 blocks.  Level sets ``rho = t`` for small ``|t|`` form a family of nearby
-strongly convex surfaces; the geometric operations (nearest-point projection
-and reflection across the boundary) live on this shell.
+strongly convex surfaces, the shell; the geometric operations (nearest-point
+projection onto the boundary rho = 0 and reflection across it) act on its
+points.
 
 All callables are vectorized over a leading batch axis: points are complex
 arrays of shape ``(..., n)``.
@@ -107,8 +108,12 @@ class DomainSpec:
     grad : holomorphic gradient, components d(rho)/dz_j, shape (..., n).
     hess_mixed : callable -> Hermitian matrix A_jk = d2(rho)/(dz_j dzbar_k).
     hess_holo : callable -> symmetric matrix H_jk = d2(rho)/(dz_j dz_k).
+        Both have shape (..., n, n) and may be read-only views (the catalog
+        returns broadcast views of its constant matrices); no consumer
+        writes into them.
     eps_shell : validated width of the two-sided shell around the boundary.
-    exact_project : optional closed-form nearest-point map (z, t) -> xi.
+    exact_project : optional closed-form nearest-point map z -> xi on
+        rho = 0.
     """
 
     n: int
@@ -135,6 +140,16 @@ class DomainSpec:
 # catalog
 # ---------------------------------------------------------------------------
 
+def _constant_hessian(*diag):
+    """Hessian callable of the constant diagonal matrix diag(*diag).
+
+    Returns a read-only broadcast view of one matrix built here, so a call
+    allocates nothing per point.
+    """
+    m = np.diag(np.asarray(diag, dtype=complex))
+    return lambda z: np.broadcast_to(m, np.shape(z)[:-1] + m.shape)
+
+
 def ball(eps_shell=0.1, validate=True):
     """Unit ball, rho(z) = |z|^2 - 1."""
 
@@ -145,23 +160,13 @@ def ball(eps_shell=0.1, validate=True):
     def grad(z):
         return np.conj(np.asarray(z, dtype=complex))
 
-    def hess_mixed(z):
+    def exact_project(z):
         z = np.asarray(z, dtype=complex)
-        return np.broadcast_to(np.eye(z.shape[-1], dtype=complex),
-                               z.shape + (z.shape[-1],)).copy()
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
-    def hess_holo(z):
-        z = np.asarray(z, dtype=complex)
-        return np.zeros(z.shape + (z.shape[-1],), dtype=complex)
-
-    def exact_project(z, t):
-        z = np.asarray(z, dtype=complex)
-        r = np.sqrt(1.0 + t)
-        nrm = np.linalg.norm(z, axis=-1, keepdims=True)
-        return r * z / nrm
-
-    return make_domain(2, rho, grad, hess_mixed, hess_holo, eps_shell,
-                       name="ball", params=(), exact_project=exact_project,
+    return make_domain(2, rho, grad, _constant_hessian(1.0, 1.0),
+                       _constant_hessian(0.0, 0.0), eps_shell, name="ball",
+                       params=(), exact_project=exact_project,
                        validate=validate)
 
 
@@ -176,16 +181,8 @@ def ellipsoid(c1=2.0, c2=1.0, eps_shell=0.1, validate=True):
     def grad(z):
         return c * np.conj(np.asarray(z, dtype=complex))
 
-    def hess_mixed(z):
-        z = np.asarray(z, dtype=complex)
-        return np.broadcast_to(np.diag(c).astype(complex),
-                               z.shape + (z.shape[-1],)).copy()
-
-    def hess_holo(z):
-        z = np.asarray(z, dtype=complex)
-        return np.zeros(z.shape + (z.shape[-1],), dtype=complex)
-
-    return make_domain(2, rho, grad, hess_mixed, hess_holo, eps_shell,
+    return make_domain(2, rho, grad, _constant_hessian(c1, c2),
+                       _constant_hessian(0.0, 0.0), eps_shell,
                        name="ellipsoid", params=(c1, c2), validate=validate)
 
 
@@ -206,18 +203,8 @@ def perturbed_ball(beta=0.1, eps_shell=0.1, validate=True):
         g[..., 0] += beta * z[..., 0]
         return g
 
-    def hess_mixed(z):
-        z = np.asarray(z, dtype=complex)
-        return np.broadcast_to(np.eye(z.shape[-1], dtype=complex),
-                               z.shape + (z.shape[-1],)).copy()
-
-    def hess_holo(z):
-        z = np.asarray(z, dtype=complex)
-        h = np.zeros(z.shape + (z.shape[-1],), dtype=complex)
-        h[..., 0, 0] = beta
-        return h
-
-    return make_domain(2, rho, grad, hess_mixed, hess_holo, eps_shell,
+    return make_domain(2, rho, grad, _constant_hessian(1.0, 1.0),
+                       _constant_hessian(beta, 0.0), eps_shell,
                        name="perturbed_ball", params=(beta,), validate=validate)
 
 
@@ -412,7 +399,7 @@ def random_shell_points(domain, rng, m, t_range):
 
 
 # ---------------------------------------------------------------------------
-# nearest-point projection onto a level surface
+# nearest-point projection onto the boundary
 # ---------------------------------------------------------------------------
 
 # Newton's stopping tolerance, and the stationarity every returned
@@ -438,10 +425,10 @@ def row_blocks(m, rows=None):
     return [slice(s, min(s + rows, m)) for s in range(0, m, rows)]
 
 
-def project_boundary(domain, z, t=0.0):
-    """Nearest points on the level surface rho = t of a batch z, shape (M, n).
+def project_boundary(domain, z):
+    """Nearest points on the boundary rho = 0 of a batch z, shape (M, n).
 
-    Damped Newton on the KKT system (rho(xi) = t, z - xi parallel to the real
+    Damped Newton on the KKT system (rho(xi) = 0, z - xi parallel to the real
     gradient), vectorized over row blocks of the batch.  Every result is
     certified by :func:`_bordered_kkt`: a point that is not stationary to
     ``STATIONARY_TOL`` (Newton did not converge), or a critical point of the
@@ -450,12 +437,12 @@ def project_boundary(domain, z, t=0.0):
     """
     pts = np.asarray(z, dtype=complex)
     xi = np.empty_like(pts)
-    for sl, xi_block, _ in _project_certified(domain, pts, t):
+    for sl, xi_block, _ in _project_certified(domain, pts):
         xi[sl] = xi_block
     return xi
 
 
-def _project_certified(domain, z, t=0.0):
+def _project_certified(domain, z):
     """Nearest points of a batch z, certified one row block at a time.
 
     Yields ``(sl, xi, kkt)`` for the consecutive blocks ``sl`` of
@@ -476,15 +463,15 @@ def _project_certified(domain, z, t=0.0):
         dirs = np.empty_like(pts)
         for sl in blocks:
             dirs[sl] = _unit_rows(pts[sl])
-        radii = radial_level(domain, dirs, t)
+        radii = radial_level(domain, dirs, 0.0)
         del dirs    # freed before the blocks run
     for sl in blocks:
         if domain.exact_project is None:
             xi = _project_newton(domain, pts[sl],
-                                 radii[sl, None] * _unit_rows(pts[sl]), t)
+                                 radii[sl, None] * _unit_rows(pts[sl]))
         else:
-            xi = np.asarray(domain.exact_project(pts[sl], t), dtype=complex)
-        yield sl, xi, _bordered_kkt(domain, pts[sl], xi, t)
+            xi = np.asarray(domain.exact_project(pts[sl]), dtype=complex)
+        yield sl, xi, _bordered_kkt(domain, pts[sl], xi)
 
 
 def _unit_rows(pts):
@@ -492,7 +479,7 @@ def _unit_rows(pts):
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
-def _project_newton(domain, pts, start, t):
+def _project_newton(domain, pts, start):
     """Damped Newton from the radial start over one row block.
 
     Each row's steps depend on that row alone: the damping stops once every
@@ -508,7 +495,7 @@ def _project_newton(domain, pts, start, t):
     def residual(xi_c, lam_c, targets):
         g = real_gradient(domain, xi_c)
         f1 = as_real(targets - xi_c - lam_c[:, None] * g)
-        f2 = (np.asarray(domain.rho(xi_c)) - t)[:, None]
+        f2 = np.asarray(domain.rho(xi_c))[:, None]
         return np.concatenate([f1, f2], axis=1)
 
     res = residual(xi, lam, pts)
@@ -590,12 +577,12 @@ def _kkt_matrix(g, lam, hess):
     return kkt
 
 
-def _bordered_kkt(domain, pts, xi, t=0.0):
+def _bordered_kkt(domain, pts, xi):
     """The projection's bordered KKT matrix at xi, certified inside the reach.
 
     With the real gradient g and Hessian H at xi (coordinates x1, y1, ...,
     xn, yn) and lam = <z - xi, g> / |g|^2, the matrix is
-    [[I + lam H, g], [g^T, 0]].  First xi must be stationary: |rho(xi) - t|
+    [[I + lam H, g], [g^T, 0]].  First xi must be stationary: |rho(xi)|
     and the tangential part z - xi - lam g at most ``STATIONARY_TOL``.  The
     nearest-point map is smooth inside the reach (Federer, Curvature
     measures, 1959), where I + lam H is positive definite on the tangent
@@ -617,7 +604,7 @@ def _bordered_kkt(domain, pts, xi, t=0.0):
     g = as_real(real_gradient(domain, xi))
     dz = as_real(pts - xi)
     lam = np.sum(dz * g, axis=-1) / np.sum(g * g, axis=-1)
-    resid = np.maximum(np.abs(np.asarray(domain.rho(xi)) - t),
+    resid = np.maximum(np.abs(np.asarray(domain.rho(xi))),
                        np.linalg.norm(dz - lam[:, None] * g, axis=-1))
     del dz      # freed before the matrices are built
     # a NaN residual (non-finite xi) fails the matrix check below instead

@@ -144,22 +144,17 @@ def quasiball(grid, z, delta):
     return mask, float(grid.w_sigma[mask].sum())
 
 
-def check_homogeneous(grid, deltas=None, seed=0):
+def check_homogeneous(grid, seed=0):
     """Fit the measure-scaling exponent and sample the quasi-triangle constant.
 
     Returns a dict with ``fitted_dimension`` (mean least-squares slope of
-    log sigma(B(z, delta)) against log delta over 50 random centers) and
+    log sigma(B(z, delta)) against log delta over 50 random centers, with
+    delta 0.025, 0.05, 0.1 and 0.2 of the grid's diameter) and
     ``quasi_triangle_constant`` (max of d(x,z)/(d(x,y)+d(y,z)) over 4000
     sampled triples of nodes).
     """
     rng = np.random.default_rng(seed)
-    diam = grid.diameter(seed=seed)
-    if deltas is None:
-        deltas = diam * np.array([0.025, 0.05, 0.1, 0.2])
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.size < 3:
-        raise ValueError("need >= 3 radii to fit a scaling exponent")
-
+    deltas = grid.diameter(seed=seed) * np.array([0.025, 0.05, 0.1, 0.2])
     centers = rng.choice(grid.size, size=min(50, grid.size),
                          replace=False)
     slopes = []
@@ -218,7 +213,7 @@ def qm_exterior_check(domain, w_exterior=None, z_boundary=None,
         w = np.asarray(w_exterior, dtype=complex)
         z = np.asarray(z_boundary, dtype=complex)
         num = qdist(domain, w, z)
-        pr = project_boundary(domain, w, 0.0)
+        pr = project_boundary(domain, w)
         den = np.asarray(domain.rho(w)) + qdist(domain, pr, z)
         ratios = num / den
         report["shell_comparison"] = _percentile_range(ratios)
@@ -262,32 +257,24 @@ def stratified_centers(grid, pole=None, n_bulk=24, n_per_annulus=3,
         pole = np.zeros(grid.nodes.shape[1], dtype=complex)
         pole[0] = 1.0
     d = grid_qdist(grid, np.asarray(pole, dtype=complex))
-    d_top = 0.5 * grid.diameter()
+    edges = 0.5 * grid.diameter() * 2.0 ** (-np.arange(n_annuli + 1.0))
+    # (mask, quota, rng key) per stratum: the annuli, then the bulk outside
+    # them.  The disk inside the last annulus is omitted: the estimator
+    # measures the integral truncated at the ladder depth, which is the
+    # monotone refinement object the finite/infinite verdicts compare
+    strata = [((d >= edges[i + 1]) & (d < edges[i]), n_per_annulus, i)
+              for i in range(n_annuli)]
+    strata.append((d >= edges[0], n_bulk, 10 ** 6))
     nodes, weights = [], []
-    edges = d_top * 2.0 ** (-np.arange(n_annuli + 1, dtype=float))
-    for i in range(n_annuli):
-        hi, lo = edges[i], edges[i + 1]
-        mask = (d >= lo) & (d < hi)
+    for mask, quota, key in strata:
         cnt = int(mask.sum())
         if cnt == 0:
             continue
-        take = min(n_per_annulus, cnt)
-        rng_i = np.random.default_rng([seed, i])
-        idx = rng_i.choice(np.nonzero(mask)[0], size=take, replace=False)
-        w = float(grid.w_sigma[mask].sum()) / take
+        take = min(quota, cnt)
+        idx = np.random.default_rng([seed, key]).choice(
+            np.nonzero(mask)[0], size=take, replace=False)
         nodes.append(grid.nodes[idx])
-        weights.append(np.full(take, w))
-    # the disk inside the last annulus is omitted: the estimator measures
-    # the integral truncated at the ladder depth, which is the monotone
-    # refinement object the finite/infinite verdicts compare
-    bulk = d >= d_top
-    if np.any(bulk):
-        take = min(n_bulk, int(bulk.sum()))
-        rng_b = np.random.default_rng([seed, 10 ** 6])
-        idx = rng_b.choice(np.nonzero(bulk)[0], size=take, replace=False)
-        w = float(grid.w_sigma[bulk].sum()) / take
-        nodes.append(grid.nodes[idx])
-        weights.append(np.full(take, w))
+        weights.append(np.full(take, float(grid.w_sigma[mask].sum()) / take))
     return CenterSet(nodes=np.concatenate(nodes),
                      w_sigma=np.concatenate(weights))
 

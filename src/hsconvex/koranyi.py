@@ -81,7 +81,7 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
         else:
             sel = np.nonzero(ok)[0]
             if sel.size:
-                pr = project_boundary(domain, tau[sel], 0.0)
+                pr = project_boundary(domain, tau[sel])
                 ok2 = qdist(domain, pr, z[sel]) < eta * h[sel]
                 ok = ok.copy()
                 ok[sel] = ok2

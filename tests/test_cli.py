@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,19 @@ class TestConfig:
         assert cli.main(["continuation", str(cfg)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error" in err and "shell_angular" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("validate", "seed", -1), ("kernel", "seed", -1),
+        ("area", "seed", -1), ("validate", "boundary_nodes", 40)])
+    def test_out_of_range_key_is_usage_error(self, tmp_path, capsys,
+                                            command, key, value):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(re.sub(f"{key} = \\d+", f"{key} = {value}", BASE_CFG)
+                       .format(out=tmp_path / "out"))
+        assert cli.main([command, str(cfg)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
 
 

@@ -63,10 +63,6 @@ class TestHomogeneous:
         assert abs(rep["fitted_dimension"] - 2.0) <= 0.15
         assert rep["quasi_triangle_constant"] <= 10.0
 
-    def test_needs_three_radii(self, ball_grid_mc):
-        with pytest.raises(ValueError, match="3 radii"):
-            homtype.check_homogeneous(ball_grid_mc, deltas=[0.1])
-
 
 class TestQmExterior:
     def test_radial_point_ratio_near_one(self, ball):

@@ -40,7 +40,7 @@ class TestSampler:
     def test_internal_membership_exact(self, ball, int_sample):
         s = int_sample
         assert np.all(s.rho < 0) and np.all(s.rho > -0.1)
-        pr = dom.project_boundary(ball, s.points, 0.0)
+        pr = dom.project_boundary(ball, s.points)
         d = homtype.qdist(ball, pr, E1)
         assert np.all(d < 0.25 * np.abs(s.rho))
 

@@ -92,6 +92,13 @@ class RunConfig:
             raise ConfigError("eps must be positive")
         if not self.k_range:
             raise ConfigError("k_range must be nonempty")
+        if len(set(self.k_range)) < len(self.k_range) or \
+                min(self.k_range) < 1:
+            raise ConfigError("k_range must hold distinct positive levels")
+        if len(set(self.l_probe)) < len(self.l_probe) or \
+                min(self.l_probe) < 0:
+            raise ConfigError("l_probe must hold distinct non-negative "
+                              "orders")
         if any(v <= 0 for v in (self.shell_bands, self.shell_nodes_per_band,
                                 self.eta, self.p)):
             raise ConfigError("numeric resolution/params must be positive")
@@ -231,6 +238,8 @@ def cmd_diagnose(cfg, rep, function):
     if function not in entries:
         raise UsageError(f"unknown function {function!r}; "
                          f"corpus: {sorted(entries)}")
+    if len(cfg.k_range) < 3:
+        raise UsageError("k_range: diagnose needs at least 3 levels")
     dom = cfg.make_domain()
     rep.event(command="diagnose", function=function)
     report = pipeline.diagnose(dom, entries[function].f, p=cfg.p,

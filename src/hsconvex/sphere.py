@@ -22,8 +22,8 @@ from .domain import (radial_level, random_unit_directions, real_dot,
                      row_blocks)
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
-           "radial_graph_jacobian", "gauss_legendre_segments",
-           "hopf_directions"]
+           "surface_block", "radial_graph_jacobian",
+           "gauss_legendre_segments", "hopf_directions"]
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,26 @@ def radial_graph_jacobian(r, dirs, g):
     return r ** 2 * np.sqrt(r ** 2 + gs2)
 
 
+def surface_block(domain, dirs, weights, r, nodes, g):
+    """Fill one row block's nodes and gradients; return its surface weights.
+
+    ``dirs``, ``weights`` and the radii ``r`` are the block's rows of a mesh
+    and of its level-set radii; ``nodes`` and ``g`` are (B, 2) output
+    buffers.  Each row's arithmetic does not depend on its block.
+    """
+    nodes[...] = r[:, None] * dirs
+    g[...] = domain.grad(nodes)
+    return weights * radial_graph_jacobian(r, dirs, g)
+
+
 def surface_nodes(domain, mesh, t=0.0):
     """Nodes, surface-measure weights and gradients of the level set rho = t.
 
     The radii come from one whole-batch :func:`radial_level` call, whose
     stop test is batch-wide; nodes, gradients and the surface Jacobian are
-    then filled over row blocks (:func:`hsconvex.domain.row_blocks`), so the
-    Jacobian's temporaries of only one block are alive at once.  Each row's
-    arithmetic does not depend on its block.
+    then filled over row blocks (:func:`hsconvex.domain.row_blocks`,
+    :func:`surface_block`), so the Jacobian's temporaries of only one block
+    are alive at once.
     """
     if domain.n != 2:
         raise NotImplementedError("surface meshes are implemented for n = 2")
@@ -172,8 +184,6 @@ def surface_nodes(domain, mesh, t=0.0):
     g = np.empty_like(dirs)
     w_sigma = np.empty(r.shape)
     for sl in row_blocks(r.size):
-        nodes[sl] = r[sl, None] * dirs[sl]
-        g[sl] = domain.grad(nodes[sl])
-        w_sigma[sl] = mesh.weights[sl] * radial_graph_jacobian(
-            r[sl], dirs[sl], g[sl])
+        w_sigma[sl] = surface_block(domain, dirs[sl], mesh.weights[sl],
+                                    r[sl], nodes[sl], g[sl])
     return nodes, w_sigma, g

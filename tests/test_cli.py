@@ -90,6 +90,22 @@ class TestConfig:
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("k_range", "1 1 2 3"), ("k_range", "0 1 2"), ("k_range", "1 2"),
+        ("l_probe", "1 1 2"), ("l_probe", "-1 1")])
+    def test_bad_levels_or_orders_are_usage_errors(self, tmp_path, capsys,
+                                                   key, value):
+        # repeated levels once broke the partial-sum table (exit 3), level 0
+        # and two levels failed inside the projection, and a repeated order
+        # wrote two columns of the same name
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(re.sub(f"{key} = .*", f"{key} = {value}", BASE_CFG)
+                       .format(out=tmp_path / "out"))
+        assert cli.main(["diagnose", str(cfg), "z1"]) == cli.EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "ek_table.csv").exists()
+
 
 NONCONVEX_CFG = """\
 [domain]

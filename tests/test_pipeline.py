@@ -185,8 +185,44 @@ def _two_table_assemble(domain, kglob, c, g, w, harm=None):
     return pl.PolynomialCn(coeffs)
 
 
+class TestPairwiseTree:
+    """The moment assembler's leaf tree against numpy's own sum.
+
+    ``_assemble`` adds leaf sums along the pairwise tree it assumes numpy
+    uses; a numpy that sums in another order fails here by name instead of
+    moving report bytes.
+    """
+
+    @pytest.fixture(scope="class")
+    def perturbed_group_sizes(self, perturbed):
+        # the chord-angle groups of the perturbed ball's direct grid
+        from hsconvex.dzyadyk import build_Kglob
+
+        grid = homtype.build_boundary_grid(perturbed, 2.0 ** (-5) * 0.1,
+                                           pl.projection_resolution(32))
+        kglob = build_Kglob(perturbed, 32, r=6.0, pinned=True)
+        sizes = [int(sel.sum()) for sel, _ in kglob.groups(grid.pair_self)]
+        assert len(sizes) > 1
+        return sizes
+
+    @pytest.mark.parametrize("leaf", [64, pl._MOMENT_LEAF])
+    def test_tree_sum_is_np_sum(self, leaf, perturbed_group_sizes):
+        r = np.random.default_rng(5)
+        lengths = (list(range(1, 301)) + [4095, 4096, 4097, 48668]
+                   + perturbed_group_sizes)
+        for n in lengths:
+            # magnitudes over 30 decades, so another order of additions
+            # shows in the last bits
+            x = (r.standard_normal((2, n)) + 1j * r.standard_normal((2, n))) \
+                * 10.0 ** r.uniform(-15, 15, (2, n))
+            got = pl._pairwise_tree(lambda sl: np.sum(x[:, sl], axis=1),
+                                    0, n, leaf)
+            want = np.array([np.sum(x[0]), np.sum(x[1])])
+            assert got.tobytes() == want.tobytes(), (n, leaf)
+
+
 class TestAssembleOracle:
-    """One gradient power table against two, bit for bit."""
+    """Leaf-tree moments against whole-group power tables, bit for bit."""
 
     @staticmethod
     def _same(domain, kglob, c, g, w, harm=None):
@@ -215,21 +251,80 @@ class TestAssembleOracle:
         w = corpus.monomial((2, 1))(grid.nodes) * grid.w_S
         self._same(perturbed, kglob, grid.pair_self, grid.grad, w)
 
-    def test_harmonic_branch(self, perturbed):
-        # the reduced projector's inputs at level 3
+    def test_perturbed_direct_grid_k5(self, perturbed):
+        # diagnose's direct projection at level 5: five groups, each past
+        # the leaf size
+        from hsconvex.dzyadyk import build_Kglob
+
+        grid = homtype.build_boundary_grid(perturbed, 2.0 ** (-5) * 0.1,
+                                           pl.projection_resolution(32))
+        kglob = build_Kglob(perturbed, 32, r=6.0, pinned=True)
+        w = corpus.exp_function((1.0, 2.0))(grid.nodes) * grid.w_S
+        self._same(perturbed, kglob, grid.pair_self, grid.grad, w)
+
+    def _same_harmonic(self, domain, k):
+        # the reduced projector's inputs at level k
         from hsconvex.dzyadyk import build_Kglob
         from hsconvex.sphere import graded_angular_mesh
 
-        mesh = graded_angular_mesh(n_phi2=12, alpha_floor=0.2 * 0.0125 ** 0.5,
-                                   phi_floor=0.2 * 0.0125, deg_hint=8)
-        grid = homtype.build_boundary_grid(perturbed, 0.0125, mesh=mesh)
+        t_off = 2.0 ** (-k) * 0.1
+        mesh = graded_angular_mesh(n_phi2=12,
+                                   alpha_floor=max(5e-4, 0.2 * t_off ** 0.5),
+                                   phi_floor=max(5e-6, 0.2 * t_off),
+                                   deg_hint=2 ** k)
+        grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
         w = (corpus.power_function(1.5)(grid.nodes) * grid.density
              * grid.w_sigma)
         harm = np.fft.fft(w.reshape(-1, 12), axis=1)[:, :4]
         col = slice(0, None, 12)
-        kglob = build_Kglob(perturbed, 8, r=6.0, pinned=True)
-        self._same(perturbed, kglob, grid.pair_self[col], grid.grad[col],
+        kglob = build_Kglob(domain, 2 ** k, r=6.0, pinned=True)
+        self._same(domain, kglob, grid.pair_self[col], grid.grad[col],
                    np.ones(harm.shape[0]), harm=harm)
+
+    def test_harmonic_branch(self, perturbed):
+        self._same_harmonic(perturbed, 3)
+
+    def test_harmonic_branch_ball_k5(self, ball):
+        # 12,852 column nodes in one group, past the leaf size
+        self._same_harmonic(ball, 5)
+
+
+def _full_grid_reduced(domain, f, k, r):
+    """The reduced projector on a whole BoundaryGrid held at once."""
+    from hsconvex.dzyadyk import build_Kglob
+    from hsconvex.sphere import graded_angular_mesh
+
+    t_off = 2.0 ** (-k) * domain.eps_shell
+    mesh = graded_angular_mesh(
+        n_phi2=12, alpha_floor=max(5e-4, 0.2 * np.sqrt(t_off)),
+        phi_floor=max(5e-6, 0.2 * t_off),
+        deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
+    grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
+    w = np.asarray(f(grid.nodes)) * grid.density * grid.w_sigma
+    F = np.fft.fft(w.reshape(-1, 12), axis=1)
+    col = slice(0, None, 12)
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
+    return pl._assemble(domain, kglob, grid.pair_self[col], grid.grad[col],
+                        np.ones(F.shape[0]), harm=F[:, :4])
+
+
+class TestProjectDirectReduced:
+    """The streamed surface pass against a whole grid, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_matches_full_grid(self, name, request):
+        domain = request.getfixturevalue(name)
+        z = 0.9 * dom.random_unit_directions(np.random.default_rng(2), 64, 2)
+        for f in (corpus.power_function(1.5), corpus.log_function()):
+            for k in (1, 2, 3):
+                got = pl.project_direct_reduced(domain, f, k, 6.0)
+                want = _full_grid_reduced(domain, f, k, 6.0)
+                assert got.coeffs and got.coeffs == want.coeffs, (f.label, k)
+                assert got(z).tobytes() == want(z).tobytes()
+
+    def test_refuses_high_phase_harmonics(self, ball):
+        with pytest.raises(ValueError, match="use the generic projector"):
+            pl.project_direct_reduced(ball, corpus.monomial((0, 5)), 2, 6.0)
 
 
 class TestProjectViaContinuation:
@@ -347,6 +442,18 @@ class TestDiagnose:
         peak = traced_peak_mib(
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
         assert peak <= 62.0
+
+    @pytest.mark.parametrize("f", [
+        corpus.monomial((0, 0), label="1"),
+        corpus.exp_function((1.0, 2.0), label="exp(z1+2z2)"),
+        corpus.power_function(0.6)], ids=lambda f: f.label)
+    def test_peak_memory_bounded(self, ball, traced_peak_mib, f):
+        # 59.1, 57.3 and 55.2 MiB with a whole-group gradient power table
+        # and a whole reduced-projector grid; 32.0, 30.3 and 32.2 with
+        # leaf-tree moments and a streamed surface pass
+        peak = traced_peak_mib(
+            lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
+        assert peak <= 38.0
 
     def test_verdict_monotone_in_l(self, ball):
         f = corpus.power_function(0.6)

@@ -28,6 +28,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -82,14 +83,23 @@ class RunConfig:
                                  str(par.get("l_probe", "1 2 3")).split())
             self.k_range = tuple(int(x) for x in
                                  str(par.get("k_range", "1 2 3 4 5")).split())
-            self.r = float(par.get("r", 2.0 * max(self.l_probe)))
+            self.r = float(par["r"]) if "r" in par else None
             self.seed = int(par.get("seed", 0))
             out = parser["output"] if parser.has_section("output") else {}
             self.output_dir = Path(out.get("dir", "hsconvex_out"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        # nan <= 0 is false, so finiteness is checked first
+        for key in ("eps", "eta", "p", "r"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
+        if not self.l_probe:
+            raise ConfigError("l_probe must be nonempty")
+        if self.r is None:
+            self.r = 2.0 * max(self.l_probe)
         if not self.k_range:
             raise ConfigError("k_range must be nonempty")
         if len(set(self.k_range)) < len(self.k_range) or \
@@ -246,6 +256,8 @@ def cmd_diagnose(cfg, rep, function):
                                k_range=cfg.k_range, l_probe=cfg.l_probe,
                                r=cfg.r)
     payload = _jsonable(dataclasses.asdict(report))
+    # the sweep's sizes and the phase timings go to the event log only
+    rep.event(command="diagnose", **payload.pop("log"))
     payload["command"] = "diagnose"
     payload["quadrature_floor"] = report.slope_points < len(report.k_list)
     rows = []

@@ -69,10 +69,16 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
     """Membership predicate along tangential rays, vectorized over rays.
 
     ``z``, ``u``, ``nu`` are each ray's centre and frame, one row per ray.
+    The rays' phases e^(i theta) and normal offsets c nu, c = sign s + i b,
+    are formed once per ray set; each call forms tau = (z + a u) + c nu in
+    the order of the one-call formula, so every point keeps its bits.
     """
+    phase = np.exp(1j * theta)
+    normal = (sign * s + 1j * b)[:, None] * nu
+
     def inside(r):
-        a = r * np.exp(1j * theta)
-        tau = z + a[:, None] * u + (sign * s + 1j * b)[:, None] * nu
+        a = r * phase
+        tau = z + a[:, None] * u + normal
         rho = np.asarray(domain.rho(tau))
         h = sign * rho
         ok = (h > lo_cut) & (h < hi_cut)

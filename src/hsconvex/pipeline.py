@@ -21,6 +21,7 @@ mid ratios read inconclusive).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .dzyadyk import build_Kglob
 from .forms import ShellGrid, multi_indices
 from .homtype import (BoundaryGrid, build_boundary_grid, leray_density,
                       maximal_function)
-from .sphere import graded_angular_mesh, surface_block, surface_nodes
+from .sphere import graded_angular_mesh, surface_block
 from . import koranyi
 
 __all__ = [
@@ -162,23 +163,24 @@ def taylor_sections(coeff_fn, degrees):
 _MOMENT_LEAF = 2048
 
 
-def _pairwise_tree(leaf_sums, lo, hi, leaf=_MOMENT_LEAF):
+def _pairwise_tree(leaf_sums, lo, hi, leaf=_MOMENT_LEAF, unit=4):
     """Sum over rows lo..hi-1 along numpy's pairwise-summation tree.
 
-    ``np.sum`` of a contiguous vector of more than 64 complex elements adds
-    the sums of two halves, the left one the largest multiple of 4 not above
-    half; a subtree's sum is then ``np.sum`` of its own rows.  The tree is
-    walked down to subtrees of at most ``leaf`` rows (``leaf`` >= 64),
-    ``leaf_sums(slice)`` gives each one's sums (an array, one per moment)
-    and they are added back up the same tree, so each moment is bit for bit
-    ``np.sum`` over all its rows.
+    ``np.sum`` of a contiguous vector of more than 128 floats adds the sums
+    of two halves, the left one the largest multiple of 8 floats not above
+    half: of ``unit`` = 4 elements for complex128, 8 for float64.  A
+    subtree's sum is then ``np.sum`` of its own rows.  The tree is walked
+    down to subtrees of at most ``leaf`` rows (at least numpy's 128-float
+    block: 64 complex or 128 float rows), ``leaf_sums(slice)`` gives each
+    one's sums (an array, one per quantity) and they are added back up the
+    same tree, so each quantity is bit for bit ``np.sum`` over all its rows.
     """
     if hi - lo <= leaf:
         return leaf_sums(slice(lo, hi))
     half = (hi - lo) // 2
-    half -= half % 4
-    return (_pairwise_tree(leaf_sums, lo, lo + half, leaf)
-            + _pairwise_tree(leaf_sums, lo + half, hi, leaf))
+    half -= half % unit
+    return (_pairwise_tree(leaf_sums, lo, lo + half, leaf, unit)
+            + _pairwise_tree(leaf_sums, lo + half, hi, leaf, unit))
 
 
 def _assemble(domain, kglob, c, g, w, harm=None):
@@ -386,7 +388,9 @@ def smoothness_trajectory(w_sigma, e_fields, l, p):
     """Partial sums over K of the characterization integral, one per level.
 
     ``e_fields`` maps each level k to its error field on the boundary nodes
-    whose surface-measure weights are ``w_sigma``.
+    whose surface-measure weights are ``w_sigma``.  Test oracle for
+    :func:`diagnose`, which forms the same sums leaf by leaf in one sweep
+    over its evaluation mesh (:func:`_sweep`).
     """
     if len(e_fields) < 3:
         raise ValueError("need at least 3 levels")
@@ -435,6 +439,72 @@ class SmoothnessReport:
     partial_sums: dict          # l -> trajectory array
     verdicts: dict              # l -> verdict string
     meta: dict = field(default_factory=dict)
+    log: dict = field(default_factory=dict, compare=False)  # event log only
+
+
+# rows per leaf of diagnose's evaluation sweep, at most: a leaf is then the
+# whole mesh or at least 16,384 rows (8 leaves of 27,720 on the 221,760-node
+# mesh).  That floor keeps f's bits: numpy reuses a complex temporary of
+# 16,384 values (256 KiB) or more as the output of the next product, with
+# the operands swapped, and the SIMD complex product does not round
+# symmetrically, so z1^2 z2 on smaller blocks differs in last bits from the
+# whole-mesh call
+_SWEEP_LEAF = 32768
+
+
+def _sweep(domain, f, polys, p, l_probe):
+    """Sup errors, L^p sums and partial sums of f - P_k on the boundary.
+
+    Builds the evaluation mesh, graded toward the corpus singular direction
+    so the error fields resolve the singular zone scale by scale, and its
+    radii in one whole-batch :func:`radial_level` call (the stop test is
+    batch-wide).  Then sweeps the mesh once over the leaves of numpy's
+    float64 summation tree (:func:`_pairwise_tree`): each leaf fills its
+    nodes and surface weights (:func:`surface_block`, over row blocks),
+    evaluates f and every P_k, and returns each level's sum of e^p w and
+    each (l, k) partial sum of acc^(p/2) w, with acc the running sum over
+    levels of e^2 4^(l k) (:func:`smoothness_trajectory`'s terms).  The
+    leaf sums are added back up the same tree, so every sum is the
+    whole-mesh ``np.sum`` bit for bit; the sup errors are maxima over the
+    leaves, NaN kept.  Returns the sup errors, the L^p errors, the partial
+    sums per order and the mesh and leaf sizes.
+    """
+    mesh = graded_angular_mesh(n_phi2=12)
+    radii = radial_level(domain, mesh.dirs, 0.0)
+    ks = sorted(polys)
+    sups = np.full(len(ks), -np.inf)
+    leaf_rows = []
+
+    def leaf_sums(sl):
+        m = sl.stop - sl.start
+        nodes = np.empty((m, domain.n), dtype=complex)
+        g = np.empty_like(nodes)
+        w = np.empty(m)
+        for b in row_blocks(m):
+            rows = slice(sl.start + b.start, sl.start + b.stop)
+            w[b] = surface_block(domain, mesh.dirs[rows], mesh.weights[rows],
+                                 radii[rows], nodes[b], g[b])
+        del g
+        f_vals = np.asarray(f(nodes))
+        acc = {l: np.zeros(m) for l in l_probe}
+        lp_sums, part = [], {l: [] for l in l_probe}
+        for i, k in enumerate(ks):
+            e = np.abs(f_vals - polys[k](nodes))
+            sups[i] = np.maximum(sups[i], e.max())     # NaN stays NaN
+            lp_sums.append(np.sum(e ** p * w))
+            for l in l_probe:
+                acc[l] = acc[l] + np.abs(e) ** 2 * 4.0 ** (l * k)
+                part[l].append(np.sum(acc[l] ** (p / 2.0) * w))
+        leaf_rows.append(m)
+        return np.array(lp_sums + [v for l in l_probe for v in part[l]])
+
+    sums = _pairwise_tree(leaf_sums, 0, mesh.size, _SWEEP_LEAF, unit=8)
+    lps = {k: float(sums[i] ** (1.0 / p)) for i, k in enumerate(ks)}
+    partial = {l: sums[len(ks) * (j + 1): len(ks) * (j + 2)]
+               for j, l in enumerate(l_probe)}
+    return ({k: float(v) for k, v in zip(ks, sups)}, lps, partial,
+            {"mesh_rows": mesh.size, "leaves": len(leaf_rows),
+             "leaf_rows": leaf_rows})
 
 
 def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
@@ -443,34 +513,37 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
 
     Entire functions project directly from an offset surface; functions that
     are only holomorphic up to the boundary go through the offset projection
-    on pole-graded meshes (:func:`project_direct_reduced`).  The slope is
-    fitted on levels above the numerical floor; polynomial-exact levels read
-    as floor values and are excluded.
+    on pole-graded meshes (:func:`project_direct_reduced`).  Every level is
+    projected first; only then is the evaluation mesh built and swept once
+    (:func:`_sweep`), so no evaluation array is alive while a projection
+    runs.  The slope is fitted on levels above the numerical floor;
+    polynomial-exact levels read as floor values and are excluded.
+
+    The report's ``log`` holds the sweep's sizes and each phase's seconds,
+    for the event log; it is not a result.
     """
-    # evaluation nodes and surface-measure weights graded toward the corpus
-    # singular direction, so the error fields resolve the singular zone
-    # scale by scale; the mesh's gradients are dropped at once, so they stay
-    # out of every level's peak
-    nodes, w_sigma = surface_nodes(domain,
-                                   graded_angular_mesh(n_phi2=12))[:2]
     k_list = sorted(int(k) for k in k_range)
+    if len(k_list) < 3:
+        raise ValueError("need at least 3 levels")
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
     proj_resolution = projection_resolution(2 ** max(k_list))
-    f_vals = np.asarray(f(nodes))
-    fields, sups, lps = {}, {}, {}
+    polys, levels = {}, []
     for k in k_list:
+        t0 = time.perf_counter()
         if method == "direct":
-            pk = project_direct(domain, f, k, r=r, resolution=proj_resolution)
+            polys[k] = project_direct(domain, f, k, r=r,
+                                      resolution=proj_resolution)
         else:
             # boundary-singular corpus entries: offset projection with the
             # slit correction O(t_off^(1+s)) below budget, on pole-graded
             # meshes
-            pk = project_direct_reduced(domain, f, k, r=r)
-        e = np.abs(f_vals - pk(nodes))
-        fields[k] = e
-        sups[k] = float(e.max())
-        lps[k] = float(np.sum(e ** p * w_sigma) ** (1.0 / p))
+            polys[k] = project_direct_reduced(domain, f, k, r=r)
+        levels.append({"k": k, "method": method,
+                       "projection_s": time.perf_counter() - t0})
+    t0 = time.perf_counter()
+    sups, lps, partial, log = _sweep(domain, f, polys, p, l_probe)
+    log.update(levels=levels, sweep_s=time.perf_counter() - t0)
 
     floor = 1e-9        # sup errors at or below it sit on the quadrature floor
     usable = [k for k in k_list if sups[k] > floor]
@@ -481,17 +554,14 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     else:
         slope = float(np.polyfit(usable,
                                  [np.log2(sups[k]) for k in usable], 1)[0])
-    partial, verdicts = {}, {}
-    for l in l_probe:
-        _, traj = smoothness_trajectory(w_sigma, fields, l, p)
-        partial[l] = traj
-        verdicts[l] = verdict_from_trajectory(traj)
+    verdicts = {l: verdict_from_trajectory(partial[l]) for l in l_probe}
     return SmoothnessReport(
         label=f.label, k_list=k_list, sup_errors=sups, lp_errors=lps,
         slope=slope, slope_points=len(usable),
         partial_sums=partial, verdicts=verdicts,
         meta={"method": method, "p": p, "r": r, "m_jet": 4,
-              "grid_size": nodes.shape[0]})
+              "grid_size": log["mesh_rows"]},
+        log=log)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,27 @@ class TestConfig:
         assert not (tmp_path / "out" / "report.json").exists()
         assert not (tmp_path / "out" / "ek_table.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps", "nan"), ("eps", "inf"), ("eta", "nan"), ("eta", "inf"),
+        ("p", "nan"), ("p", "inf"), ("r", "nan"), ("r", "inf"),
+        ("r", "-inf"), ("l_probe", "")])
+    def test_non_finite_or_empty_is_usage_error(self, tmp_path, capsys,
+                                                key, value):
+        # nan passed every positivity check: eps and eta failed later
+        # (exit 3), p = nan exited 0 with NaN lp errors, and an empty
+        # l_probe failed inside the default r without naming the key
+        if key in ("eps", "l_probe"):
+            text = re.sub(f"{key} = .*", f"{key} = {value}", BASE_CFG)
+        else:
+            text = BASE_CFG.replace("[params]\n",
+                                    f"[params]\n{key} = {value}\n")
+        cfg = tmp_path / "finite.cfg"
+        cfg.write_text(text.format(out=tmp_path / "out"))
+        assert cli.main(["diagnose", str(cfg), "z1"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
 
 NONCONVEX_CFG = """\
 [domain]
@@ -193,6 +214,16 @@ class TestDiagnose:
         rep = json.loads((tmp_path / "d" / "report.json").read_text())
         assert rep["verdicts"]["1"] == "converging"
         assert rep["quadrature_floor"]
+        # the sweep's sizes and the phase timings are logged, not reported
+        assert "log" not in rep
+        start, sweep = (json.loads(e) for e in _events(tmp_path / "d"))
+        assert start == {"command": "diagnose", "function": "z1", "step": 1}
+        assert sweep["mesh_rows"] == rep["meta"]["grid_size"] == 221760
+        assert sweep["leaves"] == 8 and sweep["leaf_rows"] == [27720] * 8
+        assert [(v["k"], v["method"]) for v in sweep["levels"]] == \
+            [(k, "direct") for k in (1, 2, 3, 4)]
+        assert all(v["projection_s"] > 0 for v in sweep["levels"])
+        assert sweep["sweep_s"] > 0
 
     def test_determinism_byte_identical(self, cfg_file, tmp_path):
         for tag in ("r1", "r2"):

@@ -220,6 +220,20 @@ class TestPairwiseTree:
             want = np.array([np.sum(x[0]), np.sum(x[1])])
             assert got.tobytes() == want.tobytes(), (n, leaf)
 
+    @pytest.mark.parametrize("leaf", [128, pl._SWEEP_LEAF])
+    def test_float_tree_sum_is_np_sum(self, leaf):
+        # diagnose's sweep splits float64 sums at multiples of 8 elements;
+        # lengths around the block, the leaf and the evaluation mesh's size
+        r = np.random.default_rng(6)
+        lengths = (list(range(1, 300)) + [1023, 1024, 1025, 32767, 32768,
+                                          32769, 65543, 221759, 221760])
+        for n in lengths:
+            x = r.standard_normal((2, n)) * 10.0 ** r.uniform(-15, 15, (2, n))
+            got = pl._pairwise_tree(lambda sl: np.sum(x[:, sl], axis=1),
+                                    0, n, leaf, unit=8)
+            want = np.array([np.sum(x[0]), np.sum(x[1])])
+            assert got.tobytes() == want.tobytes(), (n, leaf)
+
 
 class TestAssembleOracle:
     """Leaf-tree moments against whole-group power tables, bit for bit."""
@@ -393,6 +407,95 @@ class TestSmoothnessSum:
             "inconclusive"
 
 
+def _sweep_leaves(size):
+    """The row slices of diagnose's evaluation sweep on a mesh of ``size``."""
+    leaves = []
+    pl._pairwise_tree(lambda sl: leaves.append(sl) or np.zeros(1), 0, size,
+                      pl._SWEEP_LEAF, unit=8)
+    return leaves
+
+
+def _whole_mesh_diagnose(domain, f, k_list, l_probe, p=2.0):
+    """diagnose's numbers from whole-mesh error fields held at once."""
+    from hsconvex.sphere import graded_angular_mesh, surface_nodes
+
+    r = 2.0 * max(l_probe)
+    res = pl.projection_resolution(2 ** max(k_list))
+    polys = {k: pl.project_direct(domain, f, k, r=r, resolution=res)
+             if f.validity > 0 else pl.project_direct_reduced(domain, f, k, r)
+             for k in k_list}
+    nodes, w_sigma = surface_nodes(domain, graded_angular_mesh(n_phi2=12))[:2]
+    f_vals = f(nodes)
+    fields = {k: np.abs(f_vals - polys[k](nodes)) for k in k_list}
+    sups = {k: float(e.max()) for k, e in fields.items()}
+    lps = {k: float(np.sum(e ** p * w_sigma) ** (1.0 / p))
+           for k, e in fields.items()}
+    partial = {l: pl.smoothness_trajectory(w_sigma, fields, l, p)[1]
+               for l in l_probe}
+    return sups, lps, partial
+
+
+class TestSweep:
+    """diagnose's leaf sweep against whole-mesh evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    def test_corpus_on_leaves_equals_whole_mesh(self, name, request):
+        # a leaf of 16,384 rows or fewer would move z1^2 z2's values: numpy
+        # then stops reusing temporaries, and the swapped complex product
+        # rounds differently
+        from hsconvex.sphere import graded_angular_mesh, surface_nodes
+
+        domain = request.getfixturevalue(name)
+        nodes = surface_nodes(domain, graded_angular_mesh(n_phi2=12))[0]
+        leaves = _sweep_leaves(nodes.shape[0])
+        assert len(leaves) > 1
+        assert min(sl.stop - sl.start for sl in leaves) >= 16384
+        for entry in corpus.corpus_entries():
+            whole = np.asarray(entry.f(nodes))
+            for sl in leaves:
+                got = np.asarray(entry.f(nodes[sl].copy()))
+                assert got.tobytes() == whole[sl].tobytes(), \
+                    (entry.f.label, sl)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
+    @pytest.mark.parametrize("f", [corpus.monomial((2, 1)),
+                                   corpus.power_function(0.6)],
+                             ids=lambda f: f.label)
+    def test_diagnose_equals_whole_mesh(self, name, f, request):
+        domain = request.getfixturevalue(name)
+        k_list, l_probe = [1, 2, 3], (1, 2, 3)
+        rep = pl.diagnose(domain, f, k_range=k_list, l_probe=l_probe)
+        sups, lps, partial = _whole_mesh_diagnose(domain, f, k_list, l_probe)
+        assert np.array(list(rep.sup_errors.values())).tobytes() == \
+            np.array(list(sups.values())).tobytes()
+        assert np.array(list(rep.lp_errors.values())).tobytes() == \
+            np.array(list(lps.values())).tobytes()
+        for l in l_probe:
+            assert rep.partial_sums[l].tobytes() == partial[l].tobytes()
+        assert rep.log["mesh_rows"] == sum(rep.log["leaf_rows"])
+        assert [v["k"] for v in rep.log["levels"]] == k_list
+
+    def test_nan_in_a_late_leaf_reads_nan(self, ball):
+        # NaN at boundary nodes near |z2| = 1, all past the first leaf: a
+        # running max(-inf, nan) in Python would read a finite sup error
+        base = corpus.exp_function((1.0, 2.0))
+
+        def ev(z):
+            out = base(z)
+            hole = (np.abs(ball.rho(z)) < 1e-9) & (np.abs(z[..., 1]) > 0.99)
+            return np.where(hole, np.nan, out)
+
+        from hsconvex.sphere import graded_angular_mesh, surface_nodes
+
+        nodes = surface_nodes(ball, graded_angular_mesh(n_phi2=12))[0]
+        rows = np.flatnonzero(np.isnan(ev(nodes)))
+        assert rows.size and rows.min() >= _sweep_leaves(nodes.shape[0])[0].stop
+        f = forms.HoloFunction(eval=ev, validity=np.inf, label="nan")
+        rep = pl.diagnose(ball, f, k_range=range(1, 4), l_probe=(1,))
+        assert all(np.isnan(v) for v in rep.sup_errors.values())
+        assert all(np.isnan(v) for v in rep.lp_errors.values())
+
+
 class TestDiagnose:
     def test_polynomial_floor(self, ball):
         f = corpus.monomial((1, 0))
@@ -429,19 +532,23 @@ class TestDiagnose:
 
     def test_peak_memory(self, ball, traced_peak_mib):
         # 88.2 MiB with whole-mesh trig, Jacobian and two gradient power
-        # tables; 65.2 with per-axis trig, row blocks and one table
+        # tables; 65.2 with per-axis trig, row blocks and one table; 13.8
+        # (15.5 as a process's first diagnose, with numpy.polynomial's
+        # imports) with the projections first and a leaf sweep of the
+        # evaluation mesh
         f = corpus.monomial((0, 0), label="1")
         peak = traced_peak_mib(
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
-        assert peak <= 72.0
+        assert peak <= 18.0
 
     def test_peak_memory_entire(self, ball, traced_peak_mib):
         # 65.8 MiB while the eval mesh's gradients stayed alive through
-        # every level; 59.1 once they are dropped
+        # every level; 59.1 once they are dropped; 13.8 with the mesh
+        # built after the projections
         f = corpus.exp_function((1.0, 2.0), label="exp(z1+2z2)")
         peak = traced_peak_mib(
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
-        assert peak <= 62.0
+        assert peak <= 18.0
 
     @pytest.mark.parametrize("f", [
         corpus.monomial((0, 0), label="1"),
@@ -450,10 +557,11 @@ class TestDiagnose:
     def test_peak_memory_bounded(self, ball, traced_peak_mib, f):
         # 59.1, 57.3 and 55.2 MiB with a whole-group gradient power table
         # and a whole reduced-projector grid; 32.0, 30.3 and 32.2 with
-        # leaf-tree moments and a streamed surface pass
+        # leaf-tree moments and a streamed surface pass; 13.8, 13.8 and
+        # 13.9 once no evaluation array is alive under a projection
         peak = traced_peak_mib(
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
-        assert peak <= 38.0
+        assert peak <= 18.0
 
     def test_verdict_monotone_in_l(self, ball):
         f = corpus.power_function(0.6)

@@ -55,72 +55,84 @@ class ConfigError(UsageError):
     pass
 
 
+def _numbers(kind):
+    return lambda text: tuple(kind(x) for x in text.split())
+
+
+def _positive(v, cfg):
+    return 0 < v < math.inf    # false for NaN too
+
+
+def _distinct(low):
+    return lambda v, cfg: bool(v) and len(set(v)) == len(v) and min(v) >= low
+
+
+# positional parameters of each catalog constructor: the names before
+# eps_shell, which code objects list first
+_ARITY = {name: make.__code__.co_varnames.index("eps_shell")
+          for name, make in domain_mod._CATALOG.items()}
+
+# one row per key: section, key, attribute, parse, default, the rule a given
+# value must meet (called with the config read so far), and the values the
+# rule accepts.  A key left out takes its default; unknown keys are ignored.
+KEYS = (
+    ("domain", "name", "domain_name", str, "ball", lambda v, cfg: v in _ARITY,
+     f"one of {sorted(_ARITY)}"),
+    ("domain", "params", "domain_params", _numbers(float), (),
+     lambda v, cfg: len(v) <= _ARITY[cfg.domain_name]
+     and all(map(math.isfinite, v)),
+     f"finite numbers, at most this many per domain: {_ARITY}"),
+    ("domain", "eps", "eps", float, 0.1, _positive, "a finite number > 0"),
+    # validate's coarse grid has boundary_nodes // 4 nodes, at least 16
+    ("resolution", "boundary_nodes", "boundary_nodes", int, 10000,
+     lambda v, cfg: v >= 64, "an integer >= 64"),
+    ("resolution", "shell_bands", "shell_bands", int, 8,
+     lambda v, cfg: v >= 1, "an integer >= 1"),
+    ("resolution", "nodes_per_band", "shell_nodes_per_band", int, 2,
+     lambda v, cfg: v >= 1, "an integer >= 1"),
+    ("resolution", "shell_angular", "shell_angular", int, 4000,
+     lambda v, cfg: bool(split_resolution(v)), "an integer >= 16"),
+    ("params", "eta", "eta", float, koranyi.DEFAULT_ETA, _positive,
+     "a finite number > 0"),
+    ("params", "p", "p", float, 2.0, _positive, "a finite number > 0"),
+    ("params", "l_probe", "l_probe", _numbers(int), (1, 2, 3), _distinct(0),
+     "one or more distinct integers >= 0"),
+    ("params", "k_range", "k_range", _numbers(int), (1, 2, 3, 4, 5),
+     _distinct(1), "one or more distinct integers >= 1"),
+    # a missing r is derived from l_probe by pipeline.diagnose
+    ("params", "r", "r", float, None, lambda v, cfg: 0 <= v < math.inf,
+     "a finite number >= 0"),
+    ("params", "seed", "seed", int, 0, lambda v, cfg: v >= 0,
+     "an integer >= 0"),
+    ("output", "dir", "output_dir", Path, Path("hsconvex_out"),
+     lambda v, cfg: True, "a path"),
+)
+
+
 class RunConfig:
-    """Validated run parameters; see docs for the file format."""
+    """Validated run parameters, one attribute per row of :data:`KEYS`."""
 
     def __init__(self, path):
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
+        # % is literal: no config interpolates
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
-            dom = parser["domain"]
-            self.domain_name = dom.get("name", "ball").strip()
-            self.domain_params = tuple(
-                float(x) for x in dom.get("params", "").split()) \
-                if dom.get("params", "").strip() else ()
-            self.eps = dom.getfloat("eps", 0.1)
-            res = parser["resolution"] if parser.has_section("resolution") \
-                else {}
-            self.boundary_nodes = int(res.get("boundary_nodes", 10000))
-            self.shell_bands = int(res.get("shell_bands", 8))
-            self.shell_nodes_per_band = int(res.get("nodes_per_band", 2))
-            self.shell_angular = int(res.get("shell_angular", 4000))
-            par = parser["params"] if parser.has_section("params") else {}
-            self.eta = float(par.get("eta", koranyi.DEFAULT_ETA))
-            self.p = float(par.get("p", 2.0))
-            self.l_probe = tuple(int(x) for x in
-                                 str(par.get("l_probe", "1 2 3")).split())
-            self.k_range = tuple(int(x) for x in
-                                 str(par.get("k_range", "1 2 3 4 5")).split())
-            self.r = float(par["r"]) if "r" in par else None
-            self.seed = int(par.get("seed", 0))
-            out = parser["output"] if parser.has_section("output") else {}
-            self.output_dir = Path(out.get("dir", "hsconvex_out"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        # nan <= 0 is false, so finiteness is checked first
-        for key in ("eps", "eta", "p", "r"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if not self.l_probe:
-            raise ConfigError("l_probe must be nonempty")
-        if self.r is None:
-            self.r = 2.0 * max(self.l_probe)
-        if not self.k_range:
-            raise ConfigError("k_range must be nonempty")
-        if len(set(self.k_range)) < len(self.k_range) or \
-                min(self.k_range) < 1:
-            raise ConfigError("k_range must hold distinct positive levels")
-        if len(set(self.l_probe)) < len(self.l_probe) or \
-                min(self.l_probe) < 0:
-            raise ConfigError("l_probe must hold distinct non-negative "
-                              "orders")
-        if any(v <= 0 for v in (self.shell_bands, self.shell_nodes_per_band,
-                                self.eta, self.p)):
-            raise ConfigError("numeric resolution/params must be positive")
-        # validate's coarse grid has boundary_nodes // 4 nodes, at least 16
-        if self.boundary_nodes < 64:
-            raise ConfigError("boundary_nodes must be at least 64")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        try:
-            split_resolution(self.shell_angular)
-        except ValueError as exc:
-            raise ConfigError(f"shell_angular: {exc}") from None
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+        except (configparser.Error, UnicodeError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
+        if not parser.has_section("domain"):
+            raise ConfigError("missing [domain] section")
+        for section, key, attr, parse, default, rule, accepted in KEYS:
+            raw = parser.get(section, key, fallback=None)
+            try:
+                value = default if raw is None else parse(raw)
+                ok = raw is None or rule(value, self)
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{key} must be {accepted}, not {raw!r}")
+            setattr(self, attr, value)
 
     def make_domain(self, validate=True):
         return domain_mod.from_catalog(self.domain_name, self.domain_params,
@@ -129,7 +141,7 @@ class RunConfig:
 
 def environment():
     """The thread variables in effect, numpy's version and its BLAS."""
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"threads": {v: os.environ.get(v)
                         for v in ("HSCONVEX_THREADS",) + _BLAS_VARS},
             "numpy": np.__version__,

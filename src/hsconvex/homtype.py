@@ -53,7 +53,6 @@ class BoundaryGrid:
     grad: np.ndarray       # (N, n)
     w_sigma: np.ndarray    # (N,)
     w_S: np.ndarray        # (N,)
-    density: np.ndarray    # (N,)
     pair_self: np.ndarray  # (N,)
 
     @property
@@ -121,10 +120,9 @@ def build_boundary_grid(domain, t=0.0, resolution=10000, kind="product",
         else:
             raise ValueError(f"unknown grid kind {kind!r}")
     nodes, w_sigma, g = surface_nodes(domain, mesh, t)
-    density = leray_density(domain, nodes, g)
-    w_s = density * w_sigma
+    w_s = leray_density(domain, nodes, g) * w_sigma
     return BoundaryGrid(domain=domain, nodes=nodes, grad=g, w_sigma=w_sigma,
-                        w_S=w_s, density=density, pair_self=pairing(g, nodes))
+                        w_S=w_s, pair_self=pairing(g, nodes))
 
 
 def qdist(domain, w, z):

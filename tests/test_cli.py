@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hsconvex import cli, continuation
 from hsconvex import domain as dom
@@ -126,6 +130,179 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("name", "name = ball", "name = foo"),
+        ("params", "name = ball", "name = ellipsoid\nparams = 1 2 3"),
+        ("params", "name = ball", "name = ball\nparams = x"),
+        ("boundary_nodes", "= 4000", "= abc"),
+        ("seed", "seed = 3", "seed = 1.5"),
+        ("shell_bands", "[resolution]", "[resolution]\nshell_bands = 0"),
+        ("nodes_per_band", "[resolution]", "[resolution]\nnodes_per_band = 0"),
+        ("eta", "[params]", "[params]\neta = -1"),
+        ("r", "[params]", "[params]\nr = -1"),
+        ("eps", "eps = 0.1", "eps = 0.1\neps = 0.1"),
+        ("eps", "eps = 0.1", "eps = 10%"),
+        ("domain", "[output]", "[domain]\nname = ball\n\n[output]"),
+        ("name", "[domain]\n", ""),
+        ("[domain]", "[domain]\nname = ball\neps = 0.1\n", "")],
+        ids=["unknown name", "too many params", "params text",
+             "boundary_nodes text", "seed fraction", "shell_bands 0",
+             "nodes_per_band 0", "eta negative", "r negative", "eps twice",
+             "eps percent", "domain twice", "no header", "no domain"])
+    def test_bad_key_or_file_is_usage_error(self, tmp_path, capsys, key, old,
+                                            new):
+        # each once exited 3, exited 0, escaped as a configparser traceback,
+        # or exited 2 without naming its key
+        cfg = tmp_path / "bad.cfg"
+        text = BASE_CFG.format(out=tmp_path / "out")
+        assert old in text
+        cfg.write_text(text.replace(old, new, 1))
+        assert cli.main(["diagnose", str(cfg), "z1"]) == cli.EXIT_USAGE
+        # the file's path holds the test's name, so it is taken out first
+        err = capsys.readouterr().err.replace(str(cfg), "")
+        assert err.startswith("config error") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_is_literal(self, tmp_path):
+        cfg = tmp_path / "pct.cfg"
+        cfg.write_text(BASE_CFG.format(out=tmp_path / "out%x"))
+        assert cli.main(["diagnose", str(cfg), "nope"]) == cli.EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["out%x", "pct.cfg"]
+
+
+# every config key: its section, and a check that an accepted value lies in
+# its documented range (README "Config files")
+def _arity(name):
+    return len([p for p in inspect.signature(dom._CATALOG[name]).parameters
+                if p not in ("eps_shell", "validate")])
+
+
+def _finite_positive(v):
+    return math.isfinite(v) and v > 0
+
+
+def _levels(v, low):
+    return (len(v) > 0 and len(set(v)) == len(v)
+            and all(isinstance(x, int) and x >= low for x in v))
+
+
+def _integer(low):
+    return lambda v: isinstance(v, int) and v >= low
+
+
+CONFIG_KEYS = {
+    ("domain", "name"): ("domain_name", lambda v: v in dom._CATALOG),
+    ("domain", "params"): ("domain_params", None),   # checked with the name
+    ("domain", "eps"): ("eps", _finite_positive),
+    ("resolution", "boundary_nodes"): ("boundary_nodes", _integer(64)),
+    ("resolution", "shell_bands"): ("shell_bands", _integer(1)),
+    ("resolution", "nodes_per_band"): ("shell_nodes_per_band", _integer(1)),
+    ("resolution", "shell_angular"): ("shell_angular", _integer(16)),
+    ("params", "eta"): ("eta", _finite_positive),
+    ("params", "p"): ("p", _finite_positive),
+    ("params", "l_probe"): ("l_probe", lambda v: _levels(v, 0)),
+    ("params", "k_range"): ("k_range", lambda v: _levels(v, 1)),
+    ("params", "r"): ("r", lambda v: v is None or (math.isfinite(v)
+                                                   and v >= 0)),
+    ("params", "seed"): ("seed", _integer(0)),
+    ("output", "dir"): ("output_dir", lambda v: isinstance(v, Path)),
+}
+
+CONTRACT_BASE = {"domain": {"name": "ball", "eps": "0.1"},
+                 "resolution": {"boundary_nodes": "64"},
+                 "params": {"seed": "3"}, "output": {"dir": "out"}}
+
+_number = st.one_of(
+    st.integers(-3, 70), st.sampled_from([15, 16, 63, 64, 2 ** 70]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e400])).map(str)
+_value = st.one_of(
+    _number,
+    st.lists(st.integers(-2, 6), max_size=4).map(
+        lambda v: " ".join(map(str, v))),
+    st.lists(st.floats(-3, 3) | st.sampled_from([math.nan, math.inf]),
+             max_size=3).map(lambda v: " ".join(map(repr, v))),
+    st.sampled_from(sorted(dom._CATALOG) + [
+        "", "foo", "nan", "+inf", "-inf", "1_0", "0x10", "%", "10%",
+        "%(eps)s", "1 %d"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126),
+            max_size=8))
+
+
+def _write(path, sections, header=True):
+    lines = []
+    for name, entries in sections.items():
+        if header:
+            lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in entries]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_config_keys_cover_the_table():
+    assert {(row[0], row[1]): row[2] for row in cli.KEYS} == \
+        {k: attr for k, (attr, _) in CONFIG_KEYS.items()}
+
+
+@given(name=st.sampled_from(sorted(dom._CATALOG)),
+       key=st.sampled_from(sorted(CONFIG_KEYS)), value=_value,
+       again=st.none() | _value)
+@example(name="ball", key=("params", "r"), value="-1", again=None)
+@example(name="ball", key=("domain", "name"), value="foo", again=None)
+@example(name="ball", key=("output", "dir"), value="out%x", again=None)
+@example(name="ellipsoid", key=("domain", "eps"), value="0.1", again="0.1")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_contract(tmp_path, name, key, value, again):
+    # one key takes a drawn value, given twice when `again` is drawn: the
+    # config is refused naming that key, or every field is in its range
+    section, option = key
+    entries = {s: dict(e) for s, e in CONTRACT_BASE.items()}
+    entries["domain"]["name"] = name
+    entries[section][option] = value
+    sections = {s: list(e.items()) for s, e in entries.items()}
+    if again is not None:
+        sections[section].append((option, again))
+    path = tmp_path / "contract.cfg"
+    _write(path, sections)
+    try:
+        cfg = cli.RunConfig(str(path))
+    except cli.ConfigError as exc:
+        msg = str(exc)
+        assert msg.startswith(f"{option} must be ") or \
+            f"option '{option}' in section '{section}' already" in msg, msg
+        return
+    for attr, in_range in CONFIG_KEYS.values():
+        if in_range is not None:
+            assert in_range(getattr(cfg, attr)), (attr, getattr(cfg, attr))
+    assert len(cfg.domain_params) <= _arity(cfg.domain_name)
+    assert all(math.isfinite(v) for v in cfg.domain_params)
+    cfg.make_domain(validate=False)
+
+
+@given(section=st.sampled_from(sorted(CONTRACT_BASE)),
+       fault=st.sampled_from(["repeated section", "no header",
+                              "no [domain]"]))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_file_faults(tmp_path, section, fault):
+    # whole-file faults are refused, never a configparser traceback
+    sections = {s: list(e.items()) for s, e in CONTRACT_BASE.items()}
+    path = tmp_path / "faulty.cfg"
+    if fault == "repeated section":
+        _write(path, sections)
+        path.write_text(path.read_text() + f"[{section}]\n")
+        named = f"section '{section}' already exists"
+    elif fault == "no header":
+        _write(path, sections, header=False)
+        named = "(?s)no section headers.*name = ball"
+    else:
+        del sections["domain"]
+        _write(path, sections)
+        named = r"missing \[domain\] section"
+    with pytest.raises(cli.ConfigError, match=named):
+        cli.RunConfig(str(path))
 
 
 NONCONVEX_CFG = """\
@@ -347,11 +524,15 @@ class TestOtherCommands:
         assert peak <= 24.0
 
     def test_console_entry_point(self, cfg_file, tmp_path):
+        import hsconvex
+
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(hsconvex.__file__).parents[1])}
         out = subprocess.run(
             [sys.executable, "-m", "hsconvex.cli", "validate",
              str(cfg_file), "--out", str(tmp_path / "sub")],
-            capture_output=True, text=True)
-        assert out.returncode == 0
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
 
 
 def test_threads_variable_reaches_blas_before_numpy():

@@ -287,7 +287,8 @@ class TestAssembleOracle:
                                    phi_floor=max(5e-6, 0.2 * t_off),
                                    deg_hint=2 ** k)
         grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
-        w = (corpus.power_function(1.5)(grid.nodes) * grid.density
+        w = (corpus.power_function(1.5)(grid.nodes)
+             * homtype.leray_density(domain, grid.nodes, grid.grad)
              * grid.w_sigma)
         harm = np.fft.fft(w.reshape(-1, 12), axis=1)[:, :4]
         col = slice(0, None, 12)
@@ -314,7 +315,8 @@ def _full_grid_reduced(domain, f, k, r):
         phi_floor=max(5e-6, 0.2 * t_off),
         deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
     grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
-    w = np.asarray(f(grid.nodes)) * grid.density * grid.w_sigma
+    w = (np.asarray(f(grid.nodes))
+         * homtype.leray_density(domain, grid.nodes, grid.grad) * grid.w_sigma)
     F = np.fft.fft(w.reshape(-1, 12), axis=1)
     col = slice(0, None, 12)
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)

@@ -192,10 +192,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in np.asarray(x).tolist()] \
             if isinstance(x, np.ndarray) else [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     return x
 
 
@@ -375,10 +371,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         cfg = RunConfig(args.config)
+        rep = Reporter(Path(args.out) if args.out else cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rep = Reporter(Path(args.out) if args.out else cfg.output_dir)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         payload, passed = COMMANDS[args.command](cfg, rep, args.function)
     except UsageError as exc:

@@ -250,7 +250,7 @@ def shell_defect(cont, shell: ShellGrid):
     holds) then runs over row blocks, so the form coefficients of only one
     block are alive at once.  Each weight depends on its own row alone.
     """
-    pts, g, w_mu, _ = shell.flat()
+    pts, g, w_mu = shell.flat()
     dbar = cont.dbar_eval(pts)
     dw = np.empty(pts.shape[0], dtype=complex)
     for sl in row_blocks(pts.shape[0]):

@@ -9,11 +9,11 @@ Real tangent vectors are written in complex notation: the vector
 (a_1, b_1, ..., a_n, b_n) of R^{2n} is the complex n-vector (a_1 + i b_1, ...),
 on which dz_j evaluates to the j-th component and dzbar_j to its conjugate.
 
-Test oracle for the Leray-Levy measure: the density is computed from its
-definition (the Leray form on oriented frames), which tests check against a
-brute-force alternating sum and the ball's closed form 1/(2 pi^2).  The live
-:func:`volume_density` runs through it; :func:`grid_leray_density` builds
-the n = 2 covector matrices directly and is checked against it bit for bit.
+The Leray-Levy measure is computed from its definition, the Leray form on
+oriented frames: :func:`grid_leray_density` (boundary grids and the offset
+projector) and :func:`volume_density` (the collar's dbar pairing) both run
+through :func:`evaluate`.  Tests check the engine against a brute-force
+alternating sum and the ball's closed form 1/(2 pi^2).
 """
 
 from __future__ import annotations
@@ -166,34 +166,24 @@ def leray_form(g, a):
 
 
 def grid_leray_density(domain, nodes, g):
-    """Per-node Leray density on a level-set grid (n = 2, vectorized).
+    """Per-node Leray density on a level-set grid; a non-positive one raises.
 
-    The Leray form on the tangent frame (i nu, u, i u), as :func:`evaluate`
-    computes it: for n = 2 the form has the two terms (0, 1, 2) and
-    (0, 1, 3), whose covector matrices are written straight into one
-    (2, B, 3, 3) buffer from the frame's entries and their conjugates, and
-    the coefficient-times-determinant products are summed in the form's
-    term order.  Runs over row blocks of the nodes
+    :func:`evaluate` applies the Leray form to the tangent frame
+    (i nu, u, i u) over row blocks of the nodes
     (:func:`hsconvex.domain.row_blocks`), so the form coefficients and frame
-    determinants of only one block are alive at once; each node's value does
-    not depend on its block.
+    determinants of only one block are alive at once; each node's value
+    does not depend on its block.  The Leray and surface measures are
+    equivalent, so a density <= 0 means the frame's orientation is broken.
     """
     nodes, g = np.asarray(nodes), np.asarray(g)
     out = np.empty(g.shape[0])
     for sl in row_blocks(g.shape[0]):
         _, nu, u = unit_frame(g[sl])
         form = leray_form(g[sl], np.asarray(domain.hess_mixed(nodes[sl])))
-        # rows are the frame vectors; columns the covectors dz_1, dz_2 and
-        # dzbar_1 (term (0, 1, 2)) or dzbar_2 (term (0, 1, 3))
-        m = np.empty((2, nu.shape[0], 3, 3), dtype=complex)
-        for row, vec in enumerate((1j * nu, u, 1j * u)):
-            m[:, :, row, :2] = vec
-            m[:, :, row, 2] = np.conj(vec).T
-        det = np.linalg.det(m)
-        total = 0.0 + 0.0j
-        for idx, coeff in form.terms.items():
-            total = total + coeff * det[idx[2] - 2]
-        out[sl] = np.real(total)
+        out[sl] = np.real(evaluate(form, np.stack([1j * nu, u, 1j * u],
+                                                  axis=1)))
+    if np.any(out <= 0):
+        raise ValueError("non-positive Leray density; orientation broken")
     return out
 
 

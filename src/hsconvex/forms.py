@@ -156,11 +156,10 @@ class ShellGrid:
         return self.levels.size * self.nodes.shape[1]
 
     def flat(self):
-        """Flattened (points, grads, weights, rho-levels) views."""
+        """Flattened (points, grads, weights) views."""
         L, N, n = self.nodes.shape
-        lev = np.repeat(self.levels, N)
         return (self.nodes.reshape(L * N, n), self.grad.reshape(L * N, n),
-                self.w_mu.reshape(L * N), lev)
+                self.w_mu.reshape(L * N))
 
     @property
     def volume(self):

@@ -15,14 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exterior
 from .domain import pairing, project_boundary, row_blocks
+from .exterior import grid_leray_density
 from .sphere import angular_mesh, random_angular_mesh, surface_nodes
 
 __all__ = [
     "BoundaryGrid",
     "build_boundary_grid",
-    "leray_density",
     "qdist",
     "grid_qdist",
     "quasiball",
@@ -94,14 +93,6 @@ class BoundaryGrid:
         return float(np.max(peaks))
 
 
-def leray_density(domain, nodes, g):
-    """Leray density of level-surface nodes; a non-positive one raises."""
-    density = exterior.grid_leray_density(domain, nodes, g)
-    if np.any(density <= 0):
-        raise ValueError("non-positive Leray density; orientation broken")
-    return density
-
-
 def build_boundary_grid(domain, t=0.0, resolution=10000, kind="product",
                         seed=0, mesh=None):
     """Grid on rho = t; ``resolution`` is a node-count target or an angle triple.
@@ -120,7 +111,7 @@ def build_boundary_grid(domain, t=0.0, resolution=10000, kind="product",
         else:
             raise ValueError(f"unknown grid kind {kind!r}")
     nodes, w_sigma, g = surface_nodes(domain, mesh, t)
-    w_s = leray_density(domain, nodes, g) * w_sigma
+    w_s = grid_leray_density(domain, nodes, g) * w_sigma
     return BoundaryGrid(domain=domain, nodes=nodes, grad=g, w_sigma=w_sigma,
                         w_S=w_s, pair_self=pairing(g, nodes))
 

@@ -30,9 +30,9 @@ import numpy as np
 from .continuation import dbar_region_mass, shell_defect
 from .domain import pairing, radial_level, row_blocks
 from .dzyadyk import build_Kglob
+from .exterior import grid_leray_density
 from .forms import ShellGrid, multi_indices
-from .homtype import (BoundaryGrid, build_boundary_grid, leray_density,
-                      maximal_function)
+from .homtype import BoundaryGrid, build_boundary_grid, maximal_function
 from .sphere import graded_angular_mesh, surface_block
 from . import koranyi
 
@@ -285,7 +285,7 @@ def _reduced_weights(domain, f, t_off, mesh, n_phi2):
         nodes, g = nodes_buf[: sl.stop - sl.start], g_buf[: sl.stop - sl.start]
         w_sigma = surface_block(domain, mesh.dirs[sl], mesh.weights[sl],
                                 r[sl], nodes, g)
-        w[sl] = np.asarray(f(nodes)) * leray_density(domain, nodes, g) \
+        w[sl] = np.asarray(f(nodes)) * grid_leray_density(domain, nodes, g) \
             * w_sigma
         col = slice(sl.start // n_phi2, sl.stop // n_phi2)
         grad_col[col] = g[::n_phi2]
@@ -301,12 +301,12 @@ def project_direct_reduced(domain, f, k, r):
     harmonics in that rotation; the moment integrals then reduce exactly to
     two-angle integrals on a mesh graded toward the singular direction (a
     uniform mesh cannot resolve the profile scale by scale).  Harmonic
-    sparsity is verified numerically and a ValueError asks for the generic
-    path when it fails.  The offset t_off = 2^-k eps shrinks with the degree,
-    and the mesh grading follows the offset scale.  Boundary-singular corpus
-    functions are admitted: the integral is absolutely convergent and the
-    slit correction inside the offset surface is O(t_off^(1+s)), below the
-    approximation budget.
+    sparsity is verified numerically, and a ValueError names the phase
+    harmonics past the cap when it fails.  The offset t_off = 2^-k eps
+    shrinks with the degree, and the mesh grading follows the offset scale.
+    Boundary-singular corpus functions are admitted: the integral is
+    absolutely convergent and the slit correction inside the offset surface
+    is O(t_off^(1+s)), below the approximation budget.
 
     The surface is streamed (:func:`_reduced_weights`): of the 154,224-node
     mesh at k = 5 only the weights and the phi_2 = 0 column's pairings and
@@ -323,11 +323,14 @@ def project_direct_reduced(domain, f, k, r):
     del mesh
     F = np.fft.fft(w.reshape(-1, n_phi2), axis=1)
     del w
-    mag = np.abs(F)
-    hi_bins = mag[:, _HARM_CAP + 1: n_phi2 - _HARM_CAP]
-    if hi_bins.max() > _HARM_TOL * max(mag.max(), 1e-300):
-        raise ValueError("boundary data has phase harmonics beyond "
-                         f"{_HARM_CAP}; use the generic projector")
+    # the phase harmonic of each FFT bin: 0, 1, ..., then negative orders
+    order = np.fft.fftfreq(n_phi2, 1.0 / n_phi2).astype(int)
+    peak = np.abs(F).max(axis=0)
+    bad = (np.abs(order) > _HARM_CAP) \
+        & (peak > _HARM_TOL * max(peak.max(), 1e-300))
+    if bad.any():
+        raise ValueError(f"phase harmonics {order[bad]} beyond +-{_HARM_CAP}"
+                         ": the offset projector needs harmonic-sparse data")
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
     return _assemble(domain, kglob, pair_col, grad_col,
                      np.ones(pair_col.size), harm=F[:, : _HARM_CAP + 1])
@@ -493,7 +496,7 @@ def _sweep(domain, f, polys, p, l_probe):
             sups[i] = np.maximum(sups[i], e.max())     # NaN stays NaN
             lp_sums.append(np.sum(e ** p * w))
             for l in l_probe:
-                acc[l] = acc[l] + np.abs(e) ** 2 * 4.0 ** (l * k)
+                acc[l] = acc[l] + e ** 2 * 4.0 ** (l * k)
                 part[l].append(np.sum(acc[l] ** (p / 2.0) * w))
         leaf_rows.append(m)
         return np.array(lp_sums + [v for l in l_probe for v in part[l]])

@@ -350,6 +350,26 @@ class TestExitContract:
         assert json.loads((out / "report.json").read_text()) == {
             "command": "continuation", "error": "Newton did not converge"}
 
+    @pytest.mark.parametrize("via", ["config", "--out"])
+    def test_output_dir_under_a_file_is_usage_error(self, tmp_path, capsys,
+                                                    via):
+        # a directory that cannot be made: exit 2 naming it, no report
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.format(
+            out=out if via == "config" else tmp_path / "unused"))
+        argv = ["diagnose", str(cfg), "z1"]
+        if via == "--out":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory") \
+            and str(out) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["blocker", "run.cfg"]
+
     def test_unknown_label_writes_no_report(self, cfg_file, tmp_path):
         out = tmp_path / "d"
         assert cli.main(["diagnose", str(cfg_file), "nope",

@@ -83,6 +83,17 @@ class TestBuildT:
         lc = T.lambda_coeffs()
         assert np.allclose(lc[:5], 1.0, atol=1e-12)
 
+    def test_degree_reduction(self, ball):
+        # a thin lune at j = 64: the weighted Vandermonde's condition number
+        # passes 1e12, so the degree drops (to 51) until it does not, and the
+        # certificate says so
+        lune = dzyadyk.Lune(t=0.3, R=dzyadyk.lune_radius(ball))
+        T = dzyadyk.build_T(64, 0.5, lune)
+        assert T.cert["flagged"] and T.cert["j"] == 64
+        assert len(T.coeffs) - 1 < 64
+        assert T.cert["cond"] <= 1e12
+        assert np.isfinite(T.cert["C1"]) and np.isfinite(T.cert["C2"])
+
 
 class TestKglob:
     def test_pinned_fits_pin_half_the_orders(self, ball):

@@ -76,7 +76,8 @@ class TestFormEngine:
 
 class TestLerayDensity:
     def test_ball_constant_and_normalized(self, ball, ball_grid):
-        dens = homtype.leray_density(ball, ball_grid.nodes, ball_grid.grad)
+        dens = exterior.grid_leray_density(ball, ball_grid.nodes,
+                                           ball_grid.grad)
         assert dens.max() - dens.min() <= 1e-12
         assert dens[0] == pytest.approx(1.0 / (2 * np.pi ** 2), rel=1e-12)
         # reproducing normalization: total Leray mass integrates K(.,0) to 1
@@ -84,8 +85,21 @@ class TestLerayDensity:
 
     def test_ellipsoid_positive(self, ellipsoid):
         grid = homtype.build_boundary_grid(ellipsoid, 0.0, 3000)
-        assert homtype.leray_density(ellipsoid, grid.nodes,
-                                     grid.grad).min() > 0
+        assert exterior.grid_leray_density(ellipsoid, grid.nodes,
+                                           grid.grad).min() > 0
+
+    def test_non_positive_density_raises(self, ball, ball_grid):
+        # the ball with its mixed Hessian negated: the Leray form changes sign
+        # on every frame, and both the density and the grid refuse it
+        flipped = dom.make_domain(2, ball.rho, ball.grad,
+                                  lambda z: -ball.hess_mixed(z),
+                                  ball.hess_holo, ball.eps_shell,
+                                  validate=False)
+        with pytest.raises(ValueError, match="non-positive Leray density"):
+            exterior.grid_leray_density(flipped, ball_grid.nodes,
+                                        ball_grid.grad)
+        with pytest.raises(ValueError, match="non-positive Leray density"):
+            homtype.build_boundary_grid(flipped, 0.0, 3000)
 
     def test_orientation_flip(self, ball):
         # the tangent frame (i nu, u, i u) that grid_leray_density evaluates

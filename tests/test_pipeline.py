@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsconvex import continuation as cn, corpus, domain as dom, forms, \
-    homtype, pipeline as pl
+from hsconvex import continuation as cn, corpus, domain as dom, exterior, \
+    forms, homtype, pipeline as pl
 
 
 def binom_coeff(s, m):
@@ -288,7 +288,7 @@ class TestAssembleOracle:
                                    deg_hint=2 ** k)
         grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
         w = (corpus.power_function(1.5)(grid.nodes)
-             * homtype.leray_density(domain, grid.nodes, grid.grad)
+             * exterior.grid_leray_density(domain, grid.nodes, grid.grad)
              * grid.w_sigma)
         harm = np.fft.fft(w.reshape(-1, 12), axis=1)[:, :4]
         col = slice(0, None, 12)
@@ -316,7 +316,8 @@ def _full_grid_reduced(domain, f, k, r):
         deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
     grid = homtype.build_boundary_grid(domain, t_off, mesh=mesh)
     w = (np.asarray(f(grid.nodes))
-         * homtype.leray_density(domain, grid.nodes, grid.grad) * grid.w_sigma)
+         * exterior.grid_leray_density(domain, grid.nodes, grid.grad)
+         * grid.w_sigma)
     F = np.fft.fft(w.reshape(-1, 12), axis=1)
     col = slice(0, None, 12)
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
@@ -339,7 +340,10 @@ class TestProjectDirectReduced:
                 assert got(z).tobytes() == want(z).tobytes()
 
     def test_refuses_high_phase_harmonics(self, ball):
-        with pytest.raises(ValueError, match="use the generic projector"):
+        # z2^5 is the phase harmonic 5 alone
+        with pytest.raises(ValueError,
+                           match=r"phase harmonics \[5\] beyond \+-3: the "
+                           "offset projector needs harmonic-sparse data"):
             pl.project_direct_reduced(ball, corpus.monomial((0, 5)), 2, 6.0)
 
 

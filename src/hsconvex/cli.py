@@ -290,19 +290,18 @@ def cmd_kernel(cfg, rep, function):
     for k in KERNEL_DEGREES:
         kg = dzyadyk.build_Kglob(dom, int(k), r=0.5)
         out = dzyadyk.validate_Kglob(dom, kg, seed=cfg.seed)
-        rows.append([int(k), repr(out.get("C_far", float("nan"))),
-                     repr(out.get("C_near", float("nan"))),
-                     out["n_far"], out["n_near"]])
+        rows.append([int(k), out.get("C_far", float("nan")),
+                     out.get("C_near", float("nan")), out["n_far"],
+                     out["n_near"]])
         certs[str(k)] = _jsonable(
             {str(kk): vv for kk, vv in kg.certificates().items()})
         rep.event(command="kernel", k=int(k))
-    cfar = [float(r[1]) for r in rows]
+    cfar = [r[1] for r in rows]
     slope = float(np.polyfit(np.log(KERNEL_DEGREES), np.log(cfar), 1)[0])
     rep.write_csv("c_far_trend.csv",
                   ["k", "C_far", "C_near", "n_far", "n_near"], rows)
     return {"command": "kernel", "k_values": list(KERNEL_DEGREES),
-            "rows": [[r[0], float(r[1]), float(r[2]), r[3], r[4]]
-                     for r in rows],
+            "rows": rows,
             "c_far_log_slope": slope, "certificates": certs}, slope <= 0.1
 
 

@@ -317,10 +317,10 @@ def dbar_region_mass(cont, centers, l, eta, eps, resolution, rho_min=0.0,
     (:func:`koranyi.sample_regions`, whose errors this raises) and one
     ``dbar_eval`` call on their concatenated points; returns one mass per
     centre.  Each mass equals the one-centre call's for a global
-    continuation, and for a symmetry continuation on the ball; on a curved
-    domain the symmetry continuation's dbar projects the whole batch with
-    a batch-wide radial start, so it may differ from per-centre calls in
-    the last bits.
+    continuation.  A symmetry continuation's dbar projects the whole batch
+    with a batch-wide radial start: on the ball no row takes a radial step,
+    so the masses equal the one-centre calls' there too; on a curved domain
+    they may differ from per-centre calls in the last bits.
     """
     samples = koranyi.sample_regions(cont.domain, centers, "external", eta,
                                      eps, resolution, rho_min=rho_min,

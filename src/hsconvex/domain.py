@@ -14,7 +14,7 @@ arrays of shape ``(..., n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -112,8 +112,6 @@ class DomainSpec:
         returns broadcast views of its constant matrices); no consumer
         writes into them.
     eps_shell : validated width of the two-sided shell around the boundary.
-    exact_project : optional closed-form nearest-point map z -> xi on
-        rho = 0.
     """
 
     n: int
@@ -124,7 +122,6 @@ class DomainSpec:
     eps_shell: float
     name: str = "custom"
     params: tuple = ()
-    exact_project: Optional[Callable] = None
 
     def key(self):
         """Stable identity: name, dimension, parameters and shell width.
@@ -160,14 +157,9 @@ def ball(eps_shell=0.1, validate=True):
     def grad(z):
         return np.conj(np.asarray(z, dtype=complex))
 
-    def exact_project(z):
-        z = np.asarray(z, dtype=complex)
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
     return make_domain(2, rho, grad, _constant_hessian(1.0, 1.0),
                        _constant_hessian(0.0, 0.0), eps_shell, name="ball",
-                       params=(), exact_project=exact_project,
-                       validate=validate)
+                       params=(), validate=validate)
 
 
 def ellipsoid(c1=2.0, c2=1.0, eps_shell=0.1, validate=True):
@@ -223,11 +215,10 @@ def from_catalog(name, params=(), eps_shell=0.1, validate=True):
 
 
 def make_domain(n, rho, grad, hess_mixed, hess_holo, eps_shell,
-                name="custom", params=(), exact_project=None, validate=True):
+                name="custom", params=(), validate=True):
     dom = DomainSpec(n=n, rho=rho, grad=grad, hess_mixed=hess_mixed,
                      hess_holo=hess_holo, eps_shell=float(eps_shell),
-                     name=name, params=tuple(params),
-                     exact_project=exact_project)
+                     name=name, params=tuple(params))
     if validate:
         validate_domain(dom)
     return dom
@@ -429,11 +420,13 @@ def project_boundary(domain, z):
     """Nearest points on the boundary rho = 0 of a batch z, shape (M, n).
 
     Damped Newton on the KKT system (rho(xi) = 0, z - xi parallel to the real
-    gradient), vectorized over row blocks of the batch.  Every result is
-    certified by :func:`_bordered_kkt`: a point that is not stationary to
-    ``STATIONARY_TOL`` (Newton did not converge), or a critical point of the
-    distance that is not the nearest point (past the focal set), raises
-    :class:`ProjectionError`; so does a singular Newton system.
+    gradient) from the radial start, vectorized over row blocks of the
+    batch; every domain, the ball included, takes this one path.  Every
+    result is certified by :func:`_bordered_kkt`: a point that is not
+    stationary to ``STATIONARY_TOL`` (Newton did not converge), or a
+    critical point of the distance that is not the nearest point (past the
+    focal set), raises :class:`ProjectionError`; so do a singular Newton
+    system and a point with no radial direction (zero or non-finite).
     """
     pts = np.asarray(z, dtype=complex)
     xi = np.empty_like(pts)
@@ -453,30 +446,43 @@ def _project_certified(domain, z):
     The radial Newton start is one whole-batch :func:`radial_level` call,
     since its stop test is batch-wide and per-block calls would move the
     start's last bits.  Only its radii outlive it: each block rebuilds its
-    unit directions, row for row as the whole batch had them.
+    unit directions, row for row as the whole batch had them.  Before that
+    call, the first row of the batch with no radial direction (zero or
+    non-finite) raises, so the radial solve only sees unit directions; a
+    failed radial solve then raises before any block is projected.  On the
+    ball every unit direction meets the solve's stop test at r = 1, so no
+    row takes a radial step and each row's result is its own, whatever the
+    batch; on the collar Newton then stops at the start z/|z| too.
     """
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
     blocks = row_blocks(pts.shape[0])
-    if domain.exact_project is None:
-        dirs = np.empty_like(pts)
-        for sl in blocks:
-            dirs[sl] = _unit_rows(pts[sl])
-        radii = radial_level(domain, dirs, 0.0)
-        del dirs    # freed before the blocks run
+    dirs = np.empty_like(pts)
     for sl in blocks:
-        if domain.exact_project is None:
-            xi = _project_newton(domain, pts[sl],
-                                 radii[sl, None] * _unit_rows(pts[sl]))
-        else:
-            xi = np.asarray(domain.exact_project(pts[sl]), dtype=complex)
+        dirs[sl] = _unit_rows(pts[sl])
+    radii = radial_level(domain, dirs, 0.0)
+    del dirs    # freed before the blocks run
+    for sl in blocks:
+        xi = _project_newton(domain, pts[sl],
+                             radii[sl, None] * _unit_rows(pts[sl]))
         yield sl, xi, _bordered_kkt(domain, pts[sl], xi)
 
 
 def _unit_rows(pts):
-    """Each row of pts scaled to unit length."""
-    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    """Each row of pts scaled to unit length.
+
+    A row with no radial direction (zero, or of non-finite length) raises
+    :class:`ProjectionError` naming the first such row.
+    """
+    norm = np.linalg.norm(pts, axis=-1, keepdims=True)
+    flat = ~((norm > 0.0) & (norm < np.inf))[:, 0]
+    if np.any(flat):
+        i = int(np.argmax(flat))
+        raise ProjectionError(
+            f"projection undefined at z={pts[i]}: the point is zero or "
+            f"non-finite, so it has no radial direction")
+    return pts / norm
 
 
 def _project_newton(domain, pts, start):
@@ -595,7 +601,9 @@ def _bordered_kkt(domain, pts, xi):
     naming the point.
 
     It certifies one row block of a batch (see :func:`_project_certified`).
-    When points of several blocks fail, the earliest failing block raises,
+    A row with no radial direction anywhere in the batch raises first, before
+    the radial solve, and a failed radial solve next.  Otherwise, when
+    points of several blocks fail, the earliest failing block raises,
     whatever its reason, and later blocks are never projected.  Within a
     block, a singular Newton system (raised before this certificate) wins,
     then non-stationarity, then a singular, non-finite or past-the-reach

@@ -186,17 +186,21 @@ def build_T(j, r, lune, moment_exact=None):
     ``moment_exact = q`` pins the Taylor coefficients at the origin to the
     geometric series through order q (the polynomial-projection pipeline
     needs exact low moments); the remaining degrees of freedom fit the
-    weighted residual of the tail.
+    weighted residual of the tail.  q must lie in [0, j), so at least the
+    top coefficient is fitted.
     """
     if j < 1:
         raise ValueError("degree must be at least 1")
+    if moment_exact is not None and not 0 <= moment_exact < j:
+        raise ValueError(f"moment_exact must lie in [0, {j}), "
+                         f"got {moment_exact}")
     mesh = _lune_boundary_mesh(lune, j)
     target = 1.0 / (1.0 - mesh)
     w = float(j) ** r * np.abs(1.0 - mesh) ** (1.0 + r)
 
     scale = lune.R
     deg = int(j)
-    q = -1 if moment_exact is None else min(int(moment_exact), deg)
+    q = -1 if moment_exact is None else int(moment_exact)
     fixed = np.zeros(mesh.size, dtype=complex)
     if q >= 0:
         # pinned head: sum_{m<=q} lambda^m, absorbed into the target
@@ -209,8 +213,6 @@ def build_T(j, r, lune, moment_exact=None):
     flagged = False
     while True:
         V = np.vander(mesh / scale, deg + 1, increasing=True)[:, free_lo:]
-        if V.shape[1] == 0:
-            break
         sv = np.linalg.svd(V * w[:, None], compute_uv=False)
         cond = sv[0] / max(sv[-1], 1e-300)
         if cond <= cond_limit or deg <= max(2, free_lo):
@@ -219,31 +221,27 @@ def build_T(j, r, lune, moment_exact=None):
         flagged = True
 
     resid_target = target - fixed
-    if deg + 1 - free_lo > 0:
-        # Lawson iteration: reweighting the least-squares fit by the weighted
-        # residual drives it toward the weighted Chebyshev fit; keep the best.
-        lw = np.ones(mesh.size)
-        best = None
-        stall = 0
-        for _ in range(80):
-            W = w * lw
-            coef_free, *_ = np.linalg.lstsq(V * W[:, None],
-                                            resid_target * W, rcond=None)
-            err = np.abs(V @ coef_free - resid_target) * w
-            c1 = float(err.max())
-            if best is None or c1 < best[0] * (1.0 - 1e-6):
-                best = (c1, coef_free)
-                stall = 0
-            else:
-                stall += 1
-                if stall > 20:
-                    break
-            lw = lw * np.maximum(err / max(err.max(), 1e-300), 1e-12)
-            lw /= max(lw.max(), 1e-300)
-        c1, coef_free = best
-    else:
-        coef_free = np.zeros(0, dtype=complex)
-        c1 = float((np.abs(fixed - target) * w).max())
+    # Lawson iteration: reweighting the least-squares fit by the weighted
+    # residual drives it toward the weighted Chebyshev fit; keep the best.
+    lw = np.ones(mesh.size)
+    best = None
+    stall = 0
+    for _ in range(80):
+        W = w * lw
+        coef_free, *_ = np.linalg.lstsq(V * W[:, None],
+                                        resid_target * W, rcond=None)
+        err = np.abs(V @ coef_free - resid_target) * w
+        c1 = float(err.max())
+        if best is None or c1 < best[0] * (1.0 - 1e-6):
+            best = (c1, coef_free)
+            stall = 0
+        else:
+            stall += 1
+            if stall > 20:
+                break
+        lw = lw * np.maximum(err / max(err.max(), 1e-300), 1e-12)
+        lw /= max(lw.max(), 1e-300)
+    c1, coef_free = best
 
     coef = np.zeros(deg + 1, dtype=complex)
     if q >= 0:
@@ -252,8 +250,7 @@ def build_T(j, r, lune, moment_exact=None):
     approx = CauchyApproximant(j=int(j), t=float(lune.t), r=float(r),
                                coeffs=coef, scale=scale)
     approx.cert = _certify(approx, lune, c1=c1, mesh_size=mesh.size,
-                           cond=float(cond) if V.shape[1] else 0.0,
-                           flagged=flagged)
+                           cond=float(cond), flagged=flagged)
     approx.cert["moment_exact"] = q
     return approx
 

@@ -88,9 +88,7 @@ def _ray_membership(domain, kind, z, u, nu, s, b, theta, eta, lo_cut, hi_cut,
             sel = np.nonzero(ok)[0]
             if sel.size:
                 pr = project_boundary(domain, tau[sel])
-                ok2 = qdist(domain, pr, z[sel]) < eta * h[sel]
-                ok = ok.copy()
-                ok[sel] = ok2
+                ok[sel] = qdist(domain, pr, z[sel]) < eta * h[sel]
         return ok
     return inside
 

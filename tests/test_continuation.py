@@ -387,7 +387,8 @@ class TestSobolevFunctional:
         ("perturbed_ball", "global")])
     def test_equals_per_centre_loop(self, name, kind):
         # the banked dbar is elementwise for global continuations, and for
-        # symmetric ones on the ball (closed-form projection)
+        # symmetric ones on the ball: no row there takes a radial step, so
+        # the batch-wide radial start is each row's own
         from hsconvex import koranyi
         d = dom.from_catalog(name)
         if kind == "symmetry":

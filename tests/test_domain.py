@@ -160,6 +160,38 @@ class TestProjection:
         xi = _project(ball, np.array([0.9, 0.0], complex))
         assert np.allclose(xi, [1.0, 0.0], atol=1e-10)
 
+    def test_ball_matches_closed_form(self, ball):
+        # the ball takes the curved domains' path; its closed form z/|z| is
+        # the oracle: on unit directions the radial solve stops at r = 1 and
+        # Newton at its start z/|z|, so the bits agree
+        z = dom.random_shell_points(ball, np.random.default_rng(0), 20000,
+                                    (-0.1, 0.1))
+        assert np.array_equal(dom.project_boundary(ball, z),
+                              z / np.linalg.norm(z, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_no_radial_direction_raises(self, name):
+        d = _catalog(name)
+        for project in (dom.project_boundary, _reflect):
+            with pytest.raises(dom.ProjectionError,
+                               match=r"z=\[0\.\+0\.j 0\.\+0\.j\]"):
+                project(d, np.zeros((1, 2), complex))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_no_radial_direction_raises_before_radial_solve(self, name,
+                                                            monkeypatch):
+        # the first such row of the batch is named, past the first block
+        d = _catalog(name)
+        pts = dom.random_shell_points(d, np.random.default_rng(1), 12,
+                                      (-0.1, 0.1))
+        pts[9] = [np.nan, 0.5]
+        pts[11] = 0.0
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(dom, "radial_level", None)
+        with pytest.raises(dom.ProjectionError,
+                           match=r"z=\[nan\+0\.j 0\.5\+0\.j\]"):
+            dom.project_boundary(d, pts)
+
     def test_ellipsoid_vs_dense_argmin(self, ellipsoid):
         z = np.array([0.8, 0.0], complex)
         xi = _project(ellipsoid, z)

@@ -83,6 +83,13 @@ class TestBuildT:
         lc = T.lambda_coeffs()
         assert np.allclose(lc[:5], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("q", [-2, 8, 9])
+    def test_moment_exact_outside_range_raises(self, q):
+        # at least the top coefficient is fitted: q in [0, j)
+        lune = dzyadyk.Lune(t=np.pi / 2, R=1.05)
+        with pytest.raises(ValueError, match="moment_exact"):
+            dzyadyk.build_T(8, 0.5, lune, moment_exact=q)
+
     def test_degree_reduction(self, ball):
         # a thin lune at j = 64: the weighted Vandermonde's condition number
         # passes 1e12, so the degree drops (to 51) until it does not, and the

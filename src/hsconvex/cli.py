@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -309,13 +310,20 @@ def cmd_continuation(cfg, rep, function):
     dom = cfg.make_domain()
     f = corpus_mod.monomial((2, 1))
     cont = continuation.extend_by_symmetry(dom, f, m=3, eps=cfg.eps)
+    t0 = time.perf_counter()
     shell = forms.build_shell_grid(dom, cfg.eps, cfg.shell_angular,
                                    n_bands=cfg.shell_bands,
                                    nodes_per_band=cfg.shell_nodes_per_band)
+    t1 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     zs = 0.5 * domain_mod.random_unit_directions(rng, 8, dom.n)
     out = continuation.verify_pac(cont, shell, zs, f)
-    rep.event(command="continuation", nodes=shell.size)
+    # the collar streams in projection blocks; sizes and phase timings go
+    # to the event log only
+    rows = domain_mod._PROJECT_ROWS
+    rep.event(command="continuation", shell_nodes=shell.size,
+              block_rows=rows, blocks=math.ceil(shell.size / rows),
+              shell_s=t1 - t0, reconstruct_s=time.perf_counter() - t1)
     return {"command": "continuation", "function": f.label,
             "shell_nodes": shell.size,
             "max_rel_err": out["max_rel_err"],

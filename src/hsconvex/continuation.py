@@ -67,39 +67,51 @@ class Continuation:
     """Evaluator of the extension and its dbar-components on the collar."""
 
     # points (..., n) -> values; test oracle for dbar_eval by finite
-    # differences (the reconstruction only needs dbar_eval)
+    # differences (the reconstruction only needs dbar_blocks)
     f_eval: Callable
     dbar_eval: Callable            # points (M, n) -> (M, n) components
+    # points (M, n) -> (sl, (B, n) components) over every row in order
+    dbar_blocks: Callable
     support_height: float
     domain: object
 
 
 def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
-    """Evaluator of core(z, rho) where floor < rho < eps, zero elsewhere.
+    """Block stream and evaluator of core(z, rho) where floor < rho < eps.
 
-    ``shape`` is the shape of one point's value: () for the extension, (n,)
-    for its dbar components.  ``core`` is called once with all live points
-    and yields ``(sl, values)`` for consecutive row blocks ``sl`` of them
-    (:func:`hsconvex.domain.row_blocks`); each block is written into the
-    output as it comes, so only the output and one block's temporaries are
-    alive at once.  When every point is live, as on a collar shell, the core
-    runs on the points themselves, with no copy of them.
+    Returns ``(evaluate, blocks)``.  ``shape`` is the shape of one point's
+    value: () for the extension, (n,) for its dbar components.
+    ``blocks(z)`` takes points (M, n) and yields ``(sl, values)`` for
+    consecutive row slices ``sl`` that cover every row in order, zero where
+    a row is not live; ``evaluate(z)`` writes that stream into one output.
+    ``core`` is called once with all live points and yields ``(sl,
+    values)`` for consecutive row blocks ``sl`` of them; each is handed on
+    as it comes, so only one block's temporaries are alive at once.  When
+    every point is live, as on a collar shell, the core runs on the points
+    themselves, with no copy of them, and its blocks are the stream's;
+    otherwise the core's blocks are written into one zero array, which is
+    the stream's only block.
     """
+    def blocks(zz):
+        rho = np.asarray(domain.rho(zz))
+        mask = (rho < eps) & (rho > floor)
+        if mask.all():
+            yield from core(zz, rho)
+            return
+        out, live = np.zeros(rho.shape + shape, dtype=complex), \
+            np.flatnonzero(mask)
+        for sl, values in core(zz[live], rho[live]) if live.size else ():
+            out[live[sl]] = values
+        yield slice(0, rho.size), out
+
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
         zz = z.reshape(-1, z.shape[-1])
-        rho = np.asarray(domain.rho(zz))
-        out = np.zeros(rho.shape + shape, dtype=complex)
-        mask = (rho < eps) & (rho > floor)
-        if mask.all():
-            for sl, values in core(zz, rho):
-                out[sl] = values
-        elif mask.any():
-            live = np.flatnonzero(mask)
-            for sl, values in core(zz[live], rho[live]):
-                out[live[sl]] = values
+        out = np.empty((zz.shape[0],) + shape, dtype=complex)
+        for sl, values in blocks(zz):
+            out[sl] = values
         return out[0] if z.ndim == 1 else out.reshape(z.shape[:-1] + shape)
-    return evaluate
+    return evaluate, blocks
 
 
 def _per_block(fn):
@@ -167,9 +179,10 @@ def extend_by_symmetry(domain, f, m, eps=None):
         for sl, zs, dstar in symmetric_point_dbar(domain, zl):
             yield sl, dbar_block(zl[sl], rho[sl], zs, dstar)
 
-    f_eval = _on_collar(domain, f_core, eps)
-    dbar_eval = _on_collar(domain, dbar_core, eps, shape=(domain.n,))
-    return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
+    dbar_eval, dbar_blocks = _on_collar(domain, dbar_core, eps,
+                                        shape=(domain.n,))
+    return Continuation(f_eval=_on_collar(domain, f_core, eps)[0],
+                        dbar_eval=dbar_eval, dbar_blocks=dbar_blocks,
                         support_height=eps, domain=domain)
 
 
@@ -229,11 +242,12 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
 
     f_eval = _on_collar(
         domain, _per_block(lambda z, rho: blend(z, rho)[0] * chi_out(rho)),
-        eps)
-    dbar_eval = _on_collar(domain, _per_block(dbar_core), eps,
-                           shape=(domain.n,), floor=0.0)
+        eps)[0]
+    dbar_eval, dbar_blocks = _on_collar(domain, _per_block(dbar_core), eps,
+                                        shape=(domain.n,), floor=0.0)
     return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
-                        support_height=eps, domain=domain)
+                        dbar_blocks=dbar_blocks, support_height=eps,
+                        domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +255,25 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
 # ---------------------------------------------------------------------------
 
 def shell_defect(cont, shell: ShellGrid):
-    """Shell points, gradients and dbar-defect weights of a continuation.
+    """Stream of the shell's nodes, gradients and dbar-defect weights.
 
-    The weights are the density of dbar f ^ (Leray form) times d(mu).  The
-    dbar field is one ``dbar_eval`` call over the whole collar (computed
-    block by block inside, see ``_on_collar``); its Leray pairing
-    (:func:`hsconvex.exterior.volume_density`, with the gradients the shell
-    holds) then runs over row blocks, so the form coefficients of only one
-    block are alive at once.  Each weight depends on its own row alone.
+    Yields ``(pts, g, dw)`` for the consecutive row blocks of
+    ``cont.dbar_blocks`` over the flattened shell, every node in order: the
+    block's nodes, their gradients (``domain.grad``, elementwise, so bit
+    for bit the ones the shell was built with) and the density of dbar f ^
+    (Leray form) times d(mu) (:func:`hsconvex.exterior.volume_density`).
+    On a symmetry continuation a block is projected, reflected and paired
+    before the next one is projected, so no whole-collar dbar field,
+    gradient or weight array is ever alive.  Each weight depends on its own
+    row alone.
     """
-    pts, g, w_mu = shell.flat()
-    dbar = cont.dbar_eval(pts)
-    dw = np.empty(pts.shape[0], dtype=complex)
-    for sl in row_blocks(pts.shape[0]):
-        dw[sl] = volume_density(dbar[sl], g[sl],
-                                cont.domain.hess_mixed(pts[sl])) * w_mu[sl]
-    return pts, g, dw
+    d = cont.domain
+    pts = shell.nodes.reshape(-1, d.n)
+    w_mu = shell.w_mu.reshape(-1)
+    for sl, dbar in cont.dbar_blocks(pts):
+        x = pts[sl]
+        g = np.asarray(d.grad(x))
+        yield x, g, volume_density(dbar, g, d.hess_mixed(x)) * w_mu[sl]
 
 
 def pac_reconstruct(cont, shell: ShellGrid, z):
@@ -266,30 +283,32 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
     shell; boundary frames are oriented outward-first, so the exterior
     Stokes identity carries a minus sign folded in here.
 
-    The dbar weights come from :func:`shell_defect`; the kernel contraction
-    -sum dw den^(-n) then runs over row blocks of the shell nodes, so the
-    (B, m) kernel temporaries of only one block are alive at once.  The
-    rows are added one after another into a running total, which enters
-    each block's accumulate along axis 0 as its first row.  That is the
-    order numpy's axis-0 sum takes for m >= 2 points, so the value does not
-    depend on the block size and, for m >= 2, equals the one-block sum bit
-    for bit (numpy sums a single column pairwise instead).
+    Streamed end to end: each block of :func:`shell_defect` is contracted
+    with the kernel, -sum dw den^(-n), as it comes (on a symmetry
+    continuation, before the next block is projected), so the (B, m)
+    kernel temporaries of only one block are alive at once.
+    The rows are added one after another into a running total, which
+    enters each block's accumulate along axis 0 as its first row.  That is
+    the order numpy's axis-0 sum takes for m >= 2 points, so the value does
+    not depend on the block sizes and, for m >= 2, equals the one-block sum
+    bit for bit (numpy sums a single column pairwise instead).
     """
-    pts, g, dw = shell_defect(cont, shell)
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zz = np.atleast_2d(z)
     total = np.zeros(zz.shape[0], dtype=complex)
-    for sl in row_blocks(dw.shape[0]):
+    prev = None
+    for pts, g, dw in shell_defect(cont, shell):
         # the BLAS multiplies a lone row on another kernel, whose last bits
-        # differ, so a one-row block takes its products from two rows
-        lo = max(0, min(sl.start, sl.stop - 2))
-        den = pairing(g[sl], pts[sl])[:, None] \
-            - (g[lo:sl.stop] @ zz.T)[sl.start - lo:]
+        # differ, so a one-row block takes its products from two rows, the
+        # previous block's last row included
+        two = g if len(g) > 1 or prev is None else np.concatenate([prev, g])
+        den = pairing(g, pts)[:, None] - (two @ zz.T)[-len(g):]
+        prev = g[-1:]
         # the ufunc, not the operator: numpy may multiply a large temporary
         # operand in place with the operands swapped, and for one point the
         # order decides the last bits, so the block size would too
-        terms = np.multiply(dw[sl, None], den ** (-cont.domain.n))
+        terms = np.multiply(dw[:, None], den ** (-cont.domain.n))
         total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
     vals = -total
     return vals[0] if single else vals

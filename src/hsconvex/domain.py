@@ -399,11 +399,19 @@ _NEWTON_TOL = 1e-11
 STATIONARY_TOL = 1e-9
 
 
-# rows per block of the per-point linear algebra (Newton steps, KKT
-# certificates, the dbar solve): a block's 5 x 5 matrices and their solve
-# copies stay a few MiB however large the batch; each row's arithmetic does
-# not depend on the block it sits in
+# rows per block of the batched row-wise passes (level-set radii, Leray
+# densities, the collar evaluators); each row's arithmetic does not depend
+# on the block it sits in
 _ROW_BLOCK = 8192
+
+# rows per block of the projection's per-point linear algebra (Newton
+# steps, KKT certificates, the dbar solve): a block's 5 x 5 matrices and
+# their solve copies stay a few MiB however large the batch, and on the
+# collar each block is reflected, paired and contracted before the next is
+# projected.  Smaller blocks lower the collar's peak memory further but
+# spend more time in the per-call overhead of each Newton step.  Read at
+# call time; each row's arithmetic does not depend on the block it sits in
+_PROJECT_ROWS = 4096
 
 
 def row_blocks(m, rows=None):
@@ -439,9 +447,9 @@ def _project_certified(domain, z):
     """Nearest points of a batch z, certified one row block at a time.
 
     Yields ``(sl, xi, kkt)`` for the consecutive blocks ``sl`` of
-    :func:`row_blocks`: the block's nearest points and their certified KKT
-    matrices, so no more than one block's matrices are alive at once.  The
-    first block that fails raises, before later blocks are projected.
+    ``_PROJECT_ROWS`` rows: the block's nearest points and their certified
+    KKT matrices, so no more than one block's matrices are alive at once.
+    The first block that fails raises, before later blocks are projected.
 
     The radial Newton start is one whole-batch :func:`radial_level` call,
     since its stop test is batch-wide and per-block calls would move the
@@ -457,7 +465,7 @@ def _project_certified(domain, z):
     pts = np.asarray(z, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
-    blocks = row_blocks(pts.shape[0])
+    blocks = row_blocks(pts.shape[0], _PROJECT_ROWS)
     dirs = np.empty_like(pts)
     for sl in blocks:
         dirs[sl] = _unit_rows(pts[sl])

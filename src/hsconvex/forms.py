@@ -144,22 +144,18 @@ class ShellGrid:
     Gauss-Legendre nodes inside each band; every level reuses one angular
     mesh, so nodes correspond across levels.  ``w_mu`` are Lebesgue volume
     weights from the coarea factorization d(mu) = d(sigma_t) dt / |grad rho|.
+    The grid holds no gradients: ``domain.grad`` is elementwise, so a
+    consumer recomputes a row block's gradients bit for bit as the grid was
+    built with them (see :func:`hsconvex.continuation.shell_defect`).
     """
 
     levels: np.ndarray     # (L,)
     nodes: np.ndarray      # (L, N, n)
-    grad: np.ndarray       # (L, N, n)
     w_mu: np.ndarray       # (L, N)
 
     @property
     def size(self):
         return self.levels.size * self.nodes.shape[1]
-
-    def flat(self):
-        """Flattened (points, grads, weights) views."""
-        L, N, n = self.nodes.shape
-        return (self.nodes.reshape(L * N, n), self.grad.reshape(L * N, n),
-                self.w_mu.reshape(L * N))
 
     @property
     def volume(self):
@@ -180,12 +176,11 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
     levels, weights = levels[::-1].copy(), weights[::-1].copy()
 
     # each level is written into its slot as it comes, so no second copy
-    # of the whole grid is alive at once
-    shape = (levels.size, mesh.size, domain.n)
-    nodes = np.empty(shape, dtype=complex)
-    grad = np.empty(shape, dtype=complex)
-    w_mu = np.empty(shape[:2])
+    # of the whole grid is alive at once; a level's gradients live only
+    # while its weights are formed
+    nodes = np.empty((levels.size, mesh.size, domain.n), dtype=complex)
+    w_mu = np.empty(nodes.shape[:2])
     for i, (t, wt) in enumerate(zip(levels, weights)):
-        nodes[i], w_sigma, grad[i] = surface_nodes(domain, mesh, t)
-        w_mu[i] = wt * w_sigma / (2.0 * np.linalg.norm(grad[i], axis=-1))
-    return ShellGrid(levels=levels, nodes=nodes, grad=grad, w_mu=w_mu)
+        nodes[i], w_sigma, grad = surface_nodes(domain, mesh, t)
+        w_mu[i] = wt * w_sigma / (2.0 * np.linalg.norm(grad, axis=-1))
+    return ShellGrid(levels=levels, nodes=nodes, w_mu=w_mu)

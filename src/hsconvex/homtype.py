@@ -84,12 +84,16 @@ class BoundaryGrid:
     def _sample_diameter(self, seed):
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.size, size=min(256, self.size), replace=False)
+        # one product buffer and one modulus buffer serve every block:
+        # the same matmul, subtraction and modulus, written in place
+        prod = np.empty((_DIAMETER_ROWS, self.size), dtype=complex)
+        mod = np.empty(prod.shape)
         peaks = []
         for sl in row_blocks(idx.size, _DIAMETER_ROWS):
             rows = idx[sl]
-            d = np.abs(self.pair_self[rows, None]
-                       - self.grad[rows] @ self.nodes.T)
-            peaks.append(d.max())
+            d = np.matmul(self.grad[rows], self.nodes.T, out=prod[:rows.size])
+            np.subtract(self.pair_self[rows, None], d, out=d)
+            peaks.append(np.abs(d, out=mod[:rows.size]).max())
         return float(np.max(peaks))
 
 

@@ -379,7 +379,7 @@ def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None):
     """
     r = 2.0 if r is None else float(r)
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
-    pts, g, dw = shell_defect(cont, shell)
+    pts, g, dw = (np.concatenate(a) for a in zip(*shell_defect(cont, shell)))
     return _assemble(domain, kglob, pairing(g, pts), g, -dw)
 
 

@@ -502,6 +502,27 @@ class TestOtherCommands:
         rep = json.loads((tmp_path / "c" / "report.json").read_text())
         assert rep["max_rel_err"] <= 1e-2
 
+    def test_continuation_phase_event(self, cfg_file, tmp_path, monkeypatch):
+        # the collar's size, its stream blocks and the two phases' seconds
+        # go to the event log only; the block size leaves the report bytes
+        reports = []
+        for rows in (4096, 5000):
+            monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
+            out = tmp_path / str(rows)
+            assert cli.main(["continuation", str(cfg_file),
+                             "--out", str(out)]) == cli.EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+            rep = json.loads(reports[-1])
+            (event,) = (json.loads(e) for e in _events(out))
+            timings = {k: event.pop(k) for k in ("shell_s", "reconstruct_s")}
+            assert all(v > 0 for v in timings.values())
+            assert event == {
+                "command": "continuation", "shell_nodes": rep["shell_nodes"],
+                "block_rows": rows,
+                "blocks": math.ceil(rep["shell_nodes"] / rows), "step": 1}
+            assert not {"block_rows", "blocks", "shell_s"} & set(rep)
+        assert reports[0] == reports[1]
+
     def test_area_homogeneity_and_envelope(self, cfg_file, tmp_path):
         rc = cli.main(["area", str(cfg_file), "--out", str(tmp_path / "a")])
         assert rc == cli.EXIT_OK

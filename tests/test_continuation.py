@@ -110,7 +110,7 @@ class TestSymmetryBeyondBall:
         # one projection and one certified KKT matrix per live collar node
         shell = forms.build_shell_grid(ellipsoid, 0.1, 3000, n_bands=8,
                                        nodes_per_band=2)
-        live = int(np.sum(ellipsoid.rho(shell.flat()[0]) < 0.1))
+        live = int(np.sum(ellipsoid.rho(shell.nodes) < 0.1))
         rows = {"_project_certified": [], "_bordered_kkt": []}
 
         def counting(name):
@@ -136,11 +136,12 @@ _ORACLE_BLOCKS = (1, 7, 8193)
 
 
 def _one_block_and(block, fn, monkeypatch):
-    """fn() with row blocks of ``block`` rows, then with one block."""
-    monkeypatch.setattr(dom, "_ROW_BLOCK", block)
-    blocked = fn()
-    monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
-    return blocked, fn()
+    """fn() with row and projection blocks of ``block`` rows, then with one
+    block."""
+    for rows in (block, 10 ** 9):
+        monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
+        monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
+        yield fn()
 
 
 def _oracle_shell(d, block):
@@ -201,32 +202,14 @@ class TestBlockedCollar:
 
         def run():
             # the criterion-6 points, and one of them alone
-            return (cn.shell_defect(cont, shell)[2],
+            return (np.concatenate([dw for *_, dw in
+                                    cn.shell_defect(cont, shell)]),
                     cn.pac_reconstruct(cont, shell, zs),
                     cn.pac_reconstruct(cont, shell, zs[0]))
 
         blocked, whole = _one_block_and(block, run, monkeypatch)
         for b, w in zip(blocked, whole):
             assert np.array_equal(b, w)
-
-    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
-    def test_shell_defect_reads_the_shells_gradients(self, name):
-        # the Leray pairing takes the gradients the shell grid holds; the
-        # weights equal those of pairing with domain.grad evaluated at the
-        # shell nodes once more, bit for bit
-        d = dom.from_catalog(name)
-        cont = cn.extend_by_symmetry(d, corpus.monomial((2, 1)), m=3,
-                                     eps=0.1)
-        shell = forms.build_shell_grid(d, 0.1, 600, n_bands=4,
-                                       nodes_per_band=2)
-        pts, _, dw = cn.shell_defect(cont, shell)
-        w_mu = shell.flat()[2]
-        dbar = cont.dbar_eval(pts)
-        want = np.empty_like(dw)
-        for sl in dom.row_blocks(pts.shape[0]):
-            want[sl] = exterior.volume_density(
-                dbar[sl], d.grad(pts[sl]), d.hess_mixed(pts[sl])) * w_mu[sl]
-        assert np.array_equal(dw, want)
 
     def test_pac_reconstruct_peak_memory(self, ellipsoid, traced_peak_mib):
         # the collar workload's ellipsoid job: 127,776 collar nodes and 8
@@ -243,6 +226,80 @@ class TestBlockedCollar:
                                               2)
         peak = traced_peak_mib(lambda: cn.pac_reconstruct(cont, shell, zs))
         assert peak <= 18.0
+
+
+# (projection rows, row-block rows): the defaults, one-row blocks, 647-row
+# blocks that leave the 648-node shell a one-row last block, and small
+# blocks of either kind
+_STREAM_ROWS = ((4096, 8192), (1, 1), (647, 647), (7, 5), (5, 7))
+
+
+def _whole_collar(cont, shell, zs):
+    """Weights and reconstruction from whole-collar arrays: the reference.
+
+    The gradients, the dbar field and the weights are held for every node at
+    once, and the kernel contraction is one axis-0 sum.
+    """
+    d = cont.domain
+    pts = shell.nodes.reshape(-1, 2)
+    g = d.grad(pts)
+    dw = exterior.volume_density(cont.dbar_eval(pts), g, d.hess_mixed(pts)) \
+        * shell.w_mu.reshape(-1)
+    den = dom.pairing(g, pts)[:, None] - g @ zs.T
+    return dw, -np.sum(np.multiply(dw[:, None], den ** (-d.n)), axis=0)
+
+
+class TestStreamedCollar:
+    """The streamed reconstruction equals whole-collar arrays, bit for bit."""
+
+    @pytest.mark.parametrize("rows", _STREAM_ROWS,
+                             ids=lambda r: f"{r[0]}x{r[1]}")
+    @pytest.mark.parametrize("name,kind", [
+        ("ball", "global"), ("ball", "symmetry"), ("ellipsoid", "symmetry"),
+        ("perturbed_ball", "symmetry")])
+    def test_equals_whole_collar(self, name, kind, rows, monkeypatch):
+        if kind == "global":
+            cont = _oracle_continuation(name)
+        else:
+            cont = cn.extend_by_symmetry(dom.from_catalog(name),
+                                         corpus.monomial((2, 1)), m=3,
+                                         eps=0.1)
+        shell = _oracle_shell(cont.domain, 1)
+        assert shell.size == 648
+        zs = _criterion_6_points()
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
+        monkeypatch.setattr(dom, "_PROJECT_ROWS", 10 ** 9)
+        want_dw, want = _whole_collar(cont, shell, zs)
+        monkeypatch.setattr(dom, "_PROJECT_ROWS", rows[0])
+        monkeypatch.setattr(dom, "_ROW_BLOCK", rows[1])
+        blocks = list(cn.shell_defect(cont, shell))
+        sizes = [len(dw) for *_, dw in blocks]
+        assert sum(sizes) == 648
+        assert sizes[0] == min(648, rows[kind == "global"])
+        pts, g, dw = (np.concatenate(a) for a in zip(*blocks))
+        assert np.array_equal(pts, shell.nodes.reshape(-1, 2))
+        assert np.array_equal(g, cont.domain.grad(pts))
+        assert np.array_equal(dw, want_dw)
+        assert np.array_equal(cn.pac_reconstruct(cont, shell, zs), want)
+
+    def test_verify_pac_peak_memory(self, ellipsoid, traced_peak_mib):
+        # the collar workload's ellipsoid job: 127,776 collar nodes and 8
+        # probes.  With a whole-collar dbar field, weight array and shell
+        # gradients, and 8192-row projection blocks, the call peaked at
+        # 15.4 MiB above its inputs; streamed in 4096-row blocks it reads
+        # 8.5 MiB, most of it the radial start's whole-collar directions
+        shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
+                                       nodes_per_band=3)
+        assert shell.size == 127776
+        f = corpus.monomial((2, 1))
+        cont = cn.extend_by_symmetry(ellipsoid, f, m=3, eps=0.1)
+        zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8,
+                                              2)
+        rep = {}
+        peak = traced_peak_mib(
+            lambda: rep.update(cn.verify_pac(cont, shell, zs, f)))
+        assert rep["max_rel_err"] <= 1e-2
+        assert peak <= 10.0
 
 
 class TestGlobalContinuation:
@@ -320,6 +377,7 @@ class TestVerifyPac:
         cont = cn.Continuation(
             f_eval=lambda z: np.zeros(np.asarray(z).shape[:-1], complex),
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
+            dbar_blocks=lambda z: [(slice(None), np.zeros(z.shape, complex))],
             support_height=0.1, domain=ball)
         rep = cn.verify_pac(cont, shell, np.zeros((1, 2), complex),
                             lambda z: np.zeros(z.shape[0], complex))

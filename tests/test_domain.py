@@ -186,7 +186,7 @@ class TestProjection:
                                       (-0.1, 0.1))
         pts[9] = [np.nan, 0.5]
         pts[11] = 0.0
-        monkeypatch.setattr(dom, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(dom, "_PROJECT_ROWS", 4)
         monkeypatch.setattr(dom, "radial_level", None)
         with pytest.raises(dom.ProjectionError,
                            match=r"z=\[nan\+0\.j 0\.5\+0\.j\]"):
@@ -300,6 +300,7 @@ class TestRowBlocks:
 
         def run(block):
             monkeypatch.setattr(dom, "_ROW_BLOCK", block)
+            monkeypatch.setattr(dom, "_PROJECT_ROWS", block)
             return (*_reflect(d, pts), dom.project_boundary(d, pts))
 
         for blocked, whole in zip(run(_BLOCK), run(m)):
@@ -308,7 +309,7 @@ class TestRowBlocks:
     def test_error_names_the_point_past_the_first_block(self, ellipsoid):
         # (0, 0.4) lies past the reach (see test_past_focal_set_raises); in
         # a later block it must be named as it is on its own
-        b = dom._ROW_BLOCK
+        b = dom._PROJECT_ROWS
         pts = dom.random_shell_points(ellipsoid, np.random.default_rng(0),
                                       2 * b, (-0.1, 0.1))
         pts[b + 3] = [0.0, 0.4]

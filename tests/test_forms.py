@@ -286,15 +286,13 @@ class TestShellGrid:
         levels, weights = gauss_legendre_segments(
             [(0.1 * 2.0 ** (-m), 0.1 * 2.0 ** (-m + 1)) for m in (1, 2, 3)],
             2)
-        nodes, grad, w_mu = [], [], []
+        nodes, w_mu = [], []
         for t, wt in zip(levels[::-1].copy(), weights[::-1].copy()):
             x, w_sigma, g = surface_nodes(d, mesh, t)
             nodes.append(x)
-            grad.append(g)
             w_mu.append(wt * w_sigma / (2.0 * np.linalg.norm(g, axis=-1)))
         assert np.array_equal(sg.levels, levels[::-1])
         assert np.array_equal(sg.nodes, np.array(nodes))
-        assert np.array_equal(sg.grad, np.array(grad))
         assert np.array_equal(sg.w_mu, np.array(w_mu))
 
     def test_peak_memory(self, ellipsoid, traced_peak_mib):

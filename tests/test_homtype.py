@@ -216,6 +216,17 @@ class TestDiameter:
                                            kind="random", seed=0)
         assert traced_peak_mib(grid.diameter) <= 32.0
 
+    def test_sample_buffers_peak_memory(self, ellipsoid, traced_peak_mib):
+        # 10,000 nodes: three 32 x N temporaries per block peaked at
+        # 12.2 MiB; one product and one modulus buffer reused by every
+        # block read 7.3 MiB, with the same value
+        grid = homtype.build_boundary_grid(ellipsoid, 0.0, 10000,
+                                           kind="random", seed=0)
+        value = []
+        peak = traced_peak_mib(lambda: value.append(grid._sample_diameter(0)))
+        assert value == [_unblocked_diameter(grid, 0)]
+        assert peak <= 9.0
+
 
 class TestStratifiedCenters:
     def test_weights_cover_surface(self, ball, ball_grid_mc):

@@ -184,7 +184,7 @@ class TestRegionIntegrate:
         # int_shell F dmu against int dsigma int_region F dmu / rho^2
         sg = forms.build_shell_grid(ball, 0.1, 3000, n_bands=8,
                                     nodes_per_band=2)
-        pts, _, wmu = sg.flat()
+        pts, wmu = sg.nodes.reshape(-1, 2), sg.w_mu.reshape(-1)
         lev = np.repeat(sg.levels, sg.nodes.shape[1])
         F = lambda z, l: np.exp(-np.abs(z[..., 0]) ** 2) * (1.0 + 0 * l)
         lhs = np.sum(F(pts, lev) * wmu)

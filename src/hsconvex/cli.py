@@ -257,8 +257,9 @@ def cmd_diagnose(cfg, rep, function):
     if function not in entries:
         raise UsageError(f"unknown function {function!r}; "
                          f"corpus: {sorted(entries)}")
-    if len(cfg.k_range) < 3:
-        raise UsageError("k_range: diagnose needs at least 3 levels")
+    if len(cfg.k_range) < pipeline._TAIL:
+        raise UsageError(f"k_range: diagnose needs at least "
+                         f"{pipeline._TAIL} levels")
     dom = cfg.make_domain()
     rep.event(command="diagnose", function=function)
     report = pipeline.diagnose(dom, entries[function].f, p=cfg.p,

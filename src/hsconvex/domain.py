@@ -14,7 +14,7 @@ arrays of shape ``(..., n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -58,18 +58,19 @@ class ProjectionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def sum_last(x):
-    """``np.sum(x, axis=-1)``, unrolled when the last axis has length 2.
+    """``np.sum(x, axis=-1)`` over a last axis of length n = 2, unrolled.
 
-    Every domain here has n = 2, and numpy's reduction machinery costs more
-    than the two additions it performs.  ``(0.0 + x0) + x1`` is bit for bit
-    what ``np.sum`` returns, signed zeros included: numpy's sum starts from
-    +0.0, so (-0.0, -0.0) sums to +0.0.  (Only when two NaNs of different
-    payloads meet in one complex part may the payload differ.)
+    numpy's reduction machinery costs more than the two additions it
+    performs.  ``(0.0 + x0) + x1`` is bit for bit what ``np.sum`` returns,
+    signed zeros included: numpy's sum starts from +0.0, so (-0.0, -0.0)
+    sums to +0.0.  (Only when two NaNs of different payloads meet in one
+    complex part may the payload differ.)  A last axis of any other length
+    raises ``ValueError`` rather than being summed.
     """
     x = np.asarray(x)
-    if x.shape[-1] == 2:
-        return (0.0 + x[..., 0]) + x[..., 1]
-    return np.sum(x, axis=-1)
+    if x.shape[-1] != 2:
+        raise ValueError(f"last axis must have length 2, got {x.shape}")
+    return (0.0 + x[..., 0]) + x[..., 1]
 
 
 def pairing(g, v):
@@ -103,7 +104,8 @@ class DomainSpec:
 
     Attributes
     ----------
-    n : complex dimension.
+    n : complex dimension, the class constant 2; every catalog domain and
+        every n-dependent formula of the kit is written for n = 2.
     rho : callable, points (..., n) -> real values (...).
     grad : holomorphic gradient, components d(rho)/dz_j, shape (..., n).
     hess_mixed : callable -> Hermitian matrix A_jk = d2(rho)/(dz_j dzbar_k).
@@ -114,7 +116,7 @@ class DomainSpec:
     eps_shell : validated width of the two-sided shell around the boundary.
     """
 
-    n: int
+    n: ClassVar[int] = 2
     rho: Callable
     grad: Callable
     hess_mixed: Callable
@@ -157,7 +159,7 @@ def ball(eps_shell=0.1, validate=True):
     def grad(z):
         return np.conj(np.asarray(z, dtype=complex))
 
-    return make_domain(2, rho, grad, _constant_hessian(1.0, 1.0),
+    return make_domain(rho, grad, _constant_hessian(1.0, 1.0),
                        _constant_hessian(0.0, 0.0), eps_shell, name="ball",
                        params=(), validate=validate)
 
@@ -173,7 +175,7 @@ def ellipsoid(c1=2.0, c2=1.0, eps_shell=0.1, validate=True):
     def grad(z):
         return c * np.conj(np.asarray(z, dtype=complex))
 
-    return make_domain(2, rho, grad, _constant_hessian(c1, c2),
+    return make_domain(rho, grad, _constant_hessian(c1, c2),
                        _constant_hessian(0.0, 0.0), eps_shell,
                        name="ellipsoid", params=(c1, c2), validate=validate)
 
@@ -195,7 +197,7 @@ def perturbed_ball(beta=0.1, eps_shell=0.1, validate=True):
         g[..., 0] += beta * z[..., 0]
         return g
 
-    return make_domain(2, rho, grad, _constant_hessian(1.0, 1.0),
+    return make_domain(rho, grad, _constant_hessian(1.0, 1.0),
                        _constant_hessian(beta, 0.0), eps_shell,
                        name="perturbed_ball", params=(beta,), validate=validate)
 
@@ -214,9 +216,9 @@ def from_catalog(name, params=(), eps_shell=0.1, validate=True):
     return _CATALOG[name](*params, eps_shell=eps_shell, validate=validate)
 
 
-def make_domain(n, rho, grad, hess_mixed, hess_holo, eps_shell,
+def make_domain(rho, grad, hess_mixed, hess_holo, eps_shell,
                 name="custom", params=(), validate=True):
-    dom = DomainSpec(n=n, rho=rho, grad=grad, hess_mixed=hess_mixed,
+    dom = DomainSpec(rho=rho, grad=grad, hess_mixed=hess_mixed,
                      hess_holo=hess_holo, eps_shell=float(eps_shell),
                      name=name, params=tuple(params))
     if validate:

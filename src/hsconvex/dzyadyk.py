@@ -72,6 +72,7 @@ class Lune:
 
 
 _LUNE_SAMPLES = 400    # shell points and interior points of lune_radius
+_COND_LIMIT = 1e12     # build_T refuses a fit past this condition number
 
 
 def lune_radius(domain):
@@ -92,11 +93,12 @@ def lune_radius(domain):
     return float(np.abs(lam).max() * 1.05)
 
 
-def lune_of(domain, xi, R=None):
-    """The lune containing lambda(xi, .) for a shell point xi.
+def lune_of(domain, xi, R):
+    """The lune of radius R containing lambda(xi, .) for a shell point xi.
 
     Test oracle for the lune geometry that ``KernelApproximant`` fits on:
-    the chord angle of ``t_of`` and the radius of :func:`lune_radius`.
+    the chord angle of ``t_of``, checked against the radius of
+    :func:`lune_radius` passed as R.
     """
     xi = np.asarray(xi, dtype=complex)
     g = np.asarray(domain.grad(xi))
@@ -104,8 +106,6 @@ def lune_of(domain, xi, R=None):
     if abs(c) < 1e-12:
         raise ValueError("self-pairing vanished; the origin must be interior")
     t = 0.5 * np.pi - np.angle(c)
-    if R is None:
-        R = lune_radius(domain)
     if not 0.0 < t < np.pi:
         raise ValueError(f"chord angle t={t:.3f} outside (0, pi); "
                          "domain geometry violates the interior-origin bound")
@@ -188,6 +188,10 @@ def build_T(j, r, lune, moment_exact=None):
     needs exact low moments); the remaining degrees of freedom fit the
     weighted residual of the tail.  q must lie in [0, j), so at least the
     top coefficient is fitted.
+
+    A fit whose weighted Vandermonde matrix has a condition number above
+    1e12 raises ``ValueError`` naming j, t and the condition number; the
+    degree is never reduced, so every certificate's ``flagged`` is false.
     """
     if j < 1:
         raise ValueError("degree must be at least 1")
@@ -199,7 +203,6 @@ def build_T(j, r, lune, moment_exact=None):
     w = float(j) ** r * np.abs(1.0 - mesh) ** (1.0 + r)
 
     scale = lune.R
-    deg = int(j)
     q = -1 if moment_exact is None else int(moment_exact)
     fixed = np.zeros(mesh.size, dtype=complex)
     if q >= 0:
@@ -209,16 +212,13 @@ def build_T(j, r, lune, moment_exact=None):
         fixed = head
     free_lo = q + 1
 
-    cond_limit = 1e12    # degree reduction past this weighted condition number
-    flagged = False
-    while True:
-        V = np.vander(mesh / scale, deg + 1, increasing=True)[:, free_lo:]
-        sv = np.linalg.svd(V * w[:, None], compute_uv=False)
-        cond = sv[0] / max(sv[-1], 1e-300)
-        if cond <= cond_limit or deg <= max(2, free_lo):
-            break
-        deg = max(max(2, free_lo), int(deg * 0.9))
-        flagged = True
+    V = np.vander(mesh / scale, j + 1, increasing=True)[:, free_lo:]
+    sv = np.linalg.svd(V * w[:, None], compute_uv=False)
+    cond = sv[0] / max(sv[-1], 1e-300)
+    if cond > _COND_LIMIT:
+        raise ValueError(f"kernel fit at j={j}, t={lune.t:.6g} is "
+                         f"ill-conditioned: weighted condition number "
+                         f"{cond:.3g} > {_COND_LIMIT:g}")
 
     resid_target = target - fixed
     # Lawson iteration: reweighting the least-squares fit by the weighted
@@ -243,20 +243,25 @@ def build_T(j, r, lune, moment_exact=None):
         lw /= max(lw.max(), 1e-300)
     c1, coef_free = best
 
-    coef = np.zeros(deg + 1, dtype=complex)
+    coef = np.zeros(j + 1, dtype=complex)
     if q >= 0:
         coef[: q + 1] = scale ** np.arange(q + 1)   # lambda^m in scaled basis
     coef[free_lo:] = coef_free
     approx = CauchyApproximant(j=int(j), t=float(lune.t), r=float(r),
                                coeffs=coef, scale=scale)
     approx.cert = _certify(approx, lune, c1=c1, mesh_size=mesh.size,
-                           cond=float(cond), flagged=flagged)
+                           cond=float(cond))
     approx.cert["moment_exact"] = q
     return approx
 
 
-def _certify(approx, lune, c1, mesh_size, cond, flagged):
-    """Certificate dict: the fit's C1 and the measured near bound C2."""
+def _certify(approx, lune, c1, mesh_size, cond):
+    """Certificate dict: the fit's C1 and the measured near bound C2.
+
+    ``flagged`` is always false: a fit whose degree would need reducing
+    raises instead (:func:`build_T`).  The key stays because the ``kernel``
+    report and the benchmark's tracer read it.
+    """
     j = approx.j
     cut = 1.0 / j
     thetas = approx.t + np.pi * (np.arange(120) + 0.5) / 120
@@ -268,7 +273,7 @@ def _certify(approx, lune, c1, mesh_size, cond, flagged):
     cap = np.concatenate([near, chord])
     c2 = float(np.abs(approx(cap)).max() / j) if cap.size else 0.0
     return {"C1": float(c1), "C2": c2, "mesh_size": int(mesh_size),
-            "cond": cond, "flagged": bool(flagged), "j": int(j),
+            "cond": cond, "flagged": False, "j": int(j),
             "t": float(approx.t), "r": float(approx.r)}
 
 

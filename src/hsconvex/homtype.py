@@ -138,8 +138,6 @@ def grid_qdist(grid, z):
 
 def quasiball(grid, z, delta):
     """Node subset {w : d(w, z) < delta} and its surface measure."""
-    if delta <= 0:
-        return np.zeros(grid.size, dtype=bool), 0.0
     mask = grid_qdist(grid, z) < delta
     return mask, float(grid.w_sigma[mask].sum())
 
@@ -234,10 +232,6 @@ class CenterSet:
 
     nodes: np.ndarray
     w_sigma: np.ndarray
-
-    @property
-    def size(self):
-        return self.nodes.shape[0]
 
 
 def stratified_centers(grid, pole=None, n_bulk=24, n_per_annulus=3,

@@ -347,11 +347,14 @@ def projection_resolution(degree):
     return (max(8, (int(degree) + 14) // 2), nphi, nphi)
 
 
-def project_direct(domain, f, k, r=None, resolution=None):
+def project_direct(domain, f, k, resolution, r=None):
     """Degree-2^k polynomial from boundary values on an offset level surface.
 
     P(z) = integral over rho = t_off of f(xi) K_k(xi, z) dS(xi); requires f
     holomorphic across the offset surface (t_off below f's validity level).
+    ``resolution`` sets the offset surface's grid
+    (:func:`build_boundary_grid`); :func:`diagnose` passes its top level's
+    :func:`projection_resolution`.
     """
     eps = domain.eps_shell
     t_off = min(2.0 ** (-k) * eps, eps)
@@ -361,8 +364,6 @@ def project_direct(domain, f, k, r=None, resolution=None):
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
     r = 2.0 if r is None else float(r)
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
-    if resolution is None:
-        resolution = projection_resolution(2 ** k)
     grid = build_boundary_grid(domain, t_off, resolution)
     vals = np.asarray(f(grid.nodes))
     return _assemble(domain, kglob, grid.pair_self, grid.grad,
@@ -395,8 +396,6 @@ def smoothness_trajectory(w_sigma, e_fields, l, p):
     :func:`diagnose`, which forms the same sums leaf by leaf in one sweep
     over its evaluation mesh (:func:`_sweep`).
     """
-    if len(e_fields) < 3:
-        raise ValueError("need at least 3 levels")
     ks = sorted(e_fields)
     acc = np.zeros(w_sigma.shape)
     out = []
@@ -406,7 +405,8 @@ def smoothness_trajectory(w_sigma, e_fields, l, p):
     return ks, np.array(out)
 
 
-# partial sums in the tail ratio of verdict_from_trajectory
+# partial sums in the tail ratio of verdict_from_trajectory, and so the
+# fewest levels a diagnosis takes (the CLI refuses fewer)
 _TAIL = 3
 
 
@@ -418,7 +418,7 @@ def verdict_from_trajectory(traj):
     mid ratios get the honest inconclusive band.
     """
     traj = np.asarray(traj, dtype=float)
-    if traj.size < _TAIL + 1:
+    if traj.size < _TAIL:
         return "inconclusive"
     if traj[-1] <= 1e-16:
         # partial sums at the numerical floor: exact approximation
@@ -526,8 +526,6 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     for the event log; it is not a result.
     """
     k_list = sorted(int(k) for k in k_range)
-    if len(k_list) < 3:
-        raise ValueError("need at least 3 levels")
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
     proj_resolution = projection_resolution(2 ** max(k_list))
@@ -535,8 +533,7 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     for k in k_list:
         t0 = time.perf_counter()
         if method == "direct":
-            polys[k] = project_direct(domain, f, k, r=r,
-                                      resolution=proj_resolution)
+            polys[k] = project_direct(domain, f, k, proj_resolution, r=r)
         else:
             # boundary-singular corpus entries: offset projection with the
             # slit correction O(t_off^(1+s)) below budget, on pole-graded

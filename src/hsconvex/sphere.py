@@ -176,8 +176,6 @@ def surface_nodes(domain, mesh, t=0.0):
     :func:`surface_block`), so the Jacobian's temporaries of only one block
     are alive at once.
     """
-    if domain.n != 2:
-        raise NotImplementedError("surface meshes are implemented for n = 2")
     dirs = mesh.dirs
     r = radial_level(domain, dirs, t)
     nodes = np.empty_like(dirs)

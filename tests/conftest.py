@@ -1,10 +1,12 @@
 import tracemalloc
 
-import numpy as np
-import pytest
-
+# hsconvex first: it sets the BLAS thread variables, which the BLAS reads
+# once, when numpy loads; so the suite runs at the CLI's thread count
 from hsconvex import domain as dom
 from hsconvex import homtype
+
+import numpy as np
+import pytest
 
 
 @pytest.fixture(scope="session")

@@ -422,6 +422,18 @@ class TestDiagnose:
         assert all(v["projection_s"] > 0 for v in sweep["levels"])
         assert sweep["sweep_s"] > 0
 
+    def test_three_levels_read_a_verdict(self, cfg_file, tmp_path):
+        # k_range = 1 2 3, the fewest levels the config accepts, gives the
+        # tail ratio its three partial sums
+        cfg_file.write_text(cfg_file.read_text().replace(
+            "k_range = 1 2 3 4", "k_range = 1 2 3"))
+        rc = cli.main(["diagnose", str(cfg_file), "z1",
+                       "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_OK
+        rep = json.loads((tmp_path / "d" / "report.json").read_text())
+        assert rep["k_list"] == [1, 2, 3]
+        assert rep["verdicts"] == {"1": "converging", "2": "converging"}
+
     def test_determinism_byte_identical(self, cfg_file, tmp_path):
         for tag in ("r1", "r2"):
             rc = cli.main(["diagnose", str(cfg_file), "(1-z1)^0.6",

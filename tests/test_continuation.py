@@ -84,6 +84,10 @@ class TestSymmetryContinuation:
         with pytest.raises(ValueError):
             cn.extend_by_symmetry(ball, f, m=2)
 
+    def test_jet_order_must_be_positive(self, ball):
+        with pytest.raises(ValueError, match="jet order m must be >= 1"):
+            cn.extend_by_symmetry(ball, corpus.monomial((1, 0)), m=0)
+
 
 class TestSymmetryBeyondBall:
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
@@ -327,6 +331,15 @@ class TestGlobalContinuation:
         bound = (2.0 * chi_scale + chi_scale) * g1 * (1.0 / rho)
         assert np.all(db[live] <= bound[live] * 1.05)
 
+    def test_shallow_shell_takes_the_first_polynomial(self):
+        # rho > 1 lies above shell 1, where the blend is P_1 alone (the
+        # inner level rho = -2 does not exist, so the shell is not validated)
+        wide = dom.ball(eps_shell=2.0, validate=False)
+        p1, p2 = PolynomialCn({(0, 0): 1.0}), PolynomialCn({(0, 0): 5.0})
+        cont = cn.extend_by_global(wide, [p1, p2], eps=2.0)
+        z = np.array([[1.5, 0.0]], complex)          # rho = 1.25
+        assert cont.f_eval(z)[0] == cn.Cutoff(1.0, 2.0)(1.25)
+
     def test_interface_continuity(self, ball):
         degrees = [2, 4, 8, 16]
         p_seq = taylor_sections(
@@ -462,7 +475,7 @@ class TestSobolevFunctional:
         got = cn.sobolev_functional(cont, 2, 2.0, eta=0.25, eps=0.1,
                                     centers=centers, resolution=res)
         want = 0.0
-        for i in range(centers.size):
+        for i in range(len(centers.nodes)):
             s = koranyi.sample_region(d, centers.nodes[i], "external", 0.25,
                                       0.1, res)
             m2 = np.sum(np.abs(cont.dbar_eval(s.points)) ** 2, axis=-1)
@@ -510,3 +523,8 @@ class TestSobolevFunctional:
         assert cn.sobolev_verdict(smooth) == "finite"
         singular = run(corpus.power_function(0.6), 2)
         assert cn.sobolev_verdict(singular) == "infinite"
+
+    def test_verdict_unknown(self):
+        # too short, not finite or negative, or a last ratio in (1.25, 1.6)
+        for values in ([1.0], [1.0, np.inf], [1.0, -1.0], [1.0, 1.4]):
+            assert cn.sobolev_verdict(values) == "unknown"

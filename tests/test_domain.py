@@ -115,11 +115,50 @@ class TestEval:
 
     def test_validation_requires_interior_origin(self, ball):
         shifted = dom.make_domain(
-            2, lambda z: np.sum(np.abs(np.asarray(z) - 2.0) ** 2, -1) - 1,
+            lambda z: np.sum(np.abs(np.asarray(z) - 2.0) ** 2, -1) - 1,
             lambda z: np.conj(np.asarray(z) - 2.0),
             ball.hess_mixed, ball.hess_holo, 0.1, validate=False)
         with pytest.raises(dom.DomainValidationError):
             dom.validate_domain(shifted)
+
+    def test_validation_rejects_shell_concavity(self):
+        # rho = s - s^2/48 - c, s = |z|^2, is convex for s < 8, which covers
+        # the sampled box, and concave on its boundary s = 9
+        def s_of(z):
+            return dom.sum_last(np.abs(z) ** 2)[..., None]
+
+        outer = dom.make_domain(
+            lambda z: (s_of(z) - s_of(z) ** 2 / 48)[..., 0] - (9 - 81 / 48),
+            lambda z: np.conj(z) * (1 - s_of(z) / 24),
+            lambda z: (1 - s_of(z)[..., None] / 24) * np.eye(2)
+            - np.conj(z)[..., :, None] * z[..., None, :] / 24,
+            lambda z: -np.conj(z)[..., :, None] * np.conj(z)[..., None, :] / 24,
+            0.1, validate=False)
+        with pytest.raises(dom.DomainValidationError,
+                           match="not positive definite on the shell"):
+            dom.validate_domain(outer)
+
+    def test_validation_rejects_inconsistent_gradient(self, ball):
+        doubled = dom.make_domain(ball.rho, lambda z: 2.0 * np.conj(z),
+                                  ball.hess_mixed, ball.hess_holo, 0.1,
+                                  validate=False)
+        with pytest.raises(dom.DomainValidationError,
+                           match="disagree with finite differences"):
+            dom.validate_domain(doubled)
+
+    def test_argument_refusals(self, ball):
+        with pytest.raises(KeyError, match="unknown domain 'cube'"):
+            dom.from_catalog("cube")
+        with pytest.raises(dom.DomainValidationError, match="eps_shell"):
+            dom.ball(eps_shell=0.0)
+        # the inner level rho = -1.5 of the ball does not exist
+        with pytest.raises(dom.DomainValidationError,
+                           match="cannot sample the shell"):
+            dom.ball(eps_shell=1.5)
+        with pytest.raises(ValueError, match=r"batch of points \(M, n\)"):
+            dom.project_boundary(ball, np.array([1.2, 0.0], complex))
+        with pytest.raises(ValueError, match="degenerate gradient"):
+            dom.unit_frame(np.zeros((1, 2), complex))
 
 
 # the constant complex Hessian blocks (A, H) of the default catalog domains
@@ -469,14 +508,12 @@ class TestSumLast:
             assert np.signbit(np.real(s)) == np.signbit(np.sum(x).real)
             assert not np.signbit(np.real(s))
 
-    def test_other_lengths_fall_back(self):
-        rng = np.random.default_rng(0)
-        for shape in ((50, 3), (50, 1), (50, 4)):
-            x = rng.standard_normal(shape)
-            x[0] = np.inf
-            x[1, 0] = np.nan
-            assert self._same_bits(x)
-            assert self._same_bits(x + 1j * rng.standard_normal(shape))
+    def test_other_lengths_raise(self):
+        # n = 2 throughout the kit; any other last axis is refused, not
+        # summed
+        for shape in ((50, 3), (50, 1), (50, 4), (0,)):
+            with pytest.raises(ValueError, match="length 2"):
+                dom.sum_last(np.ones(shape))
 
 
 class TestSymmetricPoint:

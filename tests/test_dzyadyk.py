@@ -36,6 +36,14 @@ class TestLune:
         with pytest.raises(ValueError):
             dzyadyk.lune_of(ball, np.array([1e-8, 1e-8], complex), R=1.05)
 
+    def test_inward_gradient_raises(self, ball):
+        # <grad rho(xi), xi> = -|xi|^2: the chord angle leaves (0, pi)
+        inward = dom.make_domain(ball.rho, lambda z: -np.conj(z),
+                                 ball.hess_mixed, ball.hess_holo, 0.1,
+                                 validate=False)
+        with pytest.raises(ValueError, match="outside \\(0, pi\\)"):
+            dzyadyk.lune_of(inward, np.array([1.0, 0.0], complex), R=1.05)
+
 
 class TestBuildT:
     def test_certificate_self_consistency(self):
@@ -90,16 +98,25 @@ class TestBuildT:
         with pytest.raises(ValueError, match="moment_exact"):
             dzyadyk.build_T(8, 0.5, lune, moment_exact=q)
 
-    def test_degree_reduction(self, ball):
+    def test_degree_below_one_raises(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            dzyadyk.build_T(0, 0.5, dzyadyk.Lune(t=np.pi / 2, R=1.05))
+
+    def test_ill_conditioned_fit_raises(self, ball):
         # a thin lune at j = 64: the weighted Vandermonde's condition number
-        # passes 1e12, so the degree drops (to 51) until it does not, and the
-        # certificate says so
+        # passes 1e12, and the fit refuses rather than lower its degree
         lune = dzyadyk.Lune(t=0.3, R=dzyadyk.lune_radius(ball))
-        T = dzyadyk.build_T(64, 0.5, lune)
-        assert T.cert["flagged"] and T.cert["j"] == 64
-        assert len(T.coeffs) - 1 < 64
+        with pytest.raises(ValueError,
+                           match=r"j=64, t=0\.3 .* condition number \S+ > "
+                                 r"1e\+12"):
+            dzyadyk.build_T(64, 0.5, lune)
+
+    def test_live_degrees_are_unflagged(self, ball):
+        # the kernel report's degrees stay below the limit at full degree
+        lune = dzyadyk.Lune(t=0.3, R=dzyadyk.lune_radius(ball))
+        T = dzyadyk.build_T(32, 0.5, lune)
+        assert len(T.coeffs) == 33 and not T.cert["flagged"]
         assert T.cert["cond"] <= 1e12
-        assert np.isfinite(T.cert["C1"]) and np.isfinite(T.cert["C2"])
 
 
 class TestKglob:
@@ -116,6 +133,8 @@ class TestKglob:
             assert free.approximant_for(tq).cert["moment_exact"] == -1
         with pytest.raises(TypeError):
             dzyadyk.KernelApproximant(ball, 8, 2.0, 1.05, j=3)
+        with pytest.raises(ValueError, match="at least n"):
+            dzyadyk.build_Kglob(ball, 1)
 
     def test_center_value(self, ball):
         kg = dzyadyk.build_Kglob(ball, 8, r=0.5)

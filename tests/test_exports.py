@@ -1,10 +1,12 @@
 """Every exported name of the package and its submodules resolves, and so
-does every package name a demo reads."""
+does every package name a demo or README's oracle list reads."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import hsconvex
 
 MODULES = ["hsconvex"] + [f"hsconvex.{m.name}"
                           for m in pkgutil.iter_modules(hsconvex.__path__)]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -56,3 +59,47 @@ def test_demo_names_resolve(path):
                if not hasattr(importlib.import_module(mod), name)
                and importlib.util.find_spec(f"{mod}.{name}") is None]
     assert not missing, f"{path.name} reads missing names: {missing}"
+
+
+def _oracle_spans():
+    """The backticked spans of README's "Test oracles" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Test oracles\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"`([^`]+)`", section)
+
+
+def _resolves(dotted):
+    """Whether ``a.b[.c]`` names a module attribute, class attribute or
+    dataclass field, its head being an ``hsconvex`` module or a name the
+    package exports."""
+    head, *rest = dotted.split(".")
+    if importlib.util.find_spec(f"hsconvex.{head}") is not None:
+        obj = importlib.import_module(f"hsconvex.{head}")
+    else:
+        obj = getattr(hsconvex, head, None)
+    for i, name in enumerate(rest):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif i == len(rest) - 1 and dataclasses.is_dataclass(obj):
+            return name in {f.name for f in dataclasses.fields(obj)}
+        else:
+            return False
+    return obj is not None
+
+
+def test_readme_oracles_resolve():
+    # the oracle list is prose, so nothing else notices a renamed or
+    # deleted oracle: every ``module.name`` and ``tests/file.py::name`` in
+    # it must still exist (a call's arguments are dropped)
+    spans = _oracle_spans()
+    dotted = [m[1] for s in spans
+              if (m := re.fullmatch(r"(\w+(?:\.\w+)+)(\(.*\))?", s))]
+    in_tests = [s.split("::") for s in spans if "::" in s]
+    assert len(dotted) >= 11 and len(in_tests) >= 3
+    missing = [d for d in dotted if not _resolves(d)]
+    for path, name in in_tests:
+        tree = ast.parse((ROOT / path).read_text())
+        if name not in {n.name for n in tree.body if isinstance(
+                n, (ast.FunctionDef, ast.ClassDef))}:
+            missing.append(f"{path}::{name}")
+    assert not missing, f"README's test oracles name missing: {missing}"

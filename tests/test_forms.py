@@ -53,6 +53,13 @@ class TestFormEngine:
         w = exterior.wedge(top, f)
         assert w.degree > 4 and not w.terms
 
+    def test_shape_refusals(self):
+        f = exterior.dz_form(np.ones(2))
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            exterior.wedge(f, exterior.dz_form(np.ones(3)))
+        with pytest.raises(ValueError, match="degree 1 applied to 2"):
+            exterior.evaluate(f, np.ones((2, 2)))
+
     def test_argument_swap_sign(self, ball, rng):
         g = np.array([1.0, 0.0], complex)
         a = np.eye(2, dtype=complex)
@@ -91,7 +98,7 @@ class TestLerayDensity:
     def test_non_positive_density_raises(self, ball, ball_grid):
         # the ball with its mixed Hessian negated: the Leray form changes sign
         # on every frame, and both the density and the grid refuse it
-        flipped = dom.make_domain(2, ball.rho, ball.grad,
+        flipped = dom.make_domain(ball.rho, ball.grad,
                                   lambda z: -ball.hess_mixed(z),
                                   ball.hess_holo, ball.eps_shell,
                                   validate=False)
@@ -122,6 +129,12 @@ def test_derivative_order_is_capped():
         f.d((5, 4), np.zeros(2))
     assert "max_order" not in {fl.name for fl in
                                dataclasses.fields(forms.HoloFunction)}
+
+
+def test_no_derivative_data_raises():
+    f = forms.HoloFunction(eval=lambda z: z[..., 0], label="bare")
+    with pytest.raises(ValueError, match="'bare' has no derivative data"):
+        f.d((1, 0), np.zeros(2))
 
 
 class TestKernel:
@@ -193,6 +206,12 @@ class TestReproduce:
                                       np.array([0.97, 0], complex))
         assert out.degraded
 
+    def test_point_on_a_node_raises(self, ball_grid_small):
+        f = corpus.monomial((0, 0))
+        with pytest.warns(UserWarning), \
+                pytest.raises(forms.SingularKernelError, match="on grid"):
+            forms.clf_reproduce(ball_grid_small, f, ball_grid_small.nodes[0])
+
     @pytest.mark.parametrize("name", ["ellipsoid", "perturbed_ball"])
     def test_clf_exactness_criterion_1_shape(self, name):
         # criterion 1 (polynomials, grid, tolerance) beyond the ball; the
@@ -257,6 +276,10 @@ class TestPairing:
 
 
 class TestShellGrid:
+    def test_non_positive_width_raises(self, ball):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            forms.build_shell_grid(ball, 0.0)
+
     def test_volume_matches_closed_form(self, ball):
         sg = forms.build_shell_grid(ball, 0.1, 2000, n_bands=8,
                                     nodes_per_band=3)

@@ -45,6 +45,11 @@ class TestQuasiball:
         mask, _ = homtype.quasiball(ball_grid, z, 1e-9)
         assert mask.sum() == 1 and mask[idx]
 
+    def test_empty_at_non_positive_radius(self, ball_grid):
+        mask, meas = homtype.quasiball(ball_grid, E1, 0.0)
+        assert mask.shape == (ball_grid.size,) and not mask.any()
+        assert meas == 0.0
+
     def test_measure_scaling_sweep(self, ball, ball_grid_mc):
         deltas = np.array([0.05, 0.1, 0.2, 0.4])
         meas = []
@@ -97,6 +102,17 @@ class TestQmExterior:
                                         w2=w2)
         env = rep["region_comparison"]
         assert env["min"] >= 1 / 50 and env["max"] <= 50
+
+
+def test_argument_refusals(ball, ball_grid_small):
+    with pytest.raises(ValueError, match="unknown grid kind 'hex'"):
+        homtype.build_boundary_grid(ball, 0.0, 100, kind="hex")
+    with pytest.raises(ValueError, match="per-node"):
+        homtype.maximal_function(ball_grid_small, np.ones(3))
+    # one node: the diameter and every quasiball radius vanish
+    lone = homtype.build_boundary_grid(ball, 0.0, 1, kind="random")
+    with pytest.raises(ValueError, match="grid too coarse"):
+        homtype.check_homogeneous(lone)
 
 
 class TestMaximalFunction:
@@ -233,7 +249,7 @@ class TestStratifiedCenters:
         cs = homtype.stratified_centers(ball_grid_mc, seed=0)
         assert cs.w_sigma.sum() == pytest.approx(ball_grid_mc.sigma_total,
                                                  rel=0.02)
-        assert cs.size < 80
+        assert len(cs.nodes) < 80
 
 
 class TestAsymmetry:

@@ -80,9 +80,12 @@ class TestSampler:
         grid = homtype.build_boundary_grid(domain, 0.0, 400, kind="random",
                                            seed=1)
         xg, _ = np.polynomial.legendre.leggauss(4)
+        # a band top off the dyadic edges caps the heights inside a cell
         for z, band in ((grid.nodes[0], {}), (grid.nodes[5], {}),
                         (grid.nodes[17], {"rho_min": 0.0125,
-                                          "rho_max": 0.05})):
+                                          "rho_max": 0.05}),
+                        (grid.nodes[23], {"rho_min": 0.0125,
+                                          "rho_max": 0.03})):
             s = koranyi.sample_region(domain, z, "external", eta=0.25,
                                       eps=0.1, **band)
             nu, u = _frame(domain, z)
@@ -209,6 +212,11 @@ class TestRegionIntegrate:
         with pytest.raises(ValueError):
             koranyi.region_integrate(ext_sample,
                                      np.ones(ext_sample.size), "nu_l")
+
+    def test_unknown_weight_raises(self, ext_sample):
+        with pytest.raises(ValueError, match="unknown weight 'lebesgue'"):
+            koranyi.region_integrate(ext_sample,
+                                     np.ones(ext_sample.size), "lebesgue")
 
 
 class TestAreaInternal:
@@ -365,7 +373,7 @@ class TestAreaInequality:
         # equals the per-member loop of single-field area_Il calls exactly
         for g, ratio in zip(fam, out["ratios"]):
             num = 0.0
-            for i in range(centers.size):
+            for i in range(len(centers.nodes)):
                 il = koranyi.area_Il(ball, g, 1, centers.nodes[i],
                                      ball_grid_small, eta=0.25, eps=0.1,
                                      resolution=(8, 1, 4, 4, 4))
@@ -408,7 +416,7 @@ def quartic():
         h[..., 1, 1] = np.conj(z[..., 1]) ** 2
         return h
 
-    return dom.make_domain(2, rho, grad, hess_mixed, hess_holo, 0.1,
+    return dom.make_domain(rho, grad, hess_mixed, hess_holo, 0.1,
                            name="quartic")
 
 
@@ -516,6 +524,13 @@ class TestRegionBank:
             with pytest.raises(ValueError, match="non-empty batch"):
                 koranyi.sample_regions(ball, bad, "external")
 
+    def test_bad_kind_or_centre_raises(self, ball):
+        with pytest.raises(ValueError, match="'internal' or 'external'"):
+            koranyi.sample_regions(ball, E1[None], "lateral")
+        with pytest.raises(dom.ProjectionError, match="degenerate gradient"):
+            koranyi.sample_regions(ball, np.zeros((1, 2), complex),
+                                   "external")
+
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed"])
     @pytest.mark.parametrize("kind,kw,fine_res", [
         ("external", {"eps": 0.1}, None),
@@ -571,7 +586,7 @@ class TestRegionBank:
         out = koranyi.check_area_inequality(domain, fam, 1, 2.0, grid,
                                             centers, **kw)
         nums = [0.0] * len(fam)
-        for i in range(centers.size):
+        for i in range(len(centers.nodes)):
             il = koranyi.area_Il(domain, np.stack(fam), 1, centers.nodes[i],
                                  grid, **kw)
             for j in range(len(fam)):
@@ -619,7 +634,7 @@ class TestPeakMemory:
         # 11.0, 11.0 and 11.6 in ray blocks
         domain = request.getfixturevalue(name)
         grid, centers, floor = _area_config(domain)
-        assert centers.size >= 42
+        assert len(centers.nodes) >= 42
         peak = traced_peak_mib(lambda: koranyi.sample_regions(
             domain, centers.nodes, "external", 0.25, 0.1, rho_min=floor))
         assert peak <= 20.0

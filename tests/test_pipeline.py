@@ -89,29 +89,34 @@ class TestPolynomialCn:
         assert max(map(sum, p.coeffs)) == 3
 
 
+def _res(k):
+    """Offset-surface node count of a degree-2^k projection on its own."""
+    return pl.projection_resolution(2 ** k)
+
+
 class TestProjectDirect:
     def test_constant_within_budget(self, ball, ball_grid_small):
         f = corpus.monomial((0, 0))
-        p = pl.project_direct(ball, f, 2, r=6.0)
+        p = pl.project_direct(ball, f, 2, _res(2), r=6.0)
         e = np.abs(1.0 - p(ball_grid_small.nodes)).max()
         assert e <= 1e-10
 
     def test_z1_at_k5(self, ball, ball_grid_small):
         f = corpus.monomial((1, 0))
-        p = pl.project_direct(ball, f, 5, r=6.0)
+        p = pl.project_direct(ball, f, 5, _res(5), r=6.0)
         e = np.abs(ball_grid_small.nodes[:, 0] - p(ball_grid_small.nodes))
         assert e.max() <= 1e-3
 
     def test_degree_structure(self, ball):
         f = corpus.monomial((1, 0))
-        p = pl.project_direct(ball, f, 3, r=2.0)
+        p = pl.project_direct(ball, f, 3, _res(3), r=2.0)
         assert max(map(sum, p.coeffs)) <= 2 * int(np.ceil(8 / 2))
         assert all(sum(a) <= 8 for a in p.coeffs)
 
     def test_validity_guard(self, ball):
         f = corpus.power_function(0.6)
         with pytest.raises(ValueError, match="holomorphic"):
-            pl.project_direct(ball, f, 3)
+            pl.project_direct(ball, f, 3, _res(3))
 
 
 class TestHarmonicAssembly:
@@ -370,7 +375,7 @@ class TestProjectViaContinuation:
 
     def test_dual_construction_consistency(self, ball, ball_grid_small):
         f = corpus.exp_function((1.0, 0.0))
-        direct = pl.project_direct(ball, f, 4, r=4.0)
+        direct = pl.project_direct(ball, f, 4, _res(4), r=4.0)
         cont = cn.extend_by_symmetry(ball, f, m=4, eps=0.1)
         shell = forms.build_shell_grid(ball, 0.1, 4000, n_bands=8,
                                        nodes_per_band=3)
@@ -399,12 +404,6 @@ class TestSmoothnessSum:
         closed = ball_grid_small.sigma_total * inner
         assert val == pytest.approx(closed, rel=1e-10)
 
-    def test_needs_three_levels(self, ball_grid_small):
-        with pytest.raises(ValueError):
-            pl.smoothness_trajectory(ball_grid_small.w_sigma,
-                                     {1: np.zeros(ball_grid_small.size)}, 1,
-                                     2.0)
-
     def test_verdicts(self):
         conv = [1.0, 1.02, 1.03, 1.035]
         div = [1.0, 2.0, 4.5, 10.0]
@@ -412,6 +411,13 @@ class TestSmoothnessSum:
         assert pl.verdict_from_trajectory(div) == "diverging"
         assert pl.verdict_from_trajectory([1, 1.3, 1.6, 1.9]) == \
             "inconclusive"
+
+    def test_three_sums_are_enough(self):
+        # the tail ratio reads the last _TAIL = 3 sums, the fewest levels
+        # the CLI accepts; a shorter trajectory is inconclusive
+        assert pl.verdict_from_trajectory([1.0, 1.02, 1.03]) == "converging"
+        assert pl.verdict_from_trajectory([1.0, 2.0, 4.5]) == "diverging"
+        assert pl.verdict_from_trajectory([1.0, 1.02]) == "inconclusive"
 
 
 def _sweep_leaves(size):

@@ -6,15 +6,16 @@ by parameter name; the bk-shape job in ``perfbench/job.py`` calls package
 functions with keywords and reads ``RunConfig`` attributes.  The rest of
 this suite never runs them, so a renamed or deleted function, parameter or
 config attribute would otherwise go unnoticed until a benchmark run.  The
-files are loaded by path and only read.  The last test runs the
-golden-bytes check of ``tools/golden_hashes.py``, which reads the
-benchmark's job list.
+files are loaded by path and only read.  The last two tests check golden
+bytes with ``tools/golden_hashes.py``, which reads the benchmark's job
+list: all of them in a subprocess, and the ``kernel`` jobs in this process.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +144,33 @@ def test_golden_bytes_at_seed_0():
     if out.returncode == 3:
         pytest.skip(out.stdout.strip())
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+THREAD_VARS = ("HSCONVEX_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def test_in_process_kernel_bytes_match_golden(monkeypatch):
+    # conftest imports hsconvex before numpy, so the suite's BLAS runs the
+    # CLI's one thread and an in-process kernel run writes the golden bytes
+    if any(os.environ.get(v, "1") != "1" for v in THREAD_VARS):
+        pytest.skip("the suite does not run at one BLAS thread")
+    # loading the tool sets the thread variables and prepends perfbench/ to
+    # sys.path; both are restored after the test
+    for v in THREAD_VARS:
+        monkeypatch.setenv(v, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "golden_hashes", PERFBENCH.parent / "tools" / "golden_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    stored = (tool.GOLDEN / "seed0.sha256").read_text().splitlines()
+    if stored[0] != tool.header():
+        pytest.skip(f"environment differs from the stored hashes: "
+                    f"{stored[0][2:]}")
+    kernel = [j for j in tool.golden_jobs(0) if j[2] == "kernel"]
+    monkeypatch.setattr(tool, "golden_jobs", lambda seed: kernel)
+    have = tool.hash_lines(0)
+    want = [line for line in stored[1:] if " kernel/" in line]
+    assert len(want) == 6
+    assert have == want

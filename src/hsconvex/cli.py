@@ -15,9 +15,10 @@ runs through :func:`main`, which holds one contract for all of them:
 
 Each run that gets past the config starts a new event log,
 ``events.jsonl``, whose first line records the thread variables in effect,
-numpy's version and the BLAS, and appends one JSON line per step to it; it
-first deletes an earlier run's ``report.json`` and CSV tables, so no report in
-the output directory is older than the log.  The thread count honored by
+the thread count the BLAS itself reports, numpy's version and the BLAS,
+and appends one JSON line per step to it; it first deletes an earlier
+run's ``report.json`` and CSV tables, so no report in the output directory
+is older than the log.  The thread count honored by
 the BLAS backing numpy can be pinned with HSCONVEX_THREADS, which the
 ``hsconvex`` package reads on import, before any of its modules loads
 numpy.
@@ -26,6 +27,7 @@ numpy.
 import argparse
 import configparser
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -140,11 +142,28 @@ class RunConfig:
                                        eps_shell=self.eps, validate=validate)
 
 
+def blas_threads():
+    """The thread count that the BLAS backing numpy reports, or "unknown".
+
+    Asked of the OpenBLAS that numpy's wheel ships (``numpy.libs``), through
+    its own getter ``scipy_openblas_get_num_threads64_``: the variables say
+    what was asked for, and the BLAS reads them only when numpy loads.  A
+    BLAS without that library or getter reads "unknown".
+    """
+    libs = sorted((Path(np.__file__).resolve().parent.parent
+                   / "numpy.libs").glob("libscipy_openblas*"))
+    # a foreign function returns a C int unless told otherwise
+    getter = getattr(ctypes.CDLL(str(libs[0])) if libs else None,
+                     "scipy_openblas_get_num_threads64_", None)
+    return "unknown" if getter is None else getter()
+
+
 def environment():
-    """The thread variables in effect, numpy's version and its BLAS."""
+    """Thread variables in effect, BLAS thread count, numpy and its BLAS."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"threads": {v: os.environ.get(v)
                         for v in ("HSCONVEX_THREADS",) + _BLAS_VARS},
+            "blas_threads": blas_threads(),
             "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import HoloFunction, multi_indices
-from .sphere import AngularMesh, hopf_directions, surface_nodes
+from .sphere import hopf_mesh, surface_nodes
 
 __all__ = [
     "CorpusEntry",
@@ -188,9 +188,9 @@ def _level_quadrature(domain, t):
     phi = np.concatenate([-phi[::-1], phi])
 
     # the phi_2 = 0 slice of the Hopf grid, weighted by the S^3 density
-    mesh = AngularMesh(dirs=hopf_directions(alph, phi, np.zeros(1)),
-                       weights=np.repeat(np.cos(alph) * np.sin(alph),
-                                         phi.size))
+    mesh = hopf_mesh(alph, phi, np.zeros(1),
+                     np.repeat((np.cos(alph) * np.sin(alph))[:, None],
+                               phi.size, axis=1))
     pts, jac, _ = surface_nodes(domain, mesh, t)
     shape = (alph.size, phi.size)
     z = np.stack([pts[:, 0], np.abs(pts[:, 1]).astype(complex)], axis=-1)

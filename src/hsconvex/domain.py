@@ -337,39 +337,48 @@ def real_gradient(domain, z):
 def radial_level(domain, dirs, t, max_iter=60):
     """Radii r(theta) with rho(r * theta) = t for unit directions theta.
 
-    Newton in r from r = 1; the catalog domains are strongly convex with the
-    origin interior, so rho is strictly increasing in r near the shell.
+    ``dirs`` is an array of directions (..., n), or a mesh
+    (:class:`hsconvex.sphere.AngularMesh`) whose rows are read one block at
+    a time.  Newton in r from r = 1; the catalog domains are strongly
+    convex with the origin interior, so rho is strictly increasing in r
+    near the shell.
 
-    Each iteration runs over row blocks (:func:`row_blocks`): a first pass
-    evaluates rho block by block, then a second builds the gradient, slope
-    and step of each block, so the points and gradients of only one block
-    are alive at once.  The stop test stays batch-wide (every row within
-    1e-13), so the iteration count, and with it each row's result, is the
-    one whole-batch call's whatever the block size.  The final residual
-    check reads the last rho pass, which is the returned radii's, and
-    :class:`ProjectionError` carries its maximum over the batch.
+    Rows go in blocks (:func:`row_blocks`): a first pass evaluates rho
+    block by block, then each Newton step reads a block's directions once,
+    steps its radii and evaluates rho at them, so the directions, points
+    and gradients of only one block are alive at once.  The stop test stays
+    batch-wide (every row within 1e-13), so the iteration count, and with
+    it each row's result, is the one whole-batch call's whatever the block
+    size.  The final residual check reads the last rho pass, which is the
+    returned radii's, and :class:`ProjectionError` carries its maximum over
+    the batch.
     """
-    dirs = np.asarray(dirs, dtype=complex)
-    shape = dirs.shape[:-1]
-    dirs = dirs.reshape(-1, dirs.shape[-1])
-    r = np.full(dirs.shape[0], 1.0, dtype=float)
+    if hasattr(dirs, "rows"):
+        shape, dirs_of = (dirs.size,), lambda sl: dirs.rows(sl)[0]
+    else:
+        dirs = np.asarray(dirs, dtype=complex)
+        shape = dirs.shape[:-1]
+        dirs_of = dirs.reshape(-1, dirs.shape[-1]).__getitem__
+    r = np.full(int(np.prod(shape)), 1.0, dtype=float)
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
     blocks = row_blocks(r.size)
     val = np.empty_like(r)
-    # max_iter Newton steps, each after a residual pass; the pass after the
-    # last step is the final check's
-    for it in range(max_iter + 1):
-        for sl in blocks:
-            val[sl] = np.asarray(domain.rho(r[sl, None] * dirs[sl])) \
-                - t_arr[sl]
-        if it == max_iter or np.all(np.abs(val) < 1e-13):
+
+    def residual(sl, d):
+        val[sl] = np.asarray(domain.rho(r[sl, None] * d)) - t_arr[sl]
+
+    for sl in blocks:
+        residual(sl, dirs_of(sl))
+    for _ in range(max_iter):
+        if np.all(np.abs(val) < 1e-13):
             break
         for sl in blocks:
-            d = dirs[sl]
+            d = dirs_of(sl)
             g = np.asarray(domain.grad(r[sl, None] * d))
             slope = 2.0 * np.real(pairing(g, d))
             slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
             r[sl] -= np.clip(val[sl] / slope, -0.2, 0.2)
+            residual(sl, d)
     worst = np.abs(val).max(initial=0.0)
     if not worst < 1e-10:
         raise ProjectionError("radial level solve failed",
@@ -401,9 +410,9 @@ _NEWTON_TOL = 1e-11
 STATIONARY_TOL = 1e-9
 
 
-# rows per block of the batched row-wise passes (level-set radii, Leray
-# densities, the collar evaluators); each row's arithmetic does not depend
-# on the block it sits in
+# rows per block of the batched row-wise passes (level-set radii, mesh
+# rows and surface blocks, the collar evaluators); each row's arithmetic
+# does not depend on the block it sits in
 _ROW_BLOCK = 8192
 
 # rows per block of the projection's per-point linear algebra (Newton

@@ -322,7 +322,8 @@ class KernelApproximant:
         The masks partition the nodes; angles come in ascending order.
         """
         tq = np.round(self.t_of(c) / T_QUANT_STEP).astype(int)
-        for q in np.unique(tq):
+        # a set, not np.unique: that call imports numpy.ma
+        for q in sorted(set(tq.tolist())):
             yield tq == q, self.approximant_for(q * T_QUANT_STEP)
 
     def eval_pairs(self, xi, g, z):

@@ -165,11 +165,21 @@ def leray_form(g, a):
     return form.map_coeffs(lambda c: scale * c)
 
 
+# rows per block of grid_leray_density.  A block's form coefficients,
+# frames and determinant stacks take about 2.5 MiB at 4096 rows (4.7 at
+# 8192), and they set the traced peak of diagnose's direct projections;
+# on 48,668 offset-surface nodes 2048- and 4096-row blocks ran fastest
+# (37 ms against 46 at 8192, median of 25), the smaller ones by staying in
+# cache, while below 2048 rows the per-call overhead of the form engine
+# takes over
+_LERAY_ROWS = 4096
+
+
 def grid_leray_density(domain, nodes, g):
     """Per-node Leray density on a level-set grid; a non-positive one raises.
 
     :func:`evaluate` applies the Leray form to the tangent frame
-    (i nu, u, i u) over row blocks of the nodes
+    (i nu, u, i u) over row blocks of ``_LERAY_ROWS`` nodes
     (:func:`hsconvex.domain.row_blocks`), so the form coefficients and frame
     determinants of only one block are alive at once; each node's value
     does not depend on its block.  The Leray and surface measures are
@@ -177,7 +187,7 @@ def grid_leray_density(domain, nodes, g):
     """
     nodes, g = np.asarray(nodes), np.asarray(g)
     out = np.empty(g.shape[0])
-    for sl in row_blocks(g.shape[0]):
+    for sl in row_blocks(g.shape[0], _LERAY_ROWS):
         _, nu, u = unit_frame(g[sl])
         form = leray_form(g[sl], np.asarray(domain.hess_mixed(nodes[sl])))
         out[sl] = np.real(evaluate(form, np.stack([1j * nu, u, 1j * u],

@@ -147,7 +147,9 @@ def check_homogeneous(grid, seed=0):
 
     Returns a dict with ``fitted_dimension`` (mean least-squares slope of
     log sigma(B(z, delta)) against log delta over 50 random centers, with
-    delta 0.025, 0.05, 0.1 and 0.2 of the grid's diameter) and
+    delta 0.025, 0.05, 0.1 and 0.2 of the grid's diameter; a centre whose
+    smallest quasiball holds fewer than two nodes is skipped, and a
+    ValueError says the grid is too coarse when none is left) and
     ``quasi_triangle_constant`` (max of d(x,z)/(d(x,y)+d(y,z)) over 4000
     sampled triples of nodes).
     """
@@ -158,13 +160,15 @@ def check_homogeneous(grid, seed=0):
     slopes = []
     for ci in centers:
         d = grid_qdist(grid, grid.nodes[ci])
-        meas = np.array([grid.w_sigma[d < r].sum() for r in deltas])
-        if np.any(meas <= 0):
+        if np.count_nonzero(d < deltas[0]) < 2:
+            # the smallest quasiball holds at most its centre: no scaling
             continue
+        meas = np.array([grid.w_sigma[d < r].sum() for r in deltas])
         slope = np.polyfit(np.log(deltas), np.log(meas), 1)[0]
         slopes.append(slope)
     if not slopes:
-        raise ValueError("all sampled quasiballs were empty; grid too coarse")
+        raise ValueError("every sampled centre's smallest quasiball holds "
+                         "fewer than two nodes; grid too coarse")
 
     xi = rng.choice(grid.size, size=(4000, 3))
     ok = (xi[:, 0] != xi[:, 1]) & (xi[:, 1] != xi[:, 2])

@@ -32,8 +32,8 @@ from .domain import pairing, radial_level, row_blocks
 from .dzyadyk import build_Kglob
 from .exterior import grid_leray_density
 from .forms import ShellGrid, multi_indices
-from .homtype import BoundaryGrid, build_boundary_grid, maximal_function
-from .sphere import graded_angular_mesh, surface_block
+from .homtype import BoundaryGrid, maximal_function
+from .sphere import angular_mesh, graded_angular_mesh, surface_rows
 from . import koranyi
 
 __all__ = [
@@ -259,21 +259,32 @@ _HARM_CAP = 3
 _HARM_TOL = 1e-7
 
 
-# phi_2-orbits per row block of the reduced projector's surface pass
+# phi_2 nodes of the reduced projector's pole-graded meshes, and the orbits
+# per row block of its surface pass
+_REDUCED_PHI2 = 12
 _ORBIT_BLOCK = 512
 
+# rows per block of f's evaluation on a projection or evaluation surface,
+# at least (unless the surface is smaller).  That floor keeps f's bits:
+# numpy reuses a complex temporary of 16,384 values (256 KiB) or more as
+# the output of the next product, with the operands swapped, and the SIMD
+# complex product does not round symmetrically, so z1^2 z2 on smaller
+# blocks differs in last bits from the whole-surface call
+_F_ROWS = 16384
 
-def _reduced_weights(domain, f, t_off, mesh, n_phi2):
+
+def _reduced_weights(domain, f, t_off, mesh):
     """Data-times-Leray weights of a pole-graded mesh on rho = t_off.
 
     Returns the (N,) weights f * density * w_sigma of every node, and the
     self-pairings and gradients of the phi_2 = 0 column.  The radii come
-    from one whole-mesh :func:`radial_level` call (its stop test is
-    batch-wide); the rest runs over row blocks of whole phi_2-orbits
-    (:func:`surface_block`), so one block's nodes, gradients and densities
-    are alive at once.
+    from one :func:`radial_level` call on the mesh (its stop test is
+    batch-wide); the rest runs over row blocks of whole phi_2-orbits read
+    from the mesh (:func:`surface_rows`), so one block's directions,
+    nodes, gradients and densities are alive at once.
     """
-    r = radial_level(domain, mesh.dirs, t_off)
+    r = radial_level(domain, mesh, t_off)
+    n_phi2 = mesh.z2.shape[1]
     n2 = mesh.size // n_phi2
     w = np.empty(mesh.size, dtype=complex)
     pair_col = np.empty(n2, dtype=complex)
@@ -283,14 +294,22 @@ def _reduced_weights(domain, f, t_off, mesh, n_phi2):
     g_buf = np.empty((rows, domain.n), dtype=complex)
     for sl in row_blocks(mesh.size, rows):
         nodes, g = nodes_buf[: sl.stop - sl.start], g_buf[: sl.stop - sl.start]
-        w_sigma = surface_block(domain, mesh.dirs[sl], mesh.weights[sl],
-                                r[sl], nodes, g)
+        w_sigma = surface_rows(domain, mesh, r, sl, nodes, g)
         w[sl] = np.asarray(f(nodes)) * grid_leray_density(domain, nodes, g) \
             * w_sigma
         col = slice(sl.start // n_phi2, sl.stop // n_phi2)
         grad_col[col] = g[::n_phi2]
         pair_col[col] = pairing(g[::n_phi2], nodes[::n_phi2])
     return w, pair_col, grad_col
+
+
+def _reduced_mesh(domain, k):
+    """The pole-graded mesh of the offset projector at level k."""
+    t_off = 2.0 ** (-k) * domain.eps_shell
+    return graded_angular_mesh(
+        n_phi2=_REDUCED_PHI2, alpha_floor=max(5e-4, 0.2 * np.sqrt(t_off)),
+        phi_floor=max(5e-6, 0.2 * t_off),
+        deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
 
 
 def project_direct_reduced(domain, f, k, r):
@@ -309,20 +328,20 @@ def project_direct_reduced(domain, f, k, r):
     is O(t_off^(1+s)), below the approximation budget.
 
     The surface is streamed (:func:`_reduced_weights`): of the 154,224-node
-    mesh at k = 5 only the weights and the phi_2 = 0 column's pairings and
-    gradients outlive their row block, and the mesh is freed before the
-    FFT, the harmonic check and the kernel fit run.
+    mesh at k = 5 only the radii, the weights and the phi_2 = 0 column's
+    pairings and gradients outlive their row block; the mesh itself is its
+    axis tables.
     """
     t_off = 2.0 ** (-k) * domain.eps_shell
-    n_phi2 = 12
-    mesh = graded_angular_mesh(
-        n_phi2=n_phi2, alpha_floor=max(5e-4, 0.2 * np.sqrt(t_off)),
-        phi_floor=max(5e-6, 0.2 * t_off),
-        deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
-    w, pair_col, grad_col = _reduced_weights(domain, f, t_off, mesh, n_phi2)
-    del mesh
-    F = np.fft.fft(w.reshape(-1, n_phi2), axis=1)
-    del w
+    n_phi2 = _REDUCED_PHI2
+    # the kernel's lune radius comes from a dense sample matrix: built
+    # before the surface pass, it is not alive next to the weights
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
+    w, pair_col, grad_col = _reduced_weights(domain, f, t_off,
+                                             _reduced_mesh(domain, k))
+    # in place: the same transform, without a second array of the weights
+    F = np.fft.fft(w.reshape(-1, n_phi2), axis=1,
+                   out=w.reshape(-1, n_phi2))
     # the phase harmonic of each FFT bin: 0, 1, ..., then negative orders
     order = np.fft.fftfreq(n_phi2, 1.0 / n_phi2).astype(int)
     peak = np.abs(F).max(axis=0)
@@ -331,7 +350,6 @@ def project_direct_reduced(domain, f, k, r):
     if bad.any():
         raise ValueError(f"phase harmonics {order[bad]} beyond +-{_HARM_CAP}"
                          ": the offset projector needs harmonic-sparse data")
-    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
     return _assemble(domain, kglob, pair_col, grad_col,
                      np.ones(pair_col.size), harm=F[:, : _HARM_CAP + 1])
 
@@ -347,14 +365,50 @@ def projection_resolution(degree):
     return (max(8, (int(degree) + 14) // 2), nphi, nphi)
 
 
+def _f_blocks(m):
+    """Consecutive row blocks of ``_F_ROWS`` to 2 ``_F_ROWS`` - 1 rows.
+
+    A batch of fewer than ``_F_ROWS`` rows is one block.
+    """
+    starts = list(range(0, max(m - _F_ROWS, 0) + 1, _F_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def _direct_weights(domain, f, t_off, mesh):
+    """Self-pairings, gradients and data-times-Leray weights on rho = t_off.
+
+    The radii come from one :func:`radial_level` call on the mesh (its
+    stop test is batch-wide).  f is evaluated on blocks of at least
+    ``_F_ROWS`` rows (:func:`_f_blocks`), each filled by
+    :func:`surface_rows` and :func:`grid_leray_density` over row blocks;
+    w_S is the Leray density times w_sigma, formed before f multiplies it.
+    Only the three returned arrays outlive their block.
+    """
+    radii = radial_level(domain, mesh, t_off)
+    pair = np.empty(mesh.size, dtype=complex)
+    grad = np.empty(mesh.shape, dtype=complex)
+    fw = np.empty(mesh.size, dtype=complex)
+    for sl in _f_blocks(mesh.size):
+        g = grad[sl]
+        nodes = np.empty_like(g)
+        w_sigma = surface_rows(domain, mesh, radii, sl, nodes, g)
+        w_s = grid_leray_density(domain, nodes, g) * w_sigma
+        pair[sl] = pairing(g, nodes)
+        vals = np.asarray(f(nodes))
+        fw[sl] = vals * w_s
+    return pair, grad, fw
+
+
 def project_direct(domain, f, k, resolution, r=None):
     """Degree-2^k polynomial from boundary values on an offset level surface.
 
     P(z) = integral over rho = t_off of f(xi) K_k(xi, z) dS(xi); requires f
     holomorphic across the offset surface (t_off below f's validity level).
-    ``resolution`` sets the offset surface's grid
-    (:func:`build_boundary_grid`); :func:`diagnose` passes its top level's
-    :func:`projection_resolution`.
+    ``resolution`` sets the offset surface's product mesh
+    (:func:`angular_mesh`); :func:`diagnose` passes its top level's
+    :func:`projection_resolution`.  The surface is streamed
+    (:func:`_direct_weights`): only the self-pairings, the gradients and
+    f w_S of its nodes reach the moment assembly.
     """
     eps = domain.eps_shell
     t_off = min(2.0 ** (-k) * eps, eps)
@@ -364,10 +418,8 @@ def project_direct(domain, f, k, resolution, r=None):
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
     r = 2.0 if r is None else float(r)
     kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
-    grid = build_boundary_grid(domain, t_off, resolution)
-    vals = np.asarray(f(grid.nodes))
-    return _assemble(domain, kglob, grid.pair_self, grid.grad,
-                     vals * grid.w_S)
+    return _assemble(domain, kglob, *_direct_weights(
+        domain, f, t_off, angular_mesh(resolution)))
 
 
 def project_via_continuation(domain, cont, shell: ShellGrid, k, r=None):
@@ -446,13 +498,9 @@ class SmoothnessReport:
 
 
 # rows per leaf of diagnose's evaluation sweep, at most: a leaf is then the
-# whole mesh or at least 16,384 rows (8 leaves of 27,720 on the 221,760-node
-# mesh).  That floor keeps f's bits: numpy reuses a complex temporary of
-# 16,384 values (256 KiB) or more as the output of the next product, with
-# the operands swapped, and the SIMD complex product does not round
-# symmetrically, so z1^2 z2 on smaller blocks differs in last bits from the
-# whole-mesh call
-_SWEEP_LEAF = 32768
+# whole mesh or at least _F_ROWS rows (8 leaves of 27,720 on the
+# 221,760-node mesh)
+_SWEEP_LEAF = 2 * _F_ROWS
 
 
 def _sweep(domain, f, polys, p, l_probe):
@@ -460,10 +508,11 @@ def _sweep(domain, f, polys, p, l_probe):
 
     Builds the evaluation mesh, graded toward the corpus singular direction
     so the error fields resolve the singular zone scale by scale, and its
-    radii in one whole-batch :func:`radial_level` call (the stop test is
-    batch-wide).  Then sweeps the mesh once over the leaves of numpy's
-    float64 summation tree (:func:`_pairwise_tree`): each leaf fills its
-    nodes and surface weights (:func:`surface_block`, over row blocks),
+    radii in one :func:`radial_level` call on the mesh (the stop test is
+    batch-wide); the radii are the only whole-mesh array.  Then sweeps the
+    mesh once over the leaves of numpy's float64 summation tree
+    (:func:`_pairwise_tree`): each leaf fills its nodes and surface
+    weights from the mesh's rows (:func:`surface_rows`, over row blocks),
     evaluates f and every P_k, and returns each level's sum of e^p w and
     each (l, k) partial sum of acc^(p/2) w, with acc the running sum over
     levels of e^2 4^(l k) (:func:`smoothness_trajectory`'s terms).  The
@@ -473,7 +522,7 @@ def _sweep(domain, f, polys, p, l_probe):
     sums per order and the mesh and leaf sizes.
     """
     mesh = graded_angular_mesh(n_phi2=12)
-    radii = radial_level(domain, mesh.dirs, 0.0)
+    radii = radial_level(domain, mesh, 0.0)
     ks = sorted(polys)
     sups = np.full(len(ks), -np.inf)
     leaf_rows = []
@@ -481,13 +530,7 @@ def _sweep(domain, f, polys, p, l_probe):
     def leaf_sums(sl):
         m = sl.stop - sl.start
         nodes = np.empty((m, domain.n), dtype=complex)
-        g = np.empty_like(nodes)
-        w = np.empty(m)
-        for b in row_blocks(m):
-            rows = slice(sl.start + b.start, sl.start + b.stop)
-            w[b] = surface_block(domain, mesh.dirs[rows], mesh.weights[rows],
-                                 radii[rows], nodes[b], g[b])
-        del g
+        w = surface_rows(domain, mesh, radii, sl, nodes, np.empty_like(nodes))
         f_vals = np.asarray(f(nodes))
         acc = {l: np.zeros(m) for l in l_probe}
         lp_sums, part = [], {l: [] for l in l_probe}
@@ -522,8 +565,9 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     runs.  The slope is fitted on levels above the numerical floor;
     polynomial-exact levels read as floor values and are excluded.
 
-    The report's ``log`` holds the sweep's sizes and each phase's seconds,
-    for the event log; it is not a result.
+    The report's ``log`` holds the sweep's sizes, each level's projection
+    surface rows and each phase's seconds, for the event log; it is not a
+    result.
     """
     k_list = sorted(int(k) for k in k_range)
     r = 2.0 * max(l_probe) if r is None else float(r)
@@ -539,8 +583,11 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
             # slit correction O(t_off^(1+s)) below budget, on pole-graded
             # meshes
             polys[k] = project_direct_reduced(domain, f, k, r=r)
-        levels.append({"k": k, "method": method,
-                       "projection_s": time.perf_counter() - t0})
+        seconds = time.perf_counter() - t0
+        mesh = (angular_mesh(proj_resolution) if method == "direct"
+                else _reduced_mesh(domain, k))
+        levels.append({"k": k, "method": method, "nodes": mesh.size,
+                       "projection_s": seconds})
     t0 = time.perf_counter()
     sups, lps, partial, log = _sweep(domain, f, polys, p, l_probe)
     log.update(levels=levels, sweep_s=time.perf_counter() - t0)

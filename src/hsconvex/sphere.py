@@ -10,6 +10,10 @@ Hopf coordinates
 with measure cos(a) sin(a) da dp1 dp2.  Gauss-Legendre in ``a`` and the
 (periodic, spectrally accurate) trapezoid rule in both angles give smooth
 integrands high-order convergence; total mass of S^3 is 2 pi^2.
+
+A mesh keeps its coordinates as tables on its 1-D axes and hands out its
+rows one block at a time (:class:`AngularMesh`), so neither the level-set
+solve nor any surface pass holds a whole mesh's directions and weights.
 """
 
 from __future__ import annotations
@@ -22,18 +26,47 @@ from .domain import (radial_level, random_unit_directions, real_dot,
                      row_blocks)
 
 __all__ = ["AngularMesh", "angular_mesh", "split_resolution", "surface_nodes",
-           "surface_block", "radial_graph_jacobian",
-           "gauss_legendre_segments", "hopf_directions"]
+           "surface_rows", "radial_graph_jacobian",
+           "gauss_legendre_segments", "hopf_mesh"]
 
 
 @dataclass(frozen=True)
 class AngularMesh:
-    dirs: np.ndarray       # (N, 2) complex unit directions
-    weights: np.ndarray    # (N,) quadrature weights for the S^3 measure
+    """Directions on S^3 and their quadrature weights, read by row block.
+
+    Row (i, j, k) of the mesh, in C order, has the direction
+    (z1[i, j], z2[i, k]) and the weight w[i, j].  On a Hopf product mesh
+    (:func:`hopf_mesh`) i, j and k index the angles a, p1 and p2, so the
+    tables hold N / n_p2 and n_a n_p2 values instead of the N rows; a mesh
+    with no product structure has one column in each table.  :meth:`rows`
+    copies one block's rows out of the tables, with no arithmetic, so each
+    row holds the same bits whatever block it is read in.
+    """
+
+    z1: np.ndarray         # (n_a, n_p1) complex first coordinates
+    z2: np.ndarray         # (n_a, n_p2) complex second coordinates
+    w: np.ndarray          # (n_a, n_p1) weight of each row of a p2 orbit
 
     @property
     def size(self):
-        return self.dirs.shape[0]
+        return self.z1.size * self.z2.shape[1]
+
+    @property
+    def shape(self):
+        """Shape (N, 2) of the direction array the mesh stands for."""
+        return (self.size, 2)
+
+    def rows(self, sl):
+        """Directions (B, 2) and weights (B,) of the rows in slice ``sl``."""
+        n1, n2 = self.z1.shape[1], self.z2.shape[1]
+        # the (i, j) pairs whose p2 orbits hold the rows
+        p0, p1 = sl.start // n2, -(-sl.stop // n2)
+        block = np.empty((p1 - p0, n2, 2), dtype=complex)
+        block[..., 0] = self.z1.reshape(-1)[p0:p1, None]
+        block[..., 1] = self.z2[np.arange(p0, p1) // n1]
+        w = np.repeat(self.w.reshape(-1)[p0:p1], n2)
+        lo, hi = sl.start - p0 * n2, sl.stop - p0 * n2
+        return block.reshape(-1, 2)[lo:hi], w[lo:hi]
 
 
 def split_resolution(target):
@@ -57,22 +90,21 @@ def angular_mesh(resolution):
     p2 = 2.0 * np.pi * np.arange(np2) / np2
     w1 = 2.0 * np.pi / np1
     w2 = 2.0 * np.pi / np2
+    return hopf_mesh(a, p1, p2,
+                     np.repeat((wa * w1 * w2)[:, None], np1, axis=1))
 
-    return AngularMesh(dirs=hopf_directions(a, p1, p2),
-                       weights=np.repeat(wa * w1 * w2, np1 * np2))
 
+def hopf_mesh(a, p1, p2, w):
+    """Mesh of the directions (cos a e^{i p1}, sin a e^{i p2}) of the axes.
 
-def hopf_directions(a, p1, p2):
-    """Directions (cos a e^{i p1}, sin a e^{i p2}) of the (a, p1, p2) grid.
-
-    The trig runs on the 1-D axes and is broadcast into the (N, 2) result,
-    which holds each node's value of the elementwise formula on the full
-    angle grid.
+    The trig runs once on the 1-D axes and each coordinate's table is its
+    broadcast product, the value that node takes in the elementwise formula
+    on the full angle grid.  ``w`` (a.size, p1.size) weighs every row of an
+    (a, p1) node's p2 orbit.
     """
-    dirs = np.empty((a.size, p1.size, p2.size, 2), dtype=complex)
-    dirs[..., 0] = (np.cos(a)[:, None] * np.exp(1j * p1)[None, :])[..., None]
-    dirs[..., 1] = np.sin(a)[:, None, None] * np.exp(1j * p2)[None, None, :]
-    return dirs.reshape(-1, 2)
+    return AngularMesh(z1=np.cos(a)[:, None] * np.exp(1j * p1)[None, :],
+                       z2=np.sin(a)[:, None] * np.exp(1j * p2)[None, :],
+                       w=w)
 
 
 def gauss_legendre_segments(segments, q):
@@ -121,8 +153,7 @@ def graded_angular_mesh(n_phi2=12, alpha_floor=3e-3, phi_floor=1e-4,
     w2 = 2.0 * np.pi / n_phi2
 
     w_a = a_w * np.cos(a_nodes) * np.sin(a_nodes)
-    return AngularMesh(dirs=hopf_directions(a_nodes, p_nodes, p2),
-                       weights=np.repeat(np.outer(w_a, p_w) * w2, n_phi2))
+    return hopf_mesh(a_nodes, p_nodes, p2, np.outer(w_a, p_w) * w2)
 
 
 def random_angular_mesh(n, seed=0):
@@ -135,8 +166,8 @@ def random_angular_mesh(n, seed=0):
     quadrature.
     """
     dirs = random_unit_directions(np.random.default_rng(seed), int(n), 2)
-    w = np.full(int(n), 2.0 * np.pi ** 2 / int(n))
-    return AngularMesh(dirs=dirs, weights=w)
+    return AngularMesh(z1=dirs[:, :1], z2=dirs[:, 1:],
+                       w=np.full((int(n), 1), 2.0 * np.pi ** 2 / int(n)))
 
 
 def radial_graph_jacobian(r, dirs, g):
@@ -155,33 +186,34 @@ def radial_graph_jacobian(r, dirs, g):
     return r ** 2 * np.sqrt(r ** 2 + gs2)
 
 
-def surface_block(domain, dirs, weights, r, nodes, g):
-    """Fill one row block's nodes and gradients; return its surface weights.
+def surface_rows(domain, mesh, r, sl, nodes, g):
+    """Fill the nodes and gradients of mesh rows ``sl``; return their weights.
 
-    ``dirs``, ``weights`` and the radii ``r`` are the block's rows of a mesh
-    and of its level-set radii; ``nodes`` and ``g`` are (B, 2) output
-    buffers.  Each row's arithmetic does not depend on its block.
+    ``r`` holds the radii of every mesh row on the level set; ``nodes`` and
+    ``g`` are (B, 2) output buffers for the B rows of ``sl``.  The rows go
+    in blocks (:func:`hsconvex.domain.row_blocks`), each read from the mesh
+    and given its nodes, gradients and surface-measure weights, so the
+    directions and the Jacobian's temporaries of only one block are alive
+    at once.  Each row's arithmetic does not depend on its block.
     """
-    nodes[...] = r[:, None] * dirs
-    g[...] = domain.grad(nodes)
-    return weights * radial_graph_jacobian(r, dirs, g)
+    w_sigma = np.empty(sl.stop - sl.start)
+    for b in row_blocks(w_sigma.size):
+        rows = slice(sl.start + b.start, sl.start + b.stop)
+        dirs, weights = mesh.rows(rows)
+        nodes[b] = r[rows, None] * dirs
+        g[b] = domain.grad(nodes[b])
+        w_sigma[b] = weights * radial_graph_jacobian(r[rows], dirs, g[b])
+    return w_sigma
 
 
 def surface_nodes(domain, mesh, t=0.0):
     """Nodes, surface-measure weights and gradients of the level set rho = t.
 
-    The radii come from one whole-batch :func:`radial_level` call, whose
+    The radii come from one :func:`radial_level` call on the mesh, whose
     stop test is batch-wide; nodes, gradients and the surface Jacobian are
-    then filled over row blocks (:func:`hsconvex.domain.row_blocks`,
-    :func:`surface_block`), so the Jacobian's temporaries of only one block
-    are alive at once.
+    then filled over row blocks (:func:`surface_rows`).
     """
-    dirs = mesh.dirs
-    r = radial_level(domain, dirs, t)
-    nodes = np.empty_like(dirs)
-    g = np.empty_like(dirs)
-    w_sigma = np.empty(r.shape)
-    for sl in row_blocks(r.size):
-        w_sigma[sl] = surface_block(domain, dirs[sl], mesh.weights[sl],
-                                    r[sl], nodes[sl], g[sl])
-    return nodes, w_sigma, g
+    r = radial_level(domain, mesh, t)
+    nodes = np.empty(mesh.shape, dtype=complex)
+    g = np.empty_like(nodes)
+    return nodes, surface_rows(domain, mesh, r, slice(0, r.size), nodes, g), g

@@ -419,6 +419,8 @@ class TestDiagnose:
         assert sweep["leaves"] == 8 and sweep["leaf_rows"] == [27720] * 8
         assert [(v["k"], v["method"]) for v in sweep["levels"]] == \
             [(k, "direct") for k in (1, 2, 3, 4)]
+        # every level projects from the top level's 15 x 30 x 30 mesh
+        assert [v["nodes"] for v in sweep["levels"]] == [13500] * 4
         assert all(v["projection_s"] > 0 for v in sweep["levels"])
         assert sweep["sweep_s"] > 0
 
@@ -473,6 +475,7 @@ class TestEventLog:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert first == {"step": 0, "environment": {
             "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+            "blas_threads": 1,
             "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}"}}
 
@@ -633,6 +636,66 @@ def test_environment_line_records_threads_in_effect(tmp_path, cfg_file):
     assert first["environment"]["threads"] == {
         "HSCONVEX_THREADS": None, "OMP_NUM_THREADS": "1",
         "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def test_environment_line_records_the_blas_count(tmp_path, cfg_file):
+    # the BLAS reads the thread variables once, when numpy loads: with
+    # HSCONVEX_THREADS=2 the package asks for two threads and the BLAS
+    # itself reports them (one on a one-core machine, where OpenBLAS caps
+    # the count); the report does not hold the count
+    import hsconvex
+
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["HSCONVEX_THREADS"] = "2"
+    env["PYTHONPATH"] = str(Path(hsconvex.__file__).parents[1])
+    out = tmp_path / "sub"
+    run = subprocess.run(
+        [sys.executable, "-m", "hsconvex.cli", "kernel", str(cfg_file),
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    first = json.loads((out / "events.jsonl").read_text().splitlines()[0])
+    assert first["environment"]["blas_threads"] == \
+        min(2, len(os.sched_getaffinity(0)))
+    assert "blas_threads" not in (out / "report.json").read_text()
+
+
+def test_diagnose_and_kernel_leave_numpy_ma_unimported(tmp_path, cfg_file):
+    # np.unique imports numpy.ma (np.ma.is_masked); validate still does,
+    # through np.percentile
+    import hsconvex
+
+    script = """
+import sys
+from hsconvex import cli
+cfg, out = sys.argv[1:]
+for i, argv in enumerate((["diagnose", cfg, "z1"],
+                          ["diagnose", cfg, "(1-z1)^0.6"], ["kernel", cfg])):
+    assert cli.main(argv + ["--out", f"{out}/{i}"]) == cli.EXIT_OK
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hsconvex.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(cfg_file),
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("lib", [False, True])
+def test_blas_without_its_getter_reads_unknown(monkeypatch, tmp_path, lib):
+    # a numpy whose wheel ships no OpenBLAS library next to it, or one
+    # whose library has no getter
+    fake = tmp_path / "site" / "numpy" / "__init__.py"
+    fake.parent.mkdir(parents=True)
+    fake.touch()
+    if lib:
+        (tmp_path / "site" / "numpy.libs").mkdir()
+        (tmp_path / "site" / "numpy.libs" / "libscipy_openblas-x.so").touch()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(cli.np, "__file__", str(fake))
+    assert cli.blas_threads() == "unknown"
 
 
 def test_default_threads_write_one_thread_bytes(tmp_path):

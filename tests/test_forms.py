@@ -340,9 +340,9 @@ class TestGridLerayDensity:
         nodes = dom.random_shell_points(d, np.random.default_rng(m), m,
                                         (-0.1, 0.1))
         g = d.grad(nodes)
-        monkeypatch.setattr(dom, "_ROW_BLOCK", 8)
+        monkeypatch.setattr(exterior, "_LERAY_ROWS", 8)
         blocked = exterior.grid_leray_density(d, nodes, g)
-        monkeypatch.setattr(dom, "_ROW_BLOCK", m)
+        monkeypatch.setattr(exterior, "_LERAY_ROWS", m)
         assert np.array_equal(blocked,
                               exterior.grid_leray_density(d, nodes, g))
 

@@ -115,6 +115,15 @@ def test_argument_refusals(ball, ball_grid_small):
         homtype.check_homogeneous(lone)
 
 
+def test_centre_alone_in_its_quasiballs_is_refused(ball):
+    # two nodes: each quasiball holds only its centre, whose measure is the
+    # same at every radius, so the fitted slope would read about 0
+    pair = homtype.build_boundary_grid(ball, 0.0, 2, kind="random")
+    assert pair.diameter() > 0
+    with pytest.raises(ValueError, match="grid too coarse"):
+        homtype.check_homogeneous(pair)
+
+
 class TestMaximalFunction:
     def test_constant_field(self, ball_grid_small):
         ma = homtype.maximal_function(ball_grid_small,

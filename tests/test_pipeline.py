@@ -576,6 +576,28 @@ class TestDiagnose:
             lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
         assert peak <= 18.0
 
+    @pytest.mark.parametrize("f", [
+        corpus.monomial((0, 0), label="1"),
+        corpus.exp_function((1.0, 2.0), label="exp(z1+2z2)"),
+        corpus.monomial((2, 1)),
+        corpus.power_function(0.6)], ids=lambda f: f.label)
+    def test_peak_memory_streamed(self, ball, traced_peak_mib, f):
+        # 13.8, 13.8, 13.8 and 13.9 MiB with the evaluation mesh's and the
+        # direct projector's surfaces held whole; 7.5 for each with every
+        # surface read from its mesh one row block at a time
+        peak = traced_peak_mib(
+            lambda: pl.diagnose(ball, f, k_range=range(1, 6)))
+        assert peak <= 10.0
+
+    def test_log_records_projection_rows(self, ball):
+        # each level's projection surface: the direct path's one product
+        # mesh, the offset path's pole-graded mesh of that level
+        rep = pl.diagnose(ball, corpus.power_function(0.6),
+                          k_range=range(1, 6), l_probe=(1,))
+        rows = [v["nodes"] for v in rep.log["levels"]]
+        assert rows == [pl._reduced_mesh(ball, k).size for k in range(1, 6)]
+        assert rows[-1] == 154224
+
     def test_verdict_monotone_in_l(self, ball):
         f = corpus.power_function(0.6)
         rep = pl.diagnose(ball, f, k_range=range(1, 6), l_probe=(1, 2, 3))

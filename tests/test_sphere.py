@@ -1,8 +1,9 @@
 """Angular meshes and level-set nodes against their whole-grid formulas.
 
-The meshes take their trig on the 1-D angle axes and the surface nodes fill
-their Jacobian over row blocks; each oracle below is the formula on the full
-meshgrid or the whole batch, and the results must agree bit for bit.
+The meshes keep coordinate tables on the 1-D angle axes and hand out their
+rows one block at a time, and the surface nodes fill their Jacobian over row
+blocks; each oracle below is the formula on the full meshgrid or the whole
+batch, and the results must agree bit for bit.
 """
 
 import numpy as np
@@ -60,10 +61,19 @@ def _reduced_settings(k, eps=0.1):
                 deg_hint=2 * int(np.ceil(2 ** k / 2)))
 
 
+def _whole(mesh):
+    return mesh.rows(slice(0, mesh.size))
+
+
 def _same_mesh(mesh, oracle):
-    dirs, weights = oracle
-    return (np.array_equal(mesh.dirs, dirs)
-            and np.array_equal(mesh.weights, weights))
+    dirs, weights = _whole(mesh)
+    return (np.array_equal(dirs, oracle[0])
+            and np.array_equal(weights, oracle[1]))
+
+
+# diagnose's evaluation mesh, and a small graded mesh of 3-node phi_2 orbits
+_GRADED = [dict(n_phi2=12),
+           dict(n_phi2=3, alpha_floor=0.06, phi_floor=0.15, deg_hint=8)]
 
 
 class TestMeshes:
@@ -82,6 +92,21 @@ class TestMeshes:
         if k is None:
             assert mesh.size == 221760
 
+    @pytest.mark.parametrize("settings", _GRADED,
+                             ids=["evaluation", "small"])
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    def test_graded_blocks_equal_meshgrid(self, settings, block):
+        # 1000 rows is no multiple of either phi_2 orbit, so blocks start
+        # and stop inside orbits and, past the first, inside a-slabs
+        mesh = sphere.graded_angular_mesh(**settings)
+        dirs, weights = _graded_oracle(**settings)
+        block = block or mesh.size
+        for sl in dom.row_blocks(mesh.size, block):
+            d, w = mesh.rows(sl)
+            assert d.shape == (sl.stop - sl.start, 2)
+            assert np.array_equal(d, dirs[sl])
+            assert np.array_equal(w, weights[sl])
+
 
 class TestSurfaceNodes:
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
@@ -90,15 +115,27 @@ class TestSurfaceNodes:
         d = dom.from_catalog(name)
         mesh = sphere.angular_mesh(projection_resolution(16))
         assert mesh.size > dom._ROW_BLOCK
-        r = dom.radial_level(d, mesh.dirs, t)
-        nodes = r[:, None] * mesh.dirs
+        dirs, weights = _whole(mesh)
+        r = dom.radial_level(d, dirs, t)
+        nodes = r[:, None] * dirs
         g = np.asarray(d.grad(nodes))
-        w_sigma = mesh.weights * sphere.radial_graph_jacobian(r, mesh.dirs,
-                                                              g)
+        w_sigma = weights * sphere.radial_graph_jacobian(r, dirs, g)
         got = sphere.surface_nodes(d, mesh, t)
         for have, want in zip(got, (nodes, w_sigma, g)):
             assert have.dtype == want.dtype
             assert np.array_equal(have, want)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("rows", [1000, None])
+    def test_mesh_radii_equal_whole_array(self, name, rows, monkeypatch):
+        # radial_level reading the mesh's row blocks against one call on
+        # the whole direction array, at the default and an odd block size
+        d = dom.from_catalog(name)
+        mesh = sphere.graded_angular_mesh(**_GRADED[1])
+        whole = dom.radial_level(d, _whole(mesh)[0], 0.0125)
+        if rows:
+            monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
+        assert np.array_equal(dom.radial_level(d, mesh, 0.0125), whole)
 
     def test_peak_memory(self, ball, traced_peak_mib):
         # diagnose's 221,760-node evaluation mesh: 49.1 MiB with the

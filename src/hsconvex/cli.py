@@ -222,11 +222,18 @@ def _jsonable(x):
 def cmd_validate(cfg, rep, function):
     """Domain/grid/quasimetric invariant suite; fails on any failed check."""
     checks = []
+    last = [time.perf_counter()]
 
-    def record(name, passed, **extra):
+    def record(name, passed, nodes=(), **extra):
+        # the event log also gets the check's seconds (since the previous
+        # check, so with the grids it built) and the node counts of the
+        # grids or point sets it read; the report does not
+        now = time.perf_counter()
         checks.append({"check": name, "passed": bool(passed),
                        **_jsonable(extra)})
-        rep.event(check=name, passed=bool(passed))
+        rep.event(check=name, passed=bool(passed), seconds=now - last[0],
+                  nodes=list(nodes))
+        last[0] = now
 
     dom = cfg.make_domain(validate=False)
     try:
@@ -237,19 +244,23 @@ def cmd_validate(cfg, rep, function):
         record("domain_convexity", True, **report)
         grid = homtype.build_boundary_grid(dom, 0.0, cfg.boundary_nodes)
         record("grid_weights_positive",
-               bool(np.all(grid.w_sigma > 0) and np.all(grid.w_S > 0)))
+               bool(np.all(grid.w_sigma > 0) and np.all(grid.w_S > 0)),
+               nodes=[grid.size])
         coarse = homtype.build_boundary_grid(dom, 0.0,
                                              cfg.boundary_nodes // 4)
         drift = abs(grid.sigma_total - coarse.sigma_total) / \
             grid.sigma_total
-        record("surface_measure_converged", drift <= 0.01, drift=drift)
+        record("surface_measure_converged", drift <= 0.01,
+               nodes=[grid.size, coarse.size], drift=drift)
         mc = homtype.build_boundary_grid(dom, 0.0,
                                          max(cfg.boundary_nodes, 10000),
                                          kind="random", seed=cfg.seed)
         hom = homtype.check_homogeneous(mc, seed=cfg.seed)
         record("homogeneous_dimension",
-               abs(hom["fitted_dimension"] - dom.n) <= 0.15, **hom)
-        record("quasi_triangle", hom["quasi_triangle_constant"] <= 50.0)
+               abs(hom["fitted_dimension"] - dom.n) <= 0.15,
+               nodes=[mc.size], **hom)
+        record("quasi_triangle", hom["quasi_triangle_constant"] <= 50.0,
+               nodes=[mc.size])
         rng = np.random.default_rng(cfg.seed)
         w_ext = domain_mod.random_shell_points(
             dom, rng, 2000, (1e-4 * cfg.eps, cfg.eps))
@@ -257,11 +268,13 @@ def cmd_validate(cfg, rep, function):
         qm = homtype.qm_exterior_check(dom, w_ext, grid.nodes[idx])
         env = qm["shell_comparison"]
         ok = env["lo"] >= 1.0 / 50 and env["hi"] <= 50
-        record("qm_exterior_envelope", ok, **env)
+        record("qm_exterior_envelope", ok, nodes=[len(w_ext), len(idx)],
+               **env)
         f1 = corpus_mod.monomial((1, 0))
         val = forms.clf_reproduce(grid, f1, np.array([0.3, 0.0], complex))
         record("clf_reproduction",
-               abs(val.value - 0.3) <= 1e-5, err=abs(val.value - 0.3))
+               abs(val.value - 0.3) <= 1e-5, nodes=[grid.size],
+               err=abs(val.value - 0.3))
     passed = all(c["passed"] for c in checks)
     return {"command": "validate", "domain": cfg.domain_name,
             "params": list(cfg.domain_params), "checks": checks,
@@ -308,8 +321,9 @@ def cmd_kernel(cfg, rep, function):
     dom = cfg.make_domain()
     rows = []
     certs = {}
+    lune = dzyadyk.lune_radius(dom)     # one radius for every degree
     for k in KERNEL_DEGREES:
-        kg = dzyadyk.build_Kglob(dom, int(k), r=0.5)
+        kg = dzyadyk.build_Kglob(dom, int(k), r=0.5, R=lune)
         out = dzyadyk.validate_Kglob(dom, kg, seed=cfg.seed)
         rows.append([int(k), out.get("C_far", float("nan")),
                      out.get("C_near", float("nan")), out["n_far"],
@@ -338,12 +352,13 @@ def cmd_continuation(cfg, rep, function):
     rng = np.random.default_rng(cfg.seed)
     zs = 0.5 * domain_mod.random_unit_directions(rng, 8, dom.n)
     out = continuation.verify_pac(cont, shell, zs, f)
-    # the collar streams in projection blocks; sizes and phase timings go
-    # to the event log only
+    # the collar streams in projection blocks; sizes, the bytes of the
+    # shell's tables and phase timings go to the event log only
     rows = domain_mod._PROJECT_ROWS
     rep.event(command="continuation", shell_nodes=shell.size,
-              block_rows=rows, blocks=math.ceil(shell.size / rows),
-              shell_s=t1 - t0, reconstruct_s=time.perf_counter() - t1)
+              shell_bytes=shell.nbytes, block_rows=rows,
+              blocks=math.ceil(shell.size / rows), shell_s=t1 - t0,
+              reconstruct_s=time.perf_counter() - t1)
     return {"command": "continuation", "function": f.label,
             "shell_nodes": shell.size,
             "max_rel_err": out["max_rel_err"],

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import pairing, row_blocks, sum_last, symmetric_point_dbar
+from .domain import (pairing, point_rows, row_blocks, sum_last,
+                     symmetric_point_dbar)
 from .exterior import volume_density
 from .forms import ShellGrid, multi_indices
 from . import koranyi
@@ -70,7 +71,8 @@ class Continuation:
     # differences (the reconstruction only needs dbar_blocks)
     f_eval: Callable
     dbar_eval: Callable            # points (M, n) -> (M, n) components
-    # points (M, n) -> (sl, (B, n) components) over every row in order
+    # points (M, n) or a row source -> (sl, (B, n) components) over every
+    # row in order
     dbar_blocks: Callable
     support_height: float
     domain: object
@@ -81,28 +83,36 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
 
     Returns ``(evaluate, blocks)``.  ``shape`` is the shape of one point's
     value: () for the extension, (n,) for its dbar components.
-    ``blocks(z)`` takes points (M, n) and yields ``(sl, values)`` for
+    ``blocks(z)`` takes points, an array (M, n) or a row source
+    (:func:`hsconvex.domain.point_rows`), and yields ``(sl, values)`` for
     consecutive row slices ``sl`` that cover every row in order, zero where
-    a row is not live; ``evaluate(z)`` writes that stream into one output.
-    ``core`` is called once with all live points and yields ``(sl,
-    values)`` for consecutive row blocks ``sl`` of them; each is handed on
-    as it comes, so only one block's temporaries are alive at once.  When
-    every point is live, as on a collar shell, the core runs on the points
-    themselves, with no copy of them, and its blocks are the stream's;
-    otherwise the core's blocks are written into one zero array, which is
-    the stream's only block.
+    a row is not live; ``evaluate(z)`` writes the stream of an array into
+    one output.  ``core`` is called once with all live points, an array or
+    a row source, and yields ``(sl, values)`` for consecutive row blocks
+    ``sl`` of them; each is handed on as it comes, so only one block's
+    temporaries are alive at once.  The live test reads one row block at a
+    time.  When every point is live, as on a collar shell, the core runs on
+    the points themselves, with no copy of them, and its blocks are the
+    stream's; otherwise the live points are gathered into one array, the
+    core's blocks are written into one zero array, and that is the
+    stream's only block.  A core evaluates rho on its own blocks: rho is
+    elementwise, so the values are the gathered batch's bit for bit.
     """
+    def live(pts):
+        rho = np.asarray(domain.rho(pts))
+        return (rho < eps) & (rho > floor)
+
     def blocks(zz):
-        rho = np.asarray(domain.rho(zz))
-        mask = (rho < eps) & (rho > floor)
-        if mask.all():
-            yield from core(zz, rho)
+        m, read = point_rows(zz)
+        if all(live(read(sl)).all() for sl in row_blocks(m)):
+            yield from core(zz)
             return
-        out, live = np.zeros(rho.shape + shape, dtype=complex), \
-            np.flatnonzero(mask)
-        for sl, values in core(zz[live], rho[live]) if live.size else ():
-            out[live[sl]] = values
-        yield slice(0, rho.size), out
+        pts = read(slice(0, m))
+        idx = np.flatnonzero(live(pts))
+        out = np.zeros((m,) + shape, dtype=complex)
+        for sl, values in core(pts[idx]) if idx.size else ():
+            out[idx[sl]] = values
+        yield slice(0, m), out
 
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
@@ -114,11 +124,13 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
     return evaluate, blocks
 
 
-def _per_block(fn):
+def _per_block(domain, fn):
     """A collar core that applies fn(z, rho) to each row block on its own."""
-    def core(z, rho):
-        for sl in row_blocks(z.shape[0]):
-            yield sl, fn(z[sl], rho[sl])
+    def core(zz):
+        m, read = point_rows(zz)
+        for sl in row_blocks(m):
+            z = read(sl)
+            yield sl, fn(z, np.asarray(domain.rho(z)))
     return core
 
 
@@ -149,9 +161,9 @@ def extend_by_symmetry(domain, f, m, eps=None):
                     / math.prod(map(math.factorial, alpha)))
         return out
 
-    def f_core(zl, rho):
-        for sl, zs, _ in symmetric_point_dbar(domain, zl):
-            yield sl, f0(zl[sl], zs) * chi(rho[sl])
+    def f_core(zl):
+        for sl, z, zs, _ in symmetric_point_dbar(domain, zl):
+            yield sl, f0(z, zs) * chi(domain.rho(z))
 
     def dbar_block(z, rho, zs, dstar):
         # dstar: (B, j, k)
@@ -172,12 +184,13 @@ def extend_by_symmetry(domain, f, m, eps=None):
         ramp = (f0(z, zs) * chi.deriv(rho))[:, None] * np.conj(g)
         return jet_term * chi(rho)[:, None] + ramp
 
-    def dbar_core(zl, rho):
+    def dbar_core(zl):
         # one reflection call for all live points (its radial Newton start
         # is batch-wide), then the jet, ramp and cutoff of each row block
         # as the reflection hands it over
-        for sl, zs, dstar in symmetric_point_dbar(domain, zl):
-            yield sl, dbar_block(zl[sl], rho[sl], zs, dstar)
+        for sl, z, zs, dstar in symmetric_point_dbar(domain, zl):
+            yield sl, dbar_block(z, np.asarray(domain.rho(z)), zs, dstar)
+            del z, zs, dstar    # freed before the next block is projected
 
     dbar_eval, dbar_blocks = _on_collar(domain, dbar_core, eps,
                                         shape=(domain.n,))
@@ -241,10 +254,12 @@ def extend_by_global(domain, p_seq: Sequence, eps=None):
             + (f0 * chi_out.deriv(rl))[:, None] * g
 
     f_eval = _on_collar(
-        domain, _per_block(lambda z, rho: blend(z, rho)[0] * chi_out(rho)),
+        domain, _per_block(domain,
+                           lambda z, rho: blend(z, rho)[0] * chi_out(rho)),
         eps)[0]
-    dbar_eval, dbar_blocks = _on_collar(domain, _per_block(dbar_core), eps,
-                                        shape=(domain.n,), floor=0.0)
+    dbar_eval, dbar_blocks = _on_collar(
+        domain, _per_block(domain, dbar_core), eps, shape=(domain.n,),
+        floor=0.0)
     return Continuation(f_eval=f_eval, dbar_eval=dbar_eval,
                         dbar_blocks=dbar_blocks, support_height=eps,
                         domain=domain)
@@ -258,22 +273,25 @@ def shell_defect(cont, shell: ShellGrid):
     """Stream of the shell's nodes, gradients and dbar-defect weights.
 
     Yields ``(pts, g, dw)`` for the consecutive row blocks of
-    ``cont.dbar_blocks`` over the flattened shell, every node in order: the
-    block's nodes, their gradients (``domain.grad``, elementwise, so bit
-    for bit the ones the shell was built with) and the density of dbar f ^
-    (Leray form) times d(mu) (:func:`hsconvex.exterior.volume_density`).
-    On a symmetry continuation a block is projected, reflected and paired
+    ``cont.dbar_blocks`` over the shell's rows, every node in order: the
+    block's nodes (read again from the shell, bit for bit the ones the
+    continuation saw), their gradients (``domain.grad``, elementwise, so
+    bit for bit the ones the shell was built with) and the density of dbar
+    f ^ (Leray form) times d(mu) (:func:`hsconvex.exterior.volume_density`).
+    The shell is a row source, so no whole-collar node array is formed.  On
+    a symmetry continuation a block is projected, reflected and paired
     before the next one is projected, so no whole-collar dbar field,
     gradient or weight array is ever alive.  Each weight depends on its own
     row alone.
     """
     d = cont.domain
-    pts = shell.nodes.reshape(-1, d.n)
-    w_mu = shell.w_mu.reshape(-1)
-    for sl, dbar in cont.dbar_blocks(pts):
-        x = pts[sl]
+    for sl, dbar in cont.dbar_blocks(shell):
+        x, w_mu = shell.rows(sl)
         g = np.asarray(d.grad(x))
-        yield x, g, volume_density(dbar, g, d.hess_mixed(x)) * w_mu[sl]
+        dw = volume_density(dbar, g, d.hess_mixed(x)) * w_mu
+        del dbar, w_mu
+        yield x, g, dw
+        del x, g, dw    # freed before the next block is projected
 
 
 def pac_reconstruct(cont, shell: ShellGrid, z):
@@ -285,8 +303,9 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
 
     Streamed end to end: each block of :func:`shell_defect` is contracted
     with the kernel, -sum dw den^(-n), as it comes (on a symmetry
-    continuation, before the next block is projected), so the (B, m)
-    kernel temporaries of only one block are alive at once.
+    continuation, before the next block is projected), and the block's
+    (B, m) kernel temporaries are freed before the next block is asked
+    for, so those of only one block are alive at once.
     The rows are added one after another into a running total, which
     enters each block's accumulate along axis 0 as its first row.  That is
     the order numpy's axis-0 sum takes for m >= 2 points, so the value does
@@ -303,13 +322,20 @@ def pac_reconstruct(cont, shell: ShellGrid, z):
         # differ, so a one-row block takes its products from two rows, the
         # previous block's last row included
         two = g if len(g) > 1 or prev is None else np.concatenate([prev, g])
-        den = pairing(g, pts)[:, None] - (two @ zz.T)[-len(g):]
-        prev = g[-1:]
-        # the ufunc, not the operator: numpy may multiply a large temporary
-        # operand in place with the operands swapped, and for one point the
-        # order decides the last bits, so the block size would too
-        terms = np.multiply(dw[:, None], den ** (-cont.domain.n))
-        total = np.cumsum(np.concatenate([total[None], terms]), axis=0)[-1]
+        prev = g[-1:].copy()
+        # the difference and the power written into the product's buffer;
+        # the weights multiply into a new array through the ufunc, not the
+        # operator: numpy may multiply a large temporary operand in place
+        # with the operands swapped, and for one point the order decides
+        # the last bits, so the block size would too
+        den = (two @ zz.T)[-len(g):]
+        np.subtract(pairing(g, pts)[:, None], den, out=den)
+        np.power(den, -cont.domain.n, out=den)
+        acc = np.concatenate([total[None], np.multiply(dw[:, None], den)])
+        # a copy: the last row as a view would keep the whole (B + 1, m)
+        # accumulate alive through the next block
+        total = np.cumsum(acc, axis=0, out=acc)[-1].copy()
+        del pts, g, dw, two, den, acc
     vals = -total
     return vals[0] if single else vals
 

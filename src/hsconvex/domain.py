@@ -14,6 +14,7 @@ arrays of shape ``(..., n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "radial_level",
     "random_shell_points",
     "row_blocks",
+    "point_rows",
     "pairing",
     "real_dot",
     "sum_last",
@@ -337,21 +339,25 @@ def real_gradient(domain, z):
 def radial_level(domain, dirs, t, max_iter=60):
     """Radii r(theta) with rho(r * theta) = t for unit directions theta.
 
-    ``dirs`` is an array of directions (..., n), or a mesh
-    (:class:`hsconvex.sphere.AngularMesh`) whose rows are read one block at
-    a time.  Newton in r from r = 1; the catalog domains are strongly
-    convex with the origin interior, so rho is strictly increasing in r
-    near the shell.
+    ``dirs`` is an array of directions (..., n), or a row source (an
+    :class:`hsconvex.sphere.AngularMesh`, or the unit directions of a batch
+    that :func:`_project_certified` forms one block at a time) whose rows
+    are read one block at a time.  Newton in r from r = 1; the catalog
+    domains are strongly convex with the origin interior, so rho is
+    strictly increasing in r near the shell.
 
-    Rows go in blocks (:func:`row_blocks`): a first pass evaluates rho
-    block by block, then each Newton step reads a block's directions once,
-    steps its radii and evaluates rho at them, so the directions, points
-    and gradients of only one block are alive at once.  The stop test stays
-    batch-wide (every row within 1e-13), so the iteration count, and with
-    it each row's result, is the one whole-batch call's whatever the block
-    size.  The final residual check reads the last rho pass, which is the
-    returned radii's, and :class:`ProjectionError` carries its maximum over
-    the batch.
+    The stop test is batch-wide: every row takes the Newton steps of the
+    first iteration at which every row is within 1e-13 (at most
+    ``max_iter``), so each row's result is the one whole-batch call's
+    whatever the block size.  The rows go in blocks (:func:`row_blocks`),
+    and each block advances on its own, reading its directions once per
+    visit: to the step count the batch has reached so far, and then on
+    until its own rows are within the tolerance.  A block that goes past
+    that count raises it, and the blocks behind it are visited again,
+    starting from a fresh rho pass, until every block stands at one count.
+    Only the radii are whole-batch arrays.  The final residual check reads
+    each block's last rho pass, which is the returned radii's, and
+    :class:`ProjectionError` carries its maximum over the batch.
     """
     if hasattr(dirs, "rows"):
         shape, dirs_of = (dirs.size,), lambda sl: dirs.rows(sl)[0]
@@ -362,24 +368,29 @@ def radial_level(domain, dirs, t, max_iter=60):
     r = np.full(int(np.prod(shape)), 1.0, dtype=float)
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
     blocks = row_blocks(r.size)
-    val = np.empty_like(r)
-
-    def residual(sl, d):
-        val[sl] = np.asarray(domain.rho(r[sl, None] * d)) - t_arr[sl]
-
-    for sl in blocks:
-        residual(sl, dirs_of(sl))
-    for _ in range(max_iter):
-        if np.all(np.abs(val) < 1e-13):
-            break
-        for sl in blocks:
+    at = [None] * len(blocks)       # steps each block has taken
+    worst = [0.0] * len(blocks)     # its largest |residual| there
+    steps, moved = 0, True
+    while moved:
+        moved = False
+        for b, sl in enumerate(blocks):
+            if at[b] == steps:
+                continue
             d = dirs_of(sl)
-            g = np.asarray(domain.grad(r[sl, None] * d))
-            slope = 2.0 * np.real(pairing(g, d))
-            slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
-            r[sl] -= np.clip(val[sl] / slope, -0.2, 0.2)
-            residual(sl, d)
-    worst = np.abs(val).max(initial=0.0)
+            val = np.asarray(domain.rho(r[sl, None] * d)) - t_arr[sl]
+            done = at[b] or 0
+            while done < steps or (done < max_iter
+                                   and not np.all(np.abs(val) < 1e-13)):
+                g = np.asarray(domain.grad(r[sl, None] * d))
+                slope = 2.0 * np.real(pairing(g, d))
+                slope = np.where(np.abs(slope) < 1e-14, 1e-14, slope)
+                r[sl] -= np.clip(val / slope, -0.2, 0.2)
+                val = np.asarray(domain.rho(r[sl, None] * d)) - t_arr[sl]
+                done += 1
+            at[b], worst[b] = done, np.abs(val).max()
+            moved |= done > steps
+            steps = done
+    worst = np.max(worst, initial=0.0)
     if not worst < 1e-10:
         raise ProjectionError("radial level solve failed",
                               residual=float(worst))
@@ -435,6 +446,20 @@ def row_blocks(m, rows=None):
     return [slice(s, min(s + rows, m)) for s in range(0, m, rows)]
 
 
+def point_rows(z):
+    """Row count and block reader of a batch of points.
+
+    ``z`` is an array (M, n) or a row source: an object with ``size`` rows
+    whose ``rows(sl)[0]`` are the points of slice ``sl``, such as the
+    nodes of a :class:`hsconvex.forms.ShellGrid`.  An array's blocks are
+    views.
+    """
+    if hasattr(z, "rows"):
+        return z.size, lambda sl: z.rows(sl)[0]
+    z = np.asarray(z, dtype=complex)
+    return z.shape[0], z.__getitem__
+
+
 def project_boundary(domain, z):
     """Nearest points on the boundary rho = 0 of a batch z, shape (M, n).
 
@@ -449,7 +474,7 @@ def project_boundary(domain, z):
     """
     pts = np.asarray(z, dtype=complex)
     xi = np.empty_like(pts)
-    for sl, xi_block, _ in _project_certified(domain, pts):
+    for sl, _, xi_block, _ in _project_certified(domain, pts):
         xi[sl] = xi_block
     return xi
 
@@ -457,35 +482,50 @@ def project_boundary(domain, z):
 def _project_certified(domain, z):
     """Nearest points of a batch z, certified one row block at a time.
 
-    Yields ``(sl, xi, kkt)`` for the consecutive blocks ``sl`` of
-    ``_PROJECT_ROWS`` rows: the block's nearest points and their certified
-    KKT matrices, so no more than one block's matrices are alive at once.
-    The first block that fails raises, before later blocks are projected.
+    ``z`` is an array (M, n) or a row source (:func:`point_rows`).  Yields
+    ``(sl, pts, xi, kkt)`` for the consecutive blocks ``sl`` of
+    ``_PROJECT_ROWS`` rows: the block's points, their nearest points and
+    their certified KKT matrices, so no more than one block's points and
+    matrices are alive at once.  The first block that fails raises, before
+    later blocks are projected.
 
-    The radial Newton start is one whole-batch :func:`radial_level` call,
-    since its stop test is batch-wide and per-block calls would move the
-    start's last bits.  Only its radii outlive it: each block rebuilds its
-    unit directions, row for row as the whole batch had them.  Before that
-    call, the first row of the batch with no radial direction (zero or
-    non-finite) raises, so the radial solve only sees unit directions; a
-    failed radial solve then raises before any block is projected.  On the
-    ball every unit direction meets the solve's stop test at r = 1, so no
-    row takes a radial step and each row's result is its own, whatever the
-    batch; on the collar Newton then stops at the start z/|z| too.
+    The radial Newton start is one :func:`radial_level` call on the unit
+    directions of the batch, read as a row source, since its stop test is
+    batch-wide and per-block calls would move the start's last bits.  Only
+    its radii are whole-batch; each block rebuilds its unit directions, row
+    for row as the radial solve read them.  Before that call, a pass over
+    the blocks raises at the first row of the batch with no radial
+    direction (zero or non-finite), so the radial solve only sees unit
+    directions; a failed radial solve then raises before any block is
+    projected.  On the ball every unit direction meets the solve's stop
+    test at r = 1, so no row takes a radial step and each row's result is
+    its own, whatever the batch; on the collar Newton then stops at the
+    start z/|z| too.
     """
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim != 2:
+    if not hasattr(z, "rows") and np.ndim(z) != 2:
         raise ValueError("project_boundary takes a batch of points (M, n)")
-    blocks = row_blocks(pts.shape[0], _PROJECT_ROWS)
-    dirs = np.empty_like(pts)
+    m, read = point_rows(z)
+    blocks = row_blocks(m, _PROJECT_ROWS)
+    if len(blocks) > 1:
+        # glibc lifts its mmap threshold to the size of a freed mmapped
+        # buffer, and its heap trim threshold to twice that.  One such
+        # buffer of 1024 bytes a row, allocated and freed untouched, lifts
+        # both past a block's temporaries (about 900 bytes a row), so each
+        # block reuses the heap pages of the one before instead of handing
+        # them back to the system and faulting them in again
+        np.empty(1024 * _PROJECT_ROWS, dtype=np.uint8)
+    for sl in row_blocks(m):
+        _unit_rows(read(sl))
+    # the batch's unit directions as a row source, formed block by block;
+    # its shape is the batch's, as a mesh's is
+    radii = radial_level(domain, SimpleNamespace(
+        size=m, shape=(m, domain.n),
+        rows=lambda sl: (_unit_rows(read(sl)),)), 0.0)
     for sl in blocks:
-        dirs[sl] = _unit_rows(pts[sl])
-    radii = radial_level(domain, dirs, 0.0)
-    del dirs    # freed before the blocks run
-    for sl in blocks:
-        xi = _project_newton(domain, pts[sl],
-                             radii[sl, None] * _unit_rows(pts[sl]))
-        yield sl, xi, _bordered_kkt(domain, pts[sl], xi)
+        pts = read(sl)
+        xi = _project_newton(domain, pts, radii[sl, None] * _unit_rows(pts))
+        yield sl, pts, xi, _bordered_kkt(domain, pts, xi)
+        del pts, xi     # freed before the next block is projected
 
 
 def _unit_rows(pts):
@@ -595,10 +635,13 @@ def symmetric_point(domain, z):
 def _kkt_matrix(g, lam, hess):
     """Bordered matrices [[I + lam H, g], [g^T, 0]] from real g, lam and H."""
     m, d = g.shape
-    kkt = np.zeros((m, d + 1, d + 1))
-    kkt[:, :d, :d] = np.eye(d) + lam[:, None, None] * hess
+    # every entry written once: no zero fill, and the sum I + lam H goes
+    # straight into its block
+    kkt = np.empty((m, d + 1, d + 1))
+    np.add(np.eye(d), lam[:, None, None] * hess, out=kkt[:, :d, :d])
     kkt[:, :d, d] = g
     kkt[:, d, :d] = g
+    kkt[:, d, d] = 0.0
     return kkt
 
 
@@ -672,20 +715,23 @@ def symmetric_point_dbar(domain, z):
     2 xi - z and z is holomorphic, d(z*_k)/d(zbar_j) = dxi_k/dx_j +
     i dxi_k/dy_j.  Points past the reach raise :class:`ProjectionError`.
 
-    Yields ``(sl, z*, D)`` for the row blocks ``sl`` of
+    ``z`` is an array (M, n) or a row source (:func:`point_rows`).  Yields
+    ``(sl, pts, z*, D)`` for the row blocks ``sl`` of
     :func:`_project_certified`: each block is solved with the matrices its
-    projection certified, and its z* (B, n) and ``D[m, j, k] =
+    projection certified, and its points, z* (B, n) and ``D[m, j, k] =
     d(z*_k)/d(zbar_j)`` (B, n, n) are handed on before the next block is
     projected, so a caller that consumes a block at a time keeps no
     whole-batch output.  The radial Newton start is still one whole-batch
     call (its stop test is batch-wide), so a row's values do not depend on
     the block size.
     """
-    pts = np.atleast_2d(np.asarray(z, dtype=complex))
-    for sl, xi, kkt in _project_certified(domain, pts):
+    if not hasattr(z, "rows"):
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+    for sl, pts, xi, kkt in _project_certified(domain, z):
         dbar = _reflection_dbar(kkt)
         del kkt     # freed before the next block is projected
-        yield sl, 2.0 * xi - pts[sl], dbar
+        yield sl, pts, 2.0 * xi - pts, dbar
+        del pts, xi, dbar
 
 
 def _reflection_dbar(kkt):

@@ -340,15 +340,18 @@ class KernelApproximant:
         return {k: v.cert for k, v in self.cache.items()}
 
 
-def build_Kglob(domain, k, r=2.0, pinned=False):
+def build_Kglob(domain, k, r=2.0, pinned=False, R=None):
     """Kernel approximant of degree k with rate parameter r.
 
-    The lunes have the radius of :func:`lune_radius`.  ``pinned`` pins half
-    the Taylor orders of each fit (the pipeline projectors' choice); the
-    default fits freely.
+    The lunes have the radius R of :func:`lune_radius`, which depends on
+    the domain alone: a caller that builds several approximants of one
+    domain computes it once and passes it, and ``R=None`` computes it here.
+    ``pinned`` pins half the Taylor orders of each fit (the pipeline
+    projectors' choice); the default fits freely.
     """
+    R = lune_radius(domain) if R is None else R
     return KernelApproximant(domain=domain, k=int(k), r=float(r),
-                             R=float(lune_radius(domain)), pinned=pinned)
+                             R=float(R), pinned=pinned)
 
 
 def validate_Kglob(domain, kglob, n_xi=300, n_z=40, seed=11, exact=None):

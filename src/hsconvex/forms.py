@@ -18,9 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import pairing
+from .domain import pairing, radial_level
 from .homtype import BoundaryGrid
-from .sphere import angular_mesh, gauss_legendre_segments, surface_nodes
+from .sphere import (AngularMesh, angular_mesh, gauss_legendre_segments,
+                     surface_rows)
 
 __all__ = [
     "HoloFunction",
@@ -138,34 +139,67 @@ def clf_reproduce(grid: BoundaryGrid, f, z):
 
 @dataclass(frozen=True)
 class ShellGrid:
-    """Quadrature of the collar 0 < rho <= eps.
+    """Quadrature of the collar 0 < rho <= eps, read by row block.
 
     Levels are grouped in dyadic bands [eps 2^-m, eps 2^-(m-1)] with
     Gauss-Legendre nodes inside each band; every level reuses one angular
     mesh, so nodes correspond across levels.  ``w_mu`` are Lebesgue volume
     weights from the coarea factorization d(mu) = d(sigma_t) dt / |grad rho|.
-    The grid holds no gradients: ``domain.grad`` is elementwise, so a
-    consumer recomputes a row block's gradients bit for bit as the grid was
-    built with them (see :func:`hsconvex.continuation.shell_defect`).
+
+    The grid keeps its mesh's tables, each level's radii and each level's
+    weights, but no nodes: row i N + j (level i, mesh row j; N mesh rows)
+    has the node radii[i, j] * theta_j, and :meth:`rows` forms a block's
+    nodes with that one elementwise product, the one the level's surface
+    pass (:func:`hsconvex.sphere.surface_rows`) forms, so each node has its
+    bits whatever block it is read in.  Nor does it hold gradients:
+    ``domain.grad`` is elementwise, so a consumer recomputes a row block's
+    gradients bit for bit as the grid was built with them (see
+    :func:`hsconvex.continuation.shell_defect`).
     """
 
     levels: np.ndarray     # (L,)
-    nodes: np.ndarray      # (L, N, n)
+    mesh: AngularMesh      # the directions theta_j every level reuses
+    radii: np.ndarray      # (L, N)
     w_mu: np.ndarray       # (L, N)
 
     @property
     def size(self):
-        return self.levels.size * self.nodes.shape[1]
+        return self.radii.size
+
+    @property
+    def nbytes(self):
+        """Bytes of the tables the grid keeps: mesh, levels, radii, weights."""
+        return sum(a.nbytes for a in (self.mesh.z1, self.mesh.z2, self.mesh.w,
+                                      self.levels, self.radii, self.w_mu))
 
     @property
     def volume(self):
         """Test oracle for the w_mu weights: the collar's Lebesgue volume."""
         return float(self.w_mu.sum())
 
+    def rows(self, sl):
+        """Nodes (B, 2) and volume weights (B,) of the rows in slice ``sl``."""
+        n_mesh = self.mesh.size
+        nodes = np.empty((sl.stop - sl.start, 2), dtype=complex)
+        w_mu = np.empty(nodes.shape[0])
+        for i in range(sl.start // n_mesh, -(-sl.stop // n_mesh)):
+            # the block's rows on level i, as mesh rows and as block rows
+            lo, hi = max(sl.start, i * n_mesh), min(sl.stop, (i + 1) * n_mesh)
+            mesh_rows = slice(lo - i * n_mesh, hi - i * n_mesh)
+            out = slice(lo - sl.start, hi - sl.start)
+            nodes[out] = self.radii[i, mesh_rows, None] * \
+                self.mesh.rows(mesh_rows)[0]
+            w_mu[out] = self.w_mu[i, mesh_rows]
+        return nodes, w_mu
+
 
 def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
                      nodes_per_band=3):
-    """Shell grid on 0 < rho <= eps (eps defaults to the validated width)."""
+    """Shell grid on 0 < rho <= eps (eps defaults to the validated width).
+
+    Each level's radii come from one :func:`radial_level` call on the mesh;
+    its nodes and gradients live only while its weights are formed.
+    """
     eps = domain.eps_shell if eps is None else float(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -175,12 +209,13 @@ def build_shell_grid(domain, eps=None, resolution=4000, n_bands=10,
          for m in range(1, n_bands + 1)], nodes_per_band)
     levels, weights = levels[::-1].copy(), weights[::-1].copy()
 
-    # each level is written into its slot as it comes, so no second copy
-    # of the whole grid is alive at once; a level's gradients live only
-    # while its weights are formed
-    nodes = np.empty((levels.size, mesh.size, domain.n), dtype=complex)
-    w_mu = np.empty(nodes.shape[:2])
+    radii = np.empty((levels.size, mesh.size))
+    w_mu = np.empty_like(radii)
+    nodes = np.empty(mesh.shape, dtype=complex)
+    grad = np.empty_like(nodes)
     for i, (t, wt) in enumerate(zip(levels, weights)):
-        nodes[i], w_sigma, grad = surface_nodes(domain, mesh, t)
+        radii[i] = radial_level(domain, mesh, t)
+        w_sigma = surface_rows(domain, mesh, radii[i], slice(0, mesh.size),
+                               nodes, grad)
         w_mu[i] = wt * w_sigma / (2.0 * np.linalg.norm(grad, axis=-1))
-    return ShellGrid(levels=levels, nodes=nodes, w_mu=w_mu)
+    return ShellGrid(levels=levels, mesh=mesh, radii=radii, w_mu=w_mu)

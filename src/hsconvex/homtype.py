@@ -29,11 +29,16 @@ __all__ = [
     "qm_exterior_check",
     "maximal_function",
     "maximal_function_brute",
+    "percentile",
+    "median",
 ]
 
-# sample rows per block of the diameter's distance matrix: a block is
-# _DIAMETER_ROWS x N complex values, not the whole 256 x N
+# the diameter's distance matrix goes in blocks of sample rows, not the
+# whole 256 x N: at most _DIAMETER_ROWS rows, and no more than
+# _DIAMETER_VALUES complex values (2 MiB) a block, so the block keeps its
+# 32 rows up to 4096 nodes and takes fewer on larger grids
 _DIAMETER_ROWS = 32
+_DIAMETER_VALUES = 32 * 4096
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,15 @@ class BoundaryGrid:
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.size, size=min(256, self.size), replace=False)
         # one product buffer and one modulus buffer serve every block:
-        # the same matmul, subtraction and modulus, written in place
-        prod = np.empty((_DIAMETER_ROWS, self.size), dtype=complex)
+        # the same matmul, subtraction and modulus, written in place.  A
+        # budget-sized block takes an even row count, so no block's product
+        # is a lone row, which the BLAS multiplies on another kernel
+        rows = min(_DIAMETER_ROWS,
+                   max(2, _DIAMETER_VALUES // self.size // 2 * 2))
+        prod = np.empty((rows, self.size), dtype=complex)
         mod = np.empty(prod.shape)
         peaks = []
-        for sl in row_blocks(idx.size, _DIAMETER_ROWS):
+        for sl in row_blocks(idx.size, rows):
             rows = idx[sl]
             d = np.matmul(self.grad[rows], self.nodes.T, out=prod[:rows.size])
             np.subtract(self.pair_self[rows, None], d, out=d)
@@ -191,10 +200,53 @@ def check_homogeneous(grid, seed=0):
     }
 
 
+def _order_stats(a, ranks):
+    """Sorted values of a 1-D float array at ``ranks``, NaN if a has one.
+
+    ``np.partition`` puts every listed rank in its sorted place and NaNs
+    last; ``np.percentile`` and ``np.median`` import ``numpy.ma``, which
+    costs a command 10-17 ms and about 1 MB, so the kit avoids them.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    part = np.partition(a, sorted({r % a.size for r in ranks} | {-1 % a.size}))
+    if np.isnan(part[-1]):
+        return [np.nan] * len(ranks)
+    return [part[r] for r in ranks]
+
+
+def percentile(a, q):
+    """``np.percentile(a, q)`` of a non-empty 1-D float array, bit for bit.
+
+    numpy's default 'linear' method: the virtual index (N - 1) q / 100
+    falls between two order statistics, which numpy's lerp blends by its
+    fractional part (from the top one when the fraction is at least 1/2);
+    past the last rank both are the largest value.
+    """
+    n = np.size(a)
+    v = (n - 1) * (q / 100.0)
+    lo = -1 if v >= n - 1 else int(np.floor(v))
+    t = v - lo
+    a, b = _order_stats(a, [lo, -1 if lo == -1 else lo + 1])
+    d = b - a
+    return float(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+
+
+def median(a):
+    """``np.median(a)`` of a non-empty 1-D float array, bit for bit.
+
+    The mean of the middle order statistic or of the middle two, summed as
+    numpy sums, from +0.0.
+    """
+    n = np.size(a)
+    mid = _order_stats(a, [(n - 1) // 2, n // 2])
+    return float(((0.0 + mid[0]) + mid[1]) / 2.0 if n % 2 == 0
+                 else (0.0 + mid[0]) / 1.0)
+
+
 def _percentile_range(r):
     return {
-        "lo": float(np.percentile(r, 0.5)),
-        "hi": float(np.percentile(r, 99.5)),
+        "lo": percentile(r, 0.5),
+        "hi": percentile(r, 99.5),
         "min": float(r.min()),
         "max": float(r.max()),
         "n": int(r.size),

@@ -29,10 +29,10 @@ import numpy as np
 
 from .continuation import dbar_region_mass, shell_defect
 from .domain import pairing, radial_level, row_blocks
-from .dzyadyk import build_Kglob
+from .dzyadyk import build_Kglob, lune_radius
 from .exterior import grid_leray_density
 from .forms import ShellGrid, multi_indices
-from .homtype import BoundaryGrid, maximal_function
+from .homtype import BoundaryGrid, maximal_function, median, percentile
 from .sphere import angular_mesh, graded_angular_mesh, surface_rows
 from . import koranyi
 
@@ -312,7 +312,7 @@ def _reduced_mesh(domain, k):
         deg_hint=domain.n * int(np.ceil(2 ** k / domain.n)))
 
 
-def project_direct_reduced(domain, f, k, r):
+def project_direct_reduced(domain, f, k, r, R=None):
     """Degree-2^k polynomial from an offset surface on a pole-graded mesh.
 
     The catalog domains are invariant under rotating the second coordinate's
@@ -330,13 +330,15 @@ def project_direct_reduced(domain, f, k, r):
     The surface is streamed (:func:`_reduced_weights`): of the 154,224-node
     mesh at k = 5 only the radii, the weights and the phi_2 = 0 column's
     pairings and gradients outlive their row block; the mesh itself is its
-    axis tables.
+    axis tables.  ``R`` is the kernel's lune radius
+    (:func:`hsconvex.dzyadyk.build_Kglob`).
     """
     t_off = 2.0 ** (-k) * domain.eps_shell
     n_phi2 = _REDUCED_PHI2
-    # the kernel's lune radius comes from a dense sample matrix: built
-    # before the surface pass, it is not alive next to the weights
-    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
+    # the kernel is fitted before the surface pass, so its fit (and a lune
+    # radius computed here, from a dense sample matrix) is not alive next
+    # to the weights
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True, R=R)
     w, pair_col, grad_col = _reduced_weights(domain, f, t_off,
                                              _reduced_mesh(domain, k))
     # in place: the same transform, without a second array of the weights
@@ -399,7 +401,7 @@ def _direct_weights(domain, f, t_off, mesh):
     return pair, grad, fw
 
 
-def project_direct(domain, f, k, resolution, r=None):
+def project_direct(domain, f, k, resolution, r=None, R=None):
     """Degree-2^k polynomial from boundary values on an offset level surface.
 
     P(z) = integral over rho = t_off of f(xi) K_k(xi, z) dS(xi); requires f
@@ -408,7 +410,8 @@ def project_direct(domain, f, k, resolution, r=None):
     (:func:`angular_mesh`); :func:`diagnose` passes its top level's
     :func:`projection_resolution`.  The surface is streamed
     (:func:`_direct_weights`): only the self-pairings, the gradients and
-    f w_S of its nodes reach the moment assembly.
+    f w_S of its nodes reach the moment assembly.  ``R`` is the kernel's
+    lune radius (:func:`hsconvex.dzyadyk.build_Kglob`).
     """
     eps = domain.eps_shell
     t_off = min(2.0 ** (-k) * eps, eps)
@@ -417,7 +420,7 @@ def project_direct(domain, f, k, resolution, r=None):
             f"{f.label!r} is not holomorphic across the offset surface "
             f"t={t_off:.3g}; lower t_off (validity {f.validity:.3g})")
     r = 2.0 if r is None else float(r)
-    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True)
+    kglob = build_Kglob(domain, 2 ** k, r=r, pinned=True, R=R)
     return _assemble(domain, kglob, *_direct_weights(
         domain, f, t_off, angular_mesh(resolution)))
 
@@ -573,16 +576,19 @@ def diagnose(domain, f, p=2.0, k_range=range(1, 7), l_probe=(1, 2, 3),
     r = 2.0 * max(l_probe) if r is None else float(r)
     method = "direct" if f.validity > 0 else "offset"
     proj_resolution = projection_resolution(2 ** max(k_list))
+    # every level's kernel fits on lunes of the domain's one radius
+    lune = lune_radius(domain)
     polys, levels = {}, []
     for k in k_list:
         t0 = time.perf_counter()
         if method == "direct":
-            polys[k] = project_direct(domain, f, k, proj_resolution, r=r)
+            polys[k] = project_direct(domain, f, k, proj_resolution, r=r,
+                                      R=lune)
         else:
             # boundary-singular corpus entries: offset projection with the
             # slit correction O(t_off^(1+s)) below budget, on pole-graded
             # meshes
-            polys[k] = project_direct_reduced(domain, f, k, r=r)
+            polys[k] = project_direct_reduced(domain, f, k, r=r, R=lune)
         seconds = time.perf_counter() - t0
         mesh = (angular_mesh(proj_resolution) if method == "direct"
                 else _reduced_mesh(domain, k))
@@ -658,10 +664,10 @@ def check_bk_lemma(grid: BoundaryGrid, a_fields, b_fields, center_idx,
     for k in sorted(a_fields):
         ma = maximal_function(grid, a_fields[k], at=center_idx)
         ratios = b_fields[k] / (ma + 1e-12)    # finite where M a_k = 0
-        pct = float(np.percentile(ratios, 99))
+        pct = percentile(ratios, 99)
         floored = bool(a_fields[k].max() <= 1e-10)
         report["per_k"][k] = {"p99": pct, "max": float(ratios.max()),
-                              "median": float(np.median(ratios)),
+                              "median": median(ratios),
                               "floored": floored}
         if b_fields[k].max() > 0 and not floored and k not in exclude_k:
             pcts.append(pct)

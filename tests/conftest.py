@@ -63,3 +63,28 @@ def traced_peak_mib():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(scope="session")
+def whole_shell():
+    """The collar's nodes (L, N, n) and volume weights (L, N), whole.
+
+    The oracle of a shell grid's row blocks: each level's nodes, surface
+    weights and gradients from one :func:`hsconvex.sphere.surface_nodes`
+    call, and its volume weights from them, all held at once.
+    """
+    from hsconvex.sphere import (angular_mesh, gauss_legendre_segments,
+                                 surface_nodes)
+
+    def build(domain, eps, resolution, n_bands, nodes_per_band):
+        mesh = angular_mesh(resolution)
+        levels, weights = gauss_legendre_segments(
+            [(eps * 2.0 ** (-m), eps * 2.0 ** (-m + 1))
+             for m in range(1, n_bands + 1)], nodes_per_band)
+        nodes, w_mu = [], []
+        for t, wt in zip(levels[::-1], weights[::-1]):
+            x, w_sigma, g = surface_nodes(domain, mesh, t)
+            nodes.append(x)
+            w_mu.append(wt * w_sigma / (2.0 * np.linalg.norm(g, axis=-1)))
+        return np.array(nodes), np.array(w_mu)
+    return build

@@ -388,6 +388,25 @@ class TestValidate:
         rep = json.loads((tmp_path / "v" / "report.json").read_text())
         assert rep["passed"] and all(c["passed"] for c in rep["checks"])
 
+    def test_check_events(self, cfg_file, tmp_path):
+        # one event per check, in the report's order, with its seconds and
+        # the node counts of the grids or point sets it read; neither is
+        # in the report
+        out = tmp_path / "v"
+        assert cli.main(["validate", str(cfg_file), "--out", str(out)]) == \
+            cli.EXIT_OK
+        rep = json.loads((out / "report.json").read_text())
+        events = [json.loads(e) for e in _events(out)]
+        assert [(e["check"], e["passed"]) for e in events] == \
+            [(c["check"], c["passed"]) for c in rep["checks"]]
+        assert all(e["seconds"] >= 0 for e in events)
+        assert sum(e["seconds"] for e in events) > 0
+        # a 4000-node product grid, its 864-node quarter, the 10,000-node
+        # random grid, 2000 shell points against 2000 grid nodes
+        assert [e["nodes"] for e in events] == [
+            [], [4000], [4000, 864], [10000], [10000], [2000, 2000], [4000]]
+        assert not any({"seconds", "nodes"} & set(c) for c in rep["checks"])
+
     def test_nonconvex_fails_with_witness(self, tmp_path):
         cfg = tmp_path / "bad_domain.cfg"
         cfg.write_text("[domain]\nname = perturbed_ball\nparams = 1.5\n"
@@ -518,8 +537,13 @@ class TestOtherCommands:
         assert rep["max_rel_err"] <= 1e-2
 
     def test_continuation_phase_event(self, cfg_file, tmp_path, monkeypatch):
-        # the collar's size, its stream blocks and the two phases' seconds
-        # go to the event log only; the block size leaves the report bytes
+        # the collar's size, the bytes of the shell's tables, its stream
+        # blocks and the two phases' seconds go to the event log only; the
+        # block size leaves the report bytes
+        from hsconvex import forms
+
+        shell_bytes = forms.build_shell_grid(dom.ball(), 0.1, 4000, n_bands=8,
+                                             nodes_per_band=2).nbytes
         reports = []
         for rows in (4096, 5000):
             monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
@@ -533,9 +557,13 @@ class TestOtherCommands:
             assert all(v > 0 for v in timings.values())
             assert event == {
                 "command": "continuation", "shell_nodes": rep["shell_nodes"],
-                "block_rows": rows,
+                "shell_bytes": shell_bytes, "block_rows": rows,
                 "blocks": math.ceil(rep["shell_nodes"] / rows), "step": 1}
-            assert not {"block_rows", "blocks", "shell_s"} & set(rep)
+            # radii and weights, 16 bytes a node, and the mesh tables: no
+            # array of the nodes themselves (16 bytes a coordinate)
+            assert shell_bytes < 17 * rep["shell_nodes"]
+            assert not {"block_rows", "blocks", "shell_s",
+                        "shell_bytes"} & set(rep)
         assert reports[0] == reports[1]
 
     def test_area_homogeneity_and_envelope(self, cfg_file, tmp_path):
@@ -661,17 +689,25 @@ def test_environment_line_records_the_blas_count(tmp_path, cfg_file):
 
 
 def test_diagnose_and_kernel_leave_numpy_ma_unimported(tmp_path, cfg_file):
-    # np.unique imports numpy.ma (np.ma.is_masked); validate still does,
-    # through np.percentile
+    # every command, and the bk comparison's statistics, leave numpy.ma
+    # unimported: np.unique imports it (np.ma.is_masked), and so do
+    # np.percentile and np.median
     import hsconvex
 
     script = """
 import sys
-from hsconvex import cli
+import numpy as np
+from hsconvex import cli, homtype, pipeline
 cfg, out = sys.argv[1:]
-for i, argv in enumerate((["diagnose", cfg, "z1"],
-                          ["diagnose", cfg, "(1-z1)^0.6"], ["kernel", cfg])):
+for i, argv in enumerate((["validate", cfg], ["diagnose", cfg, "z1"],
+                          ["diagnose", cfg, "(1-z1)^0.6"], ["kernel", cfg],
+                          ["continuation", cfg], ["area", cfg])):
     assert cli.main(argv + ["--out", f"{out}/{i}"]) == cli.EXIT_OK
+print("numpy.ma" in sys.modules)
+grid = homtype.build_boundary_grid(cli.RunConfig(cfg).make_domain(), 0.0,
+                                   500, kind="random", seed=1)
+a = {1: np.linspace(0.1, 1.0, grid.size)}
+rep = pipeline.check_bk_lemma(grid, a, {1: np.arange(1.0, 9.0)}, range(8))
 print("numpy.ma" in sys.modules)
 """
     env = dict(os.environ,
@@ -680,7 +716,27 @@ print("numpy.ma" in sys.modules)
                           str(tmp_path)], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("argv", [["diagnose", "z1"],
+                                  ["diagnose", "(1-z1)^0.6"], ["kernel"]])
+def test_lune_radius_once_per_run(cfg_file, tmp_path, monkeypatch, argv):
+    # the kernel fits of every level (diagnose, both projectors) and every
+    # degree (kernel) share the domain's one lune radius
+    from hsconvex import dzyadyk, pipeline
+
+    calls, solve = [], dzyadyk.lune_radius
+
+    def counted(domain):
+        calls.append(domain.name)
+        return solve(domain)
+
+    monkeypatch.setattr(dzyadyk, "lune_radius", counted)
+    monkeypatch.setattr(pipeline, "lune_radius", counted)
+    assert cli.main([argv[0], str(cfg_file), *argv[1:],
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert calls == ["ball"]
 
 
 @pytest.mark.parametrize("lib", [False, True])

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,14 +120,16 @@ class TestSymmetryBeyondBall:
         # one projection and one certified KKT matrix per live collar node
         shell = forms.build_shell_grid(ellipsoid, 0.1, 3000, n_bands=8,
                                        nodes_per_band=2)
-        live = int(np.sum(ellipsoid.rho(shell.nodes) < 0.1))
+        live = int(np.sum(ellipsoid.rho(shell.rows(slice(0, shell.size))[0])
+                          < 0.1))
         rows = {"_project_certified": [], "_bordered_kkt": []}
 
         def counting(name):
             orig = getattr(dom, name)
 
             def wrapper(domain, z, *args, **kwargs):
-                rows[name].append(np.atleast_2d(z).shape[0])
+                # the projection reads the shell itself, a row source
+                rows[name].append(dom.point_rows(z)[0])
                 return orig(domain, z, *args, **kwargs)
             return wrapper
 
@@ -238,17 +246,18 @@ class TestBlockedCollar:
 _STREAM_ROWS = ((4096, 8192), (1, 1), (647, 647), (7, 5), (5, 7))
 
 
-def _whole_collar(cont, shell, zs):
+def _whole_collar(cont, nodes, w_mu, zs):
     """Weights and reconstruction from whole-collar arrays: the reference.
 
-    The gradients, the dbar field and the weights are held for every node at
+    The nodes and volume weights come whole from the shell's oracle; the
+    gradients, the dbar field and the weights are held for every node at
     once, and the kernel contraction is one axis-0 sum.
     """
     d = cont.domain
-    pts = shell.nodes.reshape(-1, 2)
+    pts = nodes.reshape(-1, 2)
     g = d.grad(pts)
     dw = exterior.volume_density(cont.dbar_eval(pts), g, d.hess_mixed(pts)) \
-        * shell.w_mu.reshape(-1)
+        * w_mu.reshape(-1)
     den = dom.pairing(g, pts)[:, None] - g @ zs.T
     return dw, -np.sum(np.multiply(dw[:, None], den ** (-d.n)), axis=0)
 
@@ -261,7 +270,8 @@ class TestStreamedCollar:
     @pytest.mark.parametrize("name,kind", [
         ("ball", "global"), ("ball", "symmetry"), ("ellipsoid", "symmetry"),
         ("perturbed_ball", "symmetry")])
-    def test_equals_whole_collar(self, name, kind, rows, monkeypatch):
+    def test_equals_whole_collar(self, name, kind, rows, monkeypatch,
+                                 whole_shell):
         if kind == "global":
             cont = _oracle_continuation(name)
         else:
@@ -273,7 +283,8 @@ class TestStreamedCollar:
         zs = _criterion_6_points()
         monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
         monkeypatch.setattr(dom, "_PROJECT_ROWS", 10 ** 9)
-        want_dw, want = _whole_collar(cont, shell, zs)
+        nodes, w_mu = whole_shell(cont.domain, 0.1, 80, 3, 2)
+        want_dw, want = _whole_collar(cont, nodes, w_mu, zs)
         monkeypatch.setattr(dom, "_PROJECT_ROWS", rows[0])
         monkeypatch.setattr(dom, "_ROW_BLOCK", rows[1])
         blocks = list(cn.shell_defect(cont, shell))
@@ -281,17 +292,109 @@ class TestStreamedCollar:
         assert sum(sizes) == 648
         assert sizes[0] == min(648, rows[kind == "global"])
         pts, g, dw = (np.concatenate(a) for a in zip(*blocks))
-        assert np.array_equal(pts, shell.nodes.reshape(-1, 2))
+        assert np.array_equal(pts, nodes.reshape(-1, 2))
         assert np.array_equal(g, cont.domain.grad(pts))
         assert np.array_equal(dw, want_dw)
         assert np.array_equal(cn.pac_reconstruct(cont, shell, zs), want)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("rows", [1, 7, 647, None])
+    def test_radial_start_equals_one_call(self, name, rows, monkeypatch,
+                                          whole_shell):
+        # the projection's radial start reads the shell's unit directions
+        # block by block; its radii against one radial_level call on the
+        # whole collar's unit directions, in one block.  Blocks of 1, 7 and
+        # 647 rows on 6 levels of 108 nodes, the default blocks on 24
+        # levels of 1,372 nodes
+        d = dom.from_catalog(name)
+        cont = cn.extend_by_symmetry(d, corpus.monomial((2, 1)), m=3,
+                                     eps=0.1)
+        res = (80, 3, 2) if rows else (1200, 8, 3)
+        shell = forms.build_shell_grid(d, 0.1, res[0], n_bands=res[1],
+                                       nodes_per_band=res[2])
+        nodes = whole_shell(d, 0.1, *res)[0].reshape(-1, 2)
+        solve, starts, shapes = dom.radial_level, [], []
+
+        def spy(*args, **kwargs):
+            # the row source reports the batch's shape, as a mesh does
+            shapes.append(np.shape(args[1]))
+            starts.append(solve(*args, **kwargs))
+            return starts[-1]
+
+        monkeypatch.setattr(dom, "radial_level", spy)
+        if rows:
+            monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
+            monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
+        blocks = sum(1 for _ in cn.shell_defect(cont, shell))
+        assert blocks == len(dom.row_blocks(shell.size, dom._PROJECT_ROWS))
+        assert blocks >= 2
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
+        want = solve(d, nodes / np.linalg.norm(nodes, axis=-1,
+                                               keepdims=True), 0.0)
+        assert len(starts) == 1
+        assert shapes == [(shell.size, 2)]
+        assert np.array_equal(starts[0], want)
+
+    def test_shell_and_verify_pac_peak_memory(self, ellipsoid,
+                                              traced_peak_mib):
+        # the collar workload's ellipsoid job from the shell build on:
+        # 13.4 MiB with the shell's nodes resident and the whole-collar
+        # live test and radial-start directions; 6.8 MiB with the shell a
+        # row source, whose tables, radii and weights take 2.0 MiB
+        f = corpus.monomial((2, 1))
+        cont = cn.extend_by_symmetry(ellipsoid, f, m=3, eps=0.1)
+        zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8,
+                                              2)
+        rep = {}
+
+        def run():
+            shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
+                                           nodes_per_band=3)
+            rep.update(cn.verify_pac(cont, shell, zs, f))
+
+        peak = traced_peak_mib(run)
+        assert rep["n_nodes"] == 127776
+        assert rep["max_rel_err"] <= 1e-2
+        assert peak <= 8.0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap and trim thresholds")
+    def test_blocks_reuse_heap_pages(self):
+        # verify_pac on the collar workload's ellipsoid collar, in a fresh
+        # process: about 4,200 minor page faults with the allocator's
+        # thresholds lifted before the blocks, 71,000 when each block's
+        # temporaries went back to the system and were faulted in again
+        import hsconvex
+
+        script = """
+import resource
+import numpy as np
+from hsconvex import continuation as cn, corpus, domain as dom, forms
+d = dom.from_catalog("ellipsoid")
+f = corpus.monomial((2, 1))
+cont = cn.extend_by_symmetry(d, f, m=3, eps=0.1)
+zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8, 2)
+shell = forms.build_shell_grid(d, 0.1, 6000, n_bands=8, nodes_per_band=3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cn.verify_pac(cont, shell, zs, f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(hsconvex.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) <= 15000
 
     def test_verify_pac_peak_memory(self, ellipsoid, traced_peak_mib):
         # the collar workload's ellipsoid job: 127,776 collar nodes and 8
         # probes.  With a whole-collar dbar field, weight array and shell
         # gradients, and 8192-row projection blocks, the call peaked at
-        # 15.4 MiB above its inputs; streamed in 4096-row blocks it reads
-        # 8.5 MiB, most of it the radial start's whole-collar directions
+        # 15.4 MiB above its inputs; streamed in 4096-row blocks it read
+        # 8.5 MiB, as high in the radial start (the whole-collar unit
+        # directions) as in each Newton block; with the directions read by
+        # block and each block's temporaries freed before the next block
+        # it reads 4.8 MiB, at a Newton block
         shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
                                        nodes_per_band=3)
         assert shell.size == 127776
@@ -390,7 +493,9 @@ class TestVerifyPac:
         cont = cn.Continuation(
             f_eval=lambda z: np.zeros(np.asarray(z).shape[:-1], complex),
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
-            dbar_blocks=lambda z: [(slice(None), np.zeros(z.shape, complex))],
+            # the shell reaches dbar_blocks as a row source
+            dbar_blocks=lambda z: [(slice(0, z.size),
+                                    np.zeros((z.size, 2), complex))],
             support_height=0.1, domain=ball)
         rep = cn.verify_pac(cont, shell, np.zeros((1, 2), complex),
                             lambda z: np.zeros(z.shape[0], complex))

@@ -33,8 +33,8 @@ def _collar_point(domain, v, t):
 def _reflect(domain, z):
     """(z*, D) of symmetric_point_dbar over the whole batch."""
     blocks = list(dom.symmetric_point_dbar(domain, z))
-    return (np.concatenate([zs for _, zs, _ in blocks]),
-            np.concatenate([d for _, _, d in blocks]))
+    return (np.concatenate([zs for _, _, zs, _ in blocks]),
+            np.concatenate([d for *_, d in blocks]))
 
 
 def _fd_reflection(domain, z, h=1e-4):

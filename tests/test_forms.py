@@ -297,34 +297,61 @@ class TestShellGrid:
         assert abs(v[1] - v[0]) / v[1] <= 0.01
 
     @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
-    def test_equals_list_and_stack(self, name):
-        # the levels written into preallocated arrays against the levels
-        # collected in lists and stacked, bit for bit
-        from hsconvex.sphere import (angular_mesh, gauss_legendre_segments,
-                                     surface_nodes)
+    def test_equals_list_and_stack(self, name, whole_shell):
+        # the grid's rows, read as one block, against the levels collected
+        # in lists and stacked, bit for bit
+        from hsconvex.sphere import gauss_legendre_segments
 
         d = dom.from_catalog(name)
         sg = forms.build_shell_grid(d, 0.1, 500, n_bands=3, nodes_per_band=2)
-        mesh = angular_mesh(500)
-        levels, weights = gauss_legendre_segments(
+        nodes, w_mu = whole_shell(d, 0.1, 500, 3, 2)
+        levels = gauss_legendre_segments(
             [(0.1 * 2.0 ** (-m), 0.1 * 2.0 ** (-m + 1)) for m in (1, 2, 3)],
-            2)
-        nodes, w_mu = [], []
-        for t, wt in zip(levels[::-1].copy(), weights[::-1].copy()):
-            x, w_sigma, g = surface_nodes(d, mesh, t)
-            nodes.append(x)
-            w_mu.append(wt * w_sigma / (2.0 * np.linalg.norm(g, axis=-1)))
+            2)[0]
         assert np.array_equal(sg.levels, levels[::-1])
-        assert np.array_equal(sg.nodes, np.array(nodes))
-        assert np.array_equal(sg.w_mu, np.array(w_mu))
+        got_nodes, got_w = sg.rows(slice(0, sg.size))
+        assert np.array_equal(got_nodes, nodes.reshape(-1, 2))
+        assert np.array_equal(got_w, w_mu.reshape(-1))
+        assert np.array_equal(sg.w_mu, w_mu)
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "perturbed_ball"])
+    @pytest.mark.parametrize("block", [1, 7, 647, None])
+    def test_row_blocks_equal_whole_arrays(self, name, block, whole_shell):
+        # blocks of 1, 7 and 647 rows and of the default row block, against
+        # each level's surface_nodes call: on 6 levels of 108 nodes (647
+        # leaves a one-row last block) and on 24 levels of 1,372 nodes,
+        # whose 8192-row blocks start and end inside levels
+        d = dom.from_catalog(name)
+        res = (80, 3, 2) if block in (1, 7) else (1200, 8, 3)
+        sg = forms.build_shell_grid(d, 0.1, res[0], n_bands=res[1],
+                                    nodes_per_band=res[2])
+        nodes, w_mu = whole_shell(d, 0.1, *res)
+        got = [sg.rows(sl) for sl in dom.row_blocks(sg.size, block)]
+        assert len(got) > 2
+        assert np.array_equal(np.concatenate([x for x, _ in got]),
+                              nodes.reshape(-1, 2))
+        assert np.array_equal(np.concatenate([w for _, w in got]),
+                              w_mu.reshape(-1))
+
+    def test_keeps_no_nodes(self, ellipsoid):
+        # the collar workload's ellipsoid shell: its mesh tables, radii and
+        # weights, 2.0 MiB, against 4.9 MiB with the nodes held
+        sg = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
+                                    nodes_per_band=3)
+        assert sg.size == 127776
+        assert sg.nbytes == sum(a.nbytes for a in (
+            sg.mesh.z1, sg.mesh.z2, sg.mesh.w, sg.levels, sg.radii, sg.w_mu))
+        assert sg.nbytes <= 2.1 * 2 ** 20
 
     def test_peak_memory(self, ellipsoid, traced_peak_mib):
-        # the collar workload's ellipsoid shell: an 8.8 MiB result, whose
-        # levels collected in lists and then stacked peaked at 17.9 MiB;
-        # written level by level into the result it reads 11.0 MiB
+        # the collar workload's ellipsoid shell: levels collected in lists
+        # and then stacked peaked at 17.9 MiB; written level by level into
+        # a result that held every node, 11.0 MiB, and 6.6 MiB with the
+        # levels' surface passes in row blocks; with radii in place of the
+        # nodes, a 2.0 MiB result, it reads 3.5 MiB
         peak = traced_peak_mib(lambda: forms.build_shell_grid(
             ellipsoid, 0.1, 6000, n_bands=8, nodes_per_band=3))
-        assert peak <= 12.0
+        assert peak <= 5.0
 
 
 # batch sizes 1, B - 1, B, B + 1 and 2B + 17 around row blocks of B = 8

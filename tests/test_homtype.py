@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsconvex import domain as dom, homtype, koranyi
@@ -67,6 +67,62 @@ class TestHomogeneous:
         rep = homtype.check_homogeneous(ball_grid_mc, seed=3)
         assert abs(rep["fitted_dimension"] - 2.0) <= 0.15
         assert rep["quasi_triangle_constant"] <= 10.0
+
+    def test_peak_memory(self, ellipsoid, traced_peak_mib):
+        # validate's 10,000-node random grid: the diameter's blocks of 32
+        # sample rows set a 7.3 MiB peak (product and modulus buffers);
+        # blocks of 2 MiB of products, 12 rows here, read 2.8 MiB
+        grid = homtype.build_boundary_grid(ellipsoid, 0.0, 10000,
+                                           kind="random", seed=0)
+        rep = {}
+        peak = traced_peak_mib(
+            lambda: rep.update(homtype.check_homogeneous(grid, seed=0)))
+        assert rep["n_centers"] == 50
+        assert peak <= 4.0
+
+
+def _same_float(x, y):
+    """x and y are one float to the bit, or both NaN."""
+    return bool(np.isnan(x) and np.isnan(y)) or \
+        np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# samples of 1 to 3 values drawn from a few (ties, signed zeros), and
+# longer ones of any finite or infinite value
+_SAMPLES = (st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 2.0, 3.25]),
+                     min_size=1, max_size=3)
+            | st.lists(st.floats(allow_nan=False, width=64), min_size=1,
+                       max_size=40))
+
+
+class TestQuantiles:
+    """percentile and median equal numpy's, bit for bit."""
+
+    @given(values=_SAMPLES, q=st.floats(0.0, 100.0)
+           | st.sampled_from([0.0, 0.5, 50.0, 99.0, 99.5, 100.0]))
+    @example(values=[1.0, 2.0], q=50.0)      # the lerp's top branch
+    @example(values=[1.0, np.inf], q=99.5)   # inf - inf
+    @example(values=[1.0, np.nan, 0.0], q=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_percentile_equals_numpy(self, values, q):
+        a = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.percentile(a, q)
+            got = homtype.percentile(a, q)
+        assert isinstance(got, float)
+        assert _same_float(got, want)
+
+    @given(values=_SAMPLES)
+    @example(values=[-0.0, -0.0])
+    @example(values=[2.0, np.nan])
+    @settings(max_examples=300, deadline=None)
+    def test_median_equals_numpy(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.median(a)
+            got = homtype.median(a)
+        assert isinstance(got, float)
+        assert _same_float(got, want)
 
 
 class TestQmExterior:
@@ -203,6 +259,18 @@ class TestDiameter:
             monkeypatch.setattr(homtype, "_DIAMETER_ROWS", m)
             assert blocked == dataclasses.replace(grid).diameter(seed)
             assert blocked == _unblocked_diameter(grid, seed)
+
+    def test_budget_blocks_equal_one_block(self, ellipsoid):
+        # validate's 10,000-node grid takes blocks of 12 sample rows (2 MiB
+        # of products each; 256 = 21 x 12 + 4), the 4,000-node grid keeps
+        # blocks of 32; against the whole 256-row distance matrix
+        for n, rows in ((10000, 12), (4000, 32)):
+            grid = homtype.build_boundary_grid(ellipsoid, 0.0, n,
+                                               kind="random", seed=5)
+            assert min(homtype._DIAMETER_ROWS,
+                       homtype._DIAMETER_VALUES // n // 2 * 2) == rows
+            for seed in (0, 3):
+                assert grid.diameter(seed) == _unblocked_diameter(grid, seed)
 
     def test_seed0_sample_drawn_once(self, ellipsoid, monkeypatch):
         grid = homtype.build_boundary_grid(ellipsoid, 0.0, 2000,

@@ -187,8 +187,8 @@ class TestRegionIntegrate:
         # int_shell F dmu against int dsigma int_region F dmu / rho^2
         sg = forms.build_shell_grid(ball, 0.1, 3000, n_bands=8,
                                     nodes_per_band=2)
-        pts, wmu = sg.nodes.reshape(-1, 2), sg.w_mu.reshape(-1)
-        lev = np.repeat(sg.levels, sg.nodes.shape[1])
+        pts, wmu = sg.rows(slice(0, sg.size))
+        lev = np.repeat(sg.levels, sg.mesh.size)
         F = lambda z, l: np.exp(-np.abs(z[..., 0]) ** 2) * (1.0 + 0 * l)
         lhs = np.sum(F(pts, lev) * wmu)
         idx = rng.choice(ball_grid_small.size, 40, replace=False)

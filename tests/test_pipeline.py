@@ -357,7 +357,9 @@ class TestProjectViaContinuation:
         contz = cn.Continuation(
             f_eval=lambda z: np.zeros(np.asarray(z).shape[:-1], complex),
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
-            dbar_blocks=lambda z: [(slice(None), np.zeros(z.shape, complex))],
+            # the shell reaches dbar_blocks as a row source
+            dbar_blocks=lambda z: [(slice(0, z.size),
+                                    np.zeros((z.size, 2), complex))],
             support_height=0.1, domain=ball)
         shell = forms.build_shell_grid(ball, 0.1, 1200, n_bands=6,
                                        nodes_per_band=2)

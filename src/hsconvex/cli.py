@@ -352,9 +352,9 @@ def cmd_continuation(cfg, rep, function):
     rng = np.random.default_rng(cfg.seed)
     zs = 0.5 * domain_mod.random_unit_directions(rng, 8, dom.n)
     out = continuation.verify_pac(cont, shell, zs, f)
-    # the collar streams in projection blocks; sizes, the bytes of the
+    # the collar streams in row blocks; sizes, the bytes of the
     # shell's tables and phase timings go to the event log only
-    rows = domain_mod._PROJECT_ROWS
+    rows = domain_mod._ROW_BLOCK
     rep.event(command="continuation", shell_nodes=shell.size,
               shell_bytes=shell.nbytes, block_rows=rows,
               blocks=math.ceil(shell.size / rows), shell_s=t1 - t0,

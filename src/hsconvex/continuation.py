@@ -71,8 +71,8 @@ class Continuation:
     # differences (the reconstruction only needs dbar_blocks)
     f_eval: Callable
     dbar_eval: Callable            # points (M, n) -> (M, n) components
-    # points (M, n) or a row source -> (sl, (B, n) components) over every
-    # row in order
+    # points (M, n) or a row source -> (sl, (B, n) points, (B, n)
+    # components) over every row in order
     dbar_blocks: Callable
     support_height: float
     domain: object
@@ -84,18 +84,19 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
     Returns ``(evaluate, blocks)``.  ``shape`` is the shape of one point's
     value: () for the extension, (n,) for its dbar components.
     ``blocks(z)`` takes points, an array (M, n) or a row source
-    (:func:`hsconvex.domain.point_rows`), and yields ``(sl, values)`` for
-    consecutive row slices ``sl`` that cover every row in order, zero where
-    a row is not live; ``evaluate(z)`` writes the stream of an array into
-    one output.  ``core`` is called once with all live points, an array or
-    a row source, and yields ``(sl, values)`` for consecutive row blocks
-    ``sl`` of them; each is handed on as it comes, so only one block's
-    temporaries are alive at once.  The live test reads one row block at a
-    time.  When every point is live, as on a collar shell, the core runs on
-    the points themselves, with no copy of them, and its blocks are the
-    stream's; otherwise the live points are gathered into one array, the
-    core's blocks are written into one zero array, and that is the
-    stream's only block.  A core evaluates rho on its own blocks: rho is
+    (:func:`hsconvex.domain.point_rows`), and yields ``(sl, points,
+    values)`` for consecutive row slices ``sl`` that cover every row in
+    order: the rows' points, as read for the values, and the values, zero
+    where a row is not live; ``evaluate(z)`` writes the stream of an array
+    into one output.  ``core`` is called once with all live points, an
+    array or a row source, and yields ``(sl, points, values)`` for
+    consecutive row blocks ``sl`` of them; each is handed on as it comes,
+    so only one block's temporaries are alive at once.  The live test reads
+    one row block at a time.  When every point is live, as on a collar
+    shell, the core runs on the points themselves, with no copy of them,
+    and its blocks are the stream's; otherwise the live points are
+    gathered into one array, the core's blocks are written into one zero
+    array, and that is the stream's only block.  A core evaluates rho on its own blocks: rho is
     elementwise, so the values are the gathered batch's bit for bit.
     """
     def live(pts):
@@ -110,15 +111,15 @@ def _on_collar(domain, core, eps, shape=(), floor=-np.inf):
         pts = read(slice(0, m))
         idx = np.flatnonzero(live(pts))
         out = np.zeros((m,) + shape, dtype=complex)
-        for sl, values in core(pts[idx]) if idx.size else ():
+        for sl, _, values in core(pts[idx]) if idx.size else ():
             out[idx[sl]] = values
-        yield slice(0, m), out
+        yield slice(0, m), pts, out
 
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
         zz = z.reshape(-1, z.shape[-1])
         out = np.empty((zz.shape[0],) + shape, dtype=complex)
-        for sl, values in blocks(zz):
+        for sl, _, values in blocks(zz):
             out[sl] = values
         return out[0] if z.ndim == 1 else out.reshape(z.shape[:-1] + shape)
     return evaluate, blocks
@@ -130,7 +131,7 @@ def _per_block(domain, fn):
         m, read = point_rows(zz)
         for sl in row_blocks(m):
             z = read(sl)
-            yield sl, fn(z, np.asarray(domain.rho(z)))
+            yield sl, z, fn(z, np.asarray(domain.rho(z)))
     return core
 
 
@@ -163,7 +164,7 @@ def extend_by_symmetry(domain, f, m, eps=None):
 
     def f_core(zl):
         for sl, z, zs, _ in symmetric_point_dbar(domain, zl):
-            yield sl, f0(z, zs) * chi(domain.rho(z))
+            yield sl, z, f0(z, zs) * chi(domain.rho(z))
 
     def dbar_block(z, rho, zs, dstar):
         # dstar: (B, j, k)
@@ -189,7 +190,8 @@ def extend_by_symmetry(domain, f, m, eps=None):
         # is batch-wide), then the jet, ramp and cutoff of each row block
         # as the reflection hands it over
         for sl, z, zs, dstar in symmetric_point_dbar(domain, zl):
-            yield sl, dbar_block(z, np.asarray(domain.rho(z)), zs, dstar)
+            yield sl, z, dbar_block(z, np.asarray(domain.rho(z)), zs,
+                                    dstar)
             del z, zs, dstar    # freed before the next block is projected
 
     dbar_eval, dbar_blocks = _on_collar(domain, dbar_core, eps,
@@ -274,22 +276,22 @@ def shell_defect(cont, shell: ShellGrid):
 
     Yields ``(pts, g, dw)`` for the consecutive row blocks of
     ``cont.dbar_blocks`` over the shell's rows, every node in order: the
-    block's nodes (read again from the shell, bit for bit the ones the
-    continuation saw), their gradients (``domain.grad``, elementwise, so
-    bit for bit the ones the shell was built with) and the density of dbar
-    f ^ (Leray form) times d(mu) (:func:`hsconvex.exterior.volume_density`).
-    The shell is a row source, so no whole-collar node array is formed.  On
-    a symmetry continuation a block is projected, reflected and paired
-    before the next one is projected, so no whole-collar dbar field,
-    gradient or weight array is ever alive.  Each weight depends on its own
-    row alone.
+    block's nodes (the ones the continuation read from the shell and hands
+    on), their gradients (``domain.grad``, elementwise, so bit for bit the
+    ones the shell was built with) and the density of dbar f ^ (Leray form)
+    times d(mu) (:func:`hsconvex.exterior.volume_density`).  Of the shell
+    only each block's ``w_mu`` is read here.  The shell is a row source, so
+    no whole-collar node array is formed.  On a symmetry continuation a
+    block is projected, reflected and paired before the next one is
+    projected, so no whole-collar dbar field, gradient or weight array is
+    ever alive.  Each weight depends on its own row alone.
     """
     d = cont.domain
-    for sl, dbar in cont.dbar_blocks(shell):
-        x, w_mu = shell.rows(sl)
+    w_mu = shell.w_mu.reshape(-1)
+    for sl, x, dbar in cont.dbar_blocks(shell):
         g = np.asarray(d.grad(x))
-        dw = volume_density(dbar, g, d.hess_mixed(x)) * w_mu
-        del dbar, w_mu
+        dw = volume_density(dbar, g, d.hess_mixed(x)) * w_mu[sl]
+        del dbar
         yield x, g, dw
         del x, g, dw    # freed before the next block is projected
 

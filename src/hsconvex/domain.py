@@ -339,12 +339,12 @@ def real_gradient(domain, z):
 def radial_level(domain, dirs, t, max_iter=60):
     """Radii r(theta) with rho(r * theta) = t for unit directions theta.
 
-    ``dirs`` is an array of directions (..., n), or a row source (an
+    ``dirs`` is a batch of directions (M, n) or a row source (an
     :class:`hsconvex.sphere.AngularMesh`, or the unit directions of a batch
-    that :func:`_project_certified` forms one block at a time) whose rows
-    are read one block at a time.  Newton in r from r = 1; the catalog
-    domains are strongly convex with the origin interior, so rho is
-    strictly increasing in r near the shell.
+    that :func:`_project_certified` forms one block at a time), read one
+    block at a time through :func:`point_rows`.  Newton in r from r = 1;
+    the catalog domains are strongly convex with the origin interior, so
+    rho is strictly increasing in r near the shell.
 
     The stop test is batch-wide: every row takes the Newton steps of the
     first iteration at which every row is within 1e-13 (at most
@@ -352,22 +352,19 @@ def radial_level(domain, dirs, t, max_iter=60):
     whatever the block size.  The rows go in blocks (:func:`row_blocks`),
     and each block advances on its own, reading its directions once per
     visit: to the step count the batch has reached so far, and then on
-    until its own rows are within the tolerance.  A block that goes past
-    that count raises it, and the blocks behind it are visited again,
-    starting from a fresh rho pass, until every block stands at one count.
-    Only the radii are whole-batch arrays.  The final residual check reads
-    each block's last rho pass, which is the returned radii's, and
-    :class:`ProjectionError` carries its maximum over the batch.
+    until its own rows are within the tolerance.  The first sweep visits
+    the blocks in order, so a reader that raises on a row raises at the
+    batch's first such row.  A block that goes past the step count raises
+    it, and the blocks behind it are visited again, starting from a fresh
+    rho pass, until every block stands at one count.  Only the radii are
+    whole-batch arrays.  The final residual check reads each block's last
+    rho pass, which is the returned radii's, and :class:`ProjectionError`
+    carries its maximum over the batch.
     """
-    if hasattr(dirs, "rows"):
-        shape, dirs_of = (dirs.size,), lambda sl: dirs.rows(sl)[0]
-    else:
-        dirs = np.asarray(dirs, dtype=complex)
-        shape = dirs.shape[:-1]
-        dirs_of = dirs.reshape(-1, dirs.shape[-1]).__getitem__
-    r = np.full(int(np.prod(shape)), 1.0, dtype=float)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1)
-    blocks = row_blocks(r.size)
+    m, dirs_of = point_rows(dirs)
+    r = np.full(m, 1.0, dtype=float)
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (m,))
+    blocks = row_blocks(m)
     at = [None] * len(blocks)       # steps each block has taken
     worst = [0.0] * len(blocks)     # its largest |residual| there
     steps, moved = 0, True
@@ -394,7 +391,7 @@ def radial_level(domain, dirs, t, max_iter=60):
     if not worst < 1e-10:
         raise ProjectionError("radial level solve failed",
                               residual=float(worst))
-    return r.reshape(shape)
+    return r
 
 
 def random_unit_directions(rng, m, n):
@@ -421,19 +418,14 @@ _NEWTON_TOL = 1e-11
 STATIONARY_TOL = 1e-9
 
 
-# rows per block of the batched row-wise passes (level-set radii, mesh
-# rows and surface blocks, the collar evaluators); each row's arithmetic
-# does not depend on the block it sits in
-_ROW_BLOCK = 8192
-
-# rows per block of the projection's per-point linear algebra (Newton
-# steps, KKT certificates, the dbar solve): a block's 5 x 5 matrices and
-# their solve copies stay a few MiB however large the batch, and on the
-# collar each block is reflected, paired and contracted before the next is
-# projected.  Smaller blocks lower the collar's peak memory further but
-# spend more time in the per-call overhead of each Newton step.  Read at
-# call time; each row's arithmetic does not depend on the block it sits in
-_PROJECT_ROWS = 4096
+# rows per block of every batched row-wise pass: level-set radii, mesh rows
+# and surface blocks, the Leray density, Horner, the reduced projector's
+# orbits, the collar evaluators and the projection's per-point linear
+# algebra (Newton steps, KKT certificates, the dbar solve), whose 5 x 5
+# matrices and solve copies then stay a few MiB however large the batch.
+# Read at call time; each row's arithmetic does not depend on the block
+# it sits in
+_ROW_BLOCK = 4096
 
 
 def row_blocks(m, rows=None):
@@ -452,11 +444,14 @@ def point_rows(z):
     ``z`` is an array (M, n) or a row source: an object with ``size`` rows
     whose ``rows(sl)[0]`` are the points of slice ``sl``, such as the
     nodes of a :class:`hsconvex.forms.ShellGrid`.  An array's blocks are
-    views.
+    views; an array of any other rank raises ``ValueError``.
     """
     if hasattr(z, "rows"):
         return z.size, lambda sl: z.rows(sl)[0]
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 2:
+        raise ValueError(f"expected a batch of points (M, n), got shape "
+                         f"{z.shape}")
     return z.shape[0], z.__getitem__
 
 
@@ -484,8 +479,8 @@ def _project_certified(domain, z):
 
     ``z`` is an array (M, n) or a row source (:func:`point_rows`).  Yields
     ``(sl, pts, xi, kkt)`` for the consecutive blocks ``sl`` of
-    ``_PROJECT_ROWS`` rows: the block's points, their nearest points and
-    their certified KKT matrices, so no more than one block's points and
+    :func:`row_blocks`: the block's points, their nearest points and their
+    certified KKT matrices, so no more than one block's points and
     matrices are alive at once.  The first block that fails raises, before
     later blocks are projected.
 
@@ -493,19 +488,16 @@ def _project_certified(domain, z):
     directions of the batch, read as a row source, since its stop test is
     batch-wide and per-block calls would move the start's last bits.  Only
     its radii are whole-batch; each block rebuilds its unit directions, row
-    for row as the radial solve read them.  Before that call, a pass over
-    the blocks raises at the first row of the batch with no radial
-    direction (zero or non-finite), so the radial solve only sees unit
-    directions; a failed radial solve then raises before any block is
-    projected.  On the ball every unit direction meets the solve's stop
-    test at r = 1, so no row takes a radial step and each row's result is
-    its own, whatever the batch; on the collar Newton then stops at the
-    start z/|z| too.
+    for row as the radial solve read them.  The solve's first sweep reads
+    the blocks in order, so the first row of the batch with no radial
+    direction (zero or non-finite) raises there, and a failed radial solve
+    raises next, both before any block is projected.  On the ball every
+    unit direction meets the solve's stop test at r = 1, so no row takes a
+    radial step and each row's result is its own, whatever the batch; on
+    the collar Newton then stops at the start z/|z| too.
     """
-    if not hasattr(z, "rows") and np.ndim(z) != 2:
-        raise ValueError("project_boundary takes a batch of points (M, n)")
     m, read = point_rows(z)
-    blocks = row_blocks(m, _PROJECT_ROWS)
+    blocks = row_blocks(m)
     if len(blocks) > 1:
         # glibc lifts its mmap threshold to the size of a freed mmapped
         # buffer, and its heap trim threshold to twice that.  One such
@@ -513,9 +505,7 @@ def _project_certified(domain, z):
         # both past a block's temporaries (about 900 bytes a row), so each
         # block reuses the heap pages of the one before instead of handing
         # them back to the system and faulting them in again
-        np.empty(1024 * _PROJECT_ROWS, dtype=np.uint8)
-    for sl in row_blocks(m):
-        _unit_rows(read(sl))
+        np.empty(1024 * _ROW_BLOCK, dtype=np.uint8)
     # the batch's unit directions as a row source, formed block by block;
     # its shape is the batch's, as a mesh's is
     radii = radial_level(domain, SimpleNamespace(
@@ -663,13 +653,14 @@ def _bordered_kkt(domain, pts, xi):
     naming the point.
 
     It certifies one row block of a batch (see :func:`_project_certified`).
-    A row with no radial direction anywhere in the batch raises first, before
-    the radial solve, and a failed radial solve next.  Otherwise, when
-    points of several blocks fail, the earliest failing block raises,
-    whatever its reason, and later blocks are never projected.  Within a
-    block, a singular Newton system (raised before this certificate) wins,
-    then non-stationarity, then a singular, non-finite or past-the-reach
-    matrix; the certificate names the first row failing its check.
+    A row with no radial direction anywhere in the batch raises first, in
+    the radial solve's first sweep, and a failed radial solve next.
+    Otherwise, when points of several blocks fail, the earliest failing
+    block raises, whatever its reason, and later blocks are never
+    projected.  Within a block, a singular Newton system (raised before
+    this certificate) wins, then non-stationarity, then a singular,
+    non-finite or past-the-reach matrix; the certificate names the first
+    row failing its check.
     """
     g = as_real(real_gradient(domain, xi))
     dz = as_real(pts - xi)
@@ -725,8 +716,6 @@ def symmetric_point_dbar(domain, z):
     call (its stop test is batch-wide), so a row's values do not depend on
     the block size.
     """
-    if not hasattr(z, "rows"):
-        z = np.atleast_2d(np.asarray(z, dtype=complex))
     for sl, pts, xi, kkt in _project_certified(domain, z):
         dbar = _reflection_dbar(kkt)
         del kkt     # freed before the next block is projected

@@ -50,11 +50,6 @@ __all__ = [
 ]
 
 
-# nodes per block of the Horner evaluation: the block's z1, z2, row and
-# output vectors (64 KiB each) stay in cache across the coefficient loop
-_HORNER_BLOCK = 4096
-
-
 @dataclass
 class PolynomialCn:
     """Complex polynomial in (z1, z2) over a multi-index coefficient map."""
@@ -88,7 +83,9 @@ class PolynomialCn:
         Each row's Horner starts at its highest nonzero coefficient (a
         degree-d projection fills only the triangle b1 + b2 <= d) and is
         folded into the z1 accumulator as soon as it is computed; nodes go
-        through in blocks of ``_HORNER_BLOCK``.  The arithmetic and its order
+        through in row blocks (:func:`hsconvex.domain.row_blocks`), whose
+        z1, z2, row and output vectors (64 KiB each at 4096 rows) stay in
+        cache across the coefficient loop.  The arithmetic and its order
         are those of the full-rectangle scheme, so values agree bit for bit.
         """
         z = np.asarray(z, dtype=complex)
@@ -104,12 +101,13 @@ class PolynomialCn:
         tops = [-1] * c.shape[0]          # highest z2-power of each row
         for a1, a2 in self.coeffs:
             tops[a1] = max(tops[a1], a2)
-        size = min(_HORNER_BLOCK, zf.shape[0])
+        blocks = row_blocks(zf.shape[0])
+        size = blocks[0].stop if blocks else 0
         z1 = np.empty(size, dtype=complex)
         z2 = np.empty(size, dtype=complex)
         row = np.empty(size, dtype=complex)
         prod = np.empty(size, dtype=complex)
-        for sl in row_blocks(zf.shape[0], _HORNER_BLOCK):
+        for sl in blocks:
             m = sl.stop - sl.start
             b1, b2, r, t = z1[:m], z2[:m], row[:m], prod[:m]
             o = out[sl]
@@ -259,10 +257,8 @@ _HARM_CAP = 3
 _HARM_TOL = 1e-7
 
 
-# phi_2 nodes of the reduced projector's pole-graded meshes, and the orbits
-# per row block of its surface pass
+# phi_2 nodes of the reduced projector's pole-graded meshes
 _REDUCED_PHI2 = 12
-_ORBIT_BLOCK = 512
 
 # rows per block of f's evaluation on a projection or evaluation surface,
 # at least (unless the surface is smaller).  That floor keeps f's bits:
@@ -279,8 +275,9 @@ def _reduced_weights(domain, f, t_off, mesh):
     Returns the (N,) weights f * density * w_sigma of every node, and the
     self-pairings and gradients of the phi_2 = 0 column.  The radii come
     from one :func:`radial_level` call on the mesh (its stop test is
-    batch-wide); the rest runs over row blocks of whole phi_2-orbits read
-    from the mesh (:func:`surface_rows`), so one block's directions,
+    batch-wide); the rest runs over blocks of whole phi_2-orbits read from
+    the mesh (:func:`surface_rows`), as many as fit in the first row block
+    of :func:`hsconvex.domain.row_blocks`, so one block's directions,
     nodes, gradients and densities are alive at once.
     """
     r = radial_level(domain, mesh, t_off)
@@ -289,7 +286,7 @@ def _reduced_weights(domain, f, t_off, mesh):
     w = np.empty(mesh.size, dtype=complex)
     pair_col = np.empty(n2, dtype=complex)
     grad_col = np.empty((n2, domain.n), dtype=complex)
-    rows = min(n_phi2 * _ORBIT_BLOCK, mesh.size)
+    rows = max(row_blocks(mesh.size)[0].stop // n_phi2, 1) * n_phi2
     nodes_buf = np.empty((rows, domain.n), dtype=complex)
     g_buf = np.empty((rows, domain.n), dtype=complex)
     for sl in row_blocks(mesh.size, rows):

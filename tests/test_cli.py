@@ -545,8 +545,8 @@ class TestOtherCommands:
         shell_bytes = forms.build_shell_grid(dom.ball(), 0.1, 4000, n_bands=8,
                                              nodes_per_band=2).nbytes
         reports = []
-        for rows in (4096, 5000):
-            monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
+        for rows in (dom._ROW_BLOCK, 5000):
+            monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
             out = tmp_path / str(rows)
             assert cli.main(["continuation", str(cfg_file),
                              "--out", str(out)]) == cli.EXIT_OK

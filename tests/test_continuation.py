@@ -148,11 +148,9 @@ _ORACLE_BLOCKS = (1, 7, 8193)
 
 
 def _one_block_and(block, fn, monkeypatch):
-    """fn() with row and projection blocks of ``block`` rows, then with one
-    block."""
+    """fn() with row blocks of ``block`` rows, then with one block."""
     for rows in (block, 10 ** 9):
         monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
-        monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
         yield fn()
 
 
@@ -240,10 +238,12 @@ class TestBlockedCollar:
         assert peak <= 18.0
 
 
-# (projection rows, row-block rows): the defaults, one-row blocks, 647-row
-# blocks that leave the 648-node shell a one-row last block, and small
-# blocks of either kind
-_STREAM_ROWS = ((4096, 8192), (1, 1), (647, 647), (7, 5), (5, 7))
+# row blocks: the default, one-row blocks, 647-row blocks that leave the
+# 648-node shell a one-row last block, and two small blocks.  The ids are
+# the (projection rows, row-block rows) pairs these sizes stood in for
+# while the projection had a block size of its own
+_STREAM_ROWS = (4096, 1, 647, 7, 5)
+_STREAM_IDS = ("4096x8192", "1x1", "647x647", "7x5", "5x7")
 
 
 def _whole_collar(cont, nodes, w_mu, zs):
@@ -265,8 +265,7 @@ def _whole_collar(cont, nodes, w_mu, zs):
 class TestStreamedCollar:
     """The streamed reconstruction equals whole-collar arrays, bit for bit."""
 
-    @pytest.mark.parametrize("rows", _STREAM_ROWS,
-                             ids=lambda r: f"{r[0]}x{r[1]}")
+    @pytest.mark.parametrize("rows", _STREAM_ROWS, ids=_STREAM_IDS)
     @pytest.mark.parametrize("name,kind", [
         ("ball", "global"), ("ball", "symmetry"), ("ellipsoid", "symmetry"),
         ("perturbed_ball", "symmetry")])
@@ -282,15 +281,13 @@ class TestStreamedCollar:
         assert shell.size == 648
         zs = _criterion_6_points()
         monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
-        monkeypatch.setattr(dom, "_PROJECT_ROWS", 10 ** 9)
         nodes, w_mu = whole_shell(cont.domain, 0.1, 80, 3, 2)
         want_dw, want = _whole_collar(cont, nodes, w_mu, zs)
-        monkeypatch.setattr(dom, "_PROJECT_ROWS", rows[0])
-        monkeypatch.setattr(dom, "_ROW_BLOCK", rows[1])
+        monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
         blocks = list(cn.shell_defect(cont, shell))
         sizes = [len(dw) for *_, dw in blocks]
         assert sum(sizes) == 648
-        assert sizes[0] == min(648, rows[kind == "global"])
+        assert sizes[0] == min(648, rows)
         pts, g, dw = (np.concatenate(a) for a in zip(*blocks))
         assert np.array_equal(pts, nodes.reshape(-1, 2))
         assert np.array_equal(g, cont.domain.grad(pts))
@@ -324,9 +321,8 @@ class TestStreamedCollar:
         monkeypatch.setattr(dom, "radial_level", spy)
         if rows:
             monkeypatch.setattr(dom, "_ROW_BLOCK", rows)
-            monkeypatch.setattr(dom, "_PROJECT_ROWS", rows)
         blocks = sum(1 for _ in cn.shell_defect(cont, shell))
-        assert blocks == len(dom.row_blocks(shell.size, dom._PROJECT_ROWS))
+        assert blocks == len(dom.row_blocks(shell.size))
         assert blocks >= 2
         monkeypatch.setattr(dom, "_ROW_BLOCK", 10 ** 9)
         want = solve(d, nodes / np.linalg.norm(nodes, axis=-1,
@@ -334,6 +330,30 @@ class TestStreamedCollar:
         assert len(starts) == 1
         assert shapes == [(shell.size, 2)]
         assert np.array_equal(starts[0], want)
+
+    def test_three_node_reads_per_collar_row(self, ellipsoid, monkeypatch):
+        # the collar workload's ellipsoid shell: the live test, the radial
+        # start and the projection each read a row's node once; the dbar
+        # stream hands its nodes on, so the defect weights read only w_mu.
+        # Five reads with a pass of its own for the radial directions and
+        # the nodes read again for the weights
+        shell = forms.build_shell_grid(ellipsoid, 0.1, 6000, n_bands=8,
+                                       nodes_per_band=3)
+        assert shell.size == 127776
+        f = corpus.monomial((2, 1))
+        cont = cn.extend_by_symmetry(ellipsoid, f, m=3, eps=0.1)
+        zs = 0.5 * dom.random_unit_directions(np.random.default_rng(0), 8,
+                                              2)
+        rows, read = [], forms.ShellGrid.rows
+
+        def counting(self, sl):
+            rows.append(sl.stop - sl.start)
+            return read(self, sl)
+
+        monkeypatch.setattr(forms.ShellGrid, "rows", counting)
+        rep = cn.verify_pac(cont, shell, zs, f)
+        assert rep["max_rel_err"] <= 1e-2
+        assert sum(rows) == 3 * shell.size
 
     def test_shell_and_verify_pac_peak_memory(self, ellipsoid,
                                               traced_peak_mib):
@@ -495,6 +515,7 @@ class TestVerifyPac:
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
             # the shell reaches dbar_blocks as a row source
             dbar_blocks=lambda z: [(slice(0, z.size),
+                                    z.rows(slice(0, z.size))[0],
                                     np.zeros((z.size, 2), complex))],
             support_height=0.1, domain=ball)
         rep = cn.verify_pac(cont, shell, np.zeros((1, 2), complex),

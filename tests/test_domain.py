@@ -155,8 +155,16 @@ class TestEval:
         with pytest.raises(dom.DomainValidationError,
                            match="cannot sample the shell"):
             dom.ball(eps_shell=1.5)
-        with pytest.raises(ValueError, match=r"batch of points \(M, n\)"):
-            dom.project_boundary(ball, np.array([1.2, 0.0], complex))
+        # a point (n,) is no batch: the radial solve and the projection
+        # read points alike, and both refuse it with one message
+        errors = []
+        for solve in (dom.project_boundary,
+                      lambda d, z: dom.radial_level(d, z, 0.0)):
+            with pytest.raises(ValueError,
+                               match=r"batch of points \(M, n\)") as info:
+                solve(ball, np.array([1.2, 0.0], complex))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
         with pytest.raises(ValueError, match="degenerate gradient"):
             dom.unit_frame(np.zeros((1, 2), complex))
 
@@ -217,16 +225,17 @@ class TestProjection:
                 project(d, np.zeros((1, 2), complex))
 
     @pytest.mark.parametrize("name", CATALOG)
-    def test_no_radial_direction_raises_before_radial_solve(self, name,
-                                                            monkeypatch):
-        # the first such row of the batch is named, past the first block
+    def test_no_radial_direction_raises_before_projection(self, name,
+                                                          monkeypatch):
+        # the first such row of the batch is named, past the first block,
+        # by the radial start's first sweep: no block is projected first
         d = _catalog(name)
         pts = dom.random_shell_points(d, np.random.default_rng(1), 12,
                                       (-0.1, 0.1))
         pts[9] = [np.nan, 0.5]
         pts[11] = 0.0
-        monkeypatch.setattr(dom, "_PROJECT_ROWS", 4)
-        monkeypatch.setattr(dom, "radial_level", None)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(dom, "_project_newton", None)
         with pytest.raises(dom.ProjectionError,
                            match=r"z=\[nan\+0\.j 0\.5\+0\.j\]"):
             dom.project_boundary(d, pts)
@@ -339,7 +348,6 @@ class TestRowBlocks:
 
         def run(block):
             monkeypatch.setattr(dom, "_ROW_BLOCK", block)
-            monkeypatch.setattr(dom, "_PROJECT_ROWS", block)
             return (*_reflect(d, pts), dom.project_boundary(d, pts))
 
         for blocked, whole in zip(run(_BLOCK), run(m)):
@@ -348,7 +356,7 @@ class TestRowBlocks:
     def test_error_names_the_point_past_the_first_block(self, ellipsoid):
         # (0, 0.4) lies past the reach (see test_past_focal_set_raises); in
         # a later block it must be named as it is on its own
-        b = dom._PROJECT_ROWS
+        b = dom._ROW_BLOCK
         pts = dom.random_shell_points(ellipsoid, np.random.default_rng(0),
                                       2 * b, (-0.1, 0.1))
         pts[b + 3] = [0.0, 0.4]

@@ -320,7 +320,7 @@ class TestShellGrid:
         # blocks of 1, 7 and 647 rows and of the default row block, against
         # each level's surface_nodes call: on 6 levels of 108 nodes (647
         # leaves a one-row last block) and on 24 levels of 1,372 nodes,
-        # whose 8192-row blocks start and end inside levels
+        # whose 4096-row blocks start and end inside levels
         d = dom.from_catalog(name)
         res = (80, 3, 2) if block in (1, 7) else (1200, 8, 3)
         sg = forms.build_shell_grid(d, 0.1, res[0], n_bands=res[1],
@@ -367,9 +367,9 @@ class TestGridLerayDensity:
         nodes = dom.random_shell_points(d, np.random.default_rng(m), m,
                                         (-0.1, 0.1))
         g = d.grad(nodes)
-        monkeypatch.setattr(exterior, "_LERAY_ROWS", 8)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", 8)
         blocked = exterior.grid_leray_density(d, nodes, g)
-        monkeypatch.setattr(exterior, "_LERAY_ROWS", m)
+        monkeypatch.setattr(dom, "_ROW_BLOCK", m)
         assert np.array_equal(blocked,
                               exterior.grid_leray_density(d, nodes, g))
 

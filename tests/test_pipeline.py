@@ -50,7 +50,7 @@ class TestPolynomialCn:
     def test_horner_matches_naive(self, seed, deg, kind):
         r = np.random.default_rng(seed)
         p = pl.PolynomialCn(_poly_of_kind(kind, r, deg))
-        blk = pl._HORNER_BLOCK
+        blk = dom._ROW_BLOCK
         # empty, single, small, one block, one block + 1, two blocks + 17
         for size in (0, 1, 6, blk, blk + 1, 2 * blk + 17):
             z = r.standard_normal((size, 2)) + \
@@ -359,6 +359,7 @@ class TestProjectViaContinuation:
             dbar_eval=lambda z: np.zeros(np.asarray(z).shape, complex),
             # the shell reaches dbar_blocks as a row source
             dbar_blocks=lambda z: [(slice(0, z.size),
+                                    z.rows(slice(0, z.size))[0],
                                     np.zeros((z.size, 2), complex))],
             support_height=0.1, domain=ball)
         shell = forms.build_shell_grid(ball, 0.1, 1200, n_bands=6,
